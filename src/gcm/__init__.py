@@ -50,6 +50,7 @@ from .inference import (
     TestResult,
     asym_cov,
     chi_sq_p_value,
+    cov_factors,
     plugin_cov,
     standard_errors,
     standardized_stat,
@@ -100,6 +101,7 @@ __all__ = [
     "AsymptoticSpec",
     "AsymptoticLaw",
     "TestResult",
+    "cov_factors",
     "asym_cov",
     "plugin_cov",
     "standard_errors",

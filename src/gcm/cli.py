@@ -15,13 +15,7 @@ import sys
 import numpy as np
 
 from . import estimators, fileio, inference, linalg, mc, model
-from .errors import (
-    ConfigError,
-    MatrixParseError,
-    NotSpd,
-    TooFewSamples,
-    ValidationError,
-)
+from .errors import ConfigError, NotSpd, TooFewSamples, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -39,10 +33,6 @@ class CommandError(Exception):
         super().__init__(message)
 
 
-def _listify(a: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(a)]
-
-
 def _require_seed(value) -> int:
     seed = int(value)
     if not 0 <= seed < 2**64:
@@ -55,16 +45,6 @@ def _load_scenario_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
-
-
-def _cov_factors(design: model.Design, contrast: model.Contrast, sigma: np.ndarray):
-    """Covariance factors C (X'X)^{-1} C' and D (Z' sigma^{-1} Z)^{-1} D'."""
-    x, z = design.X, design.Z
-    c, d = contrast.C, contrast.D
-    left = c @ linalg.solve_spd(x.T @ x, c.T, "X'X")
-    g = z.T @ linalg.solve_spd(sigma, z, "sigma")
-    right = d @ linalg.solve_spd(g, d.T, "Z' sigma^{-1} Z")
-    return (left + left.T) / 2.0, (right + right.T) / 2.0
 
 
 def cmd_simulate(args) -> int:
@@ -88,9 +68,9 @@ def cmd_simulate(args) -> int:
     fileio.write_matrix_csv(os.path.join(out, "X.csv"), design.X)
     fileio.write_matrix_csv(os.path.join(out, "Z.csv"), design.Z)
     truth = {
-        "theta": _listify(scenario.theta),
-        "sigma": _listify(scenario.sigma),
-        "sigma_cholesky": _listify(np.linalg.cholesky(scenario.sigma)),
+        "theta": fileio.jsonable(scenario.theta),
+        "sigma": fileio.jsonable(scenario.sigma),
+        "sigma_cholesky": fileio.jsonable(np.linalg.cholesky(scenario.sigma)),
         "noise": {"family": scenario.noise_family, "df": scenario.noise_df},
         "seed": seed,
     }
@@ -112,13 +92,24 @@ def _load_estimation_inputs(args):
     return data, contrast
 
 
+def _truth_matrix(path, truth, key, shape):
+    """The finite ``shape`` matrix under ``key`` of a truth file, or ConfigError."""
+    try:
+        value = linalg.as_matrix(truth[key], key)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if value.shape != shape:
+        raise ConfigError(f"{path}: {key} must be {shape[0]} x {shape[1]}, got {value.shape}")
+    return value
+
+
 def _truth_errors(args, data, contrast, theta, sigma_value):
     if not args.truth:
         return None
     truth = fileio.read_json(args.truth)
     if not isinstance(truth, dict) or "theta" not in truth:
         raise ConfigError(f"{args.truth}: truth file must be an object with a 'theta' key")
-    theta_true = linalg.as_matrix(np.asarray(truth["theta"], dtype=np.float64), "theta")
+    theta_true = _truth_matrix(args.truth, truth, "theta", theta.shape)
     gamma_true = contrast.apply(theta_true)
     gamma = contrast.apply(theta)
     errors = {
@@ -126,7 +117,7 @@ def _truth_errors(args, data, contrast, theta, sigma_value):
         "gamma_err_fro": float(np.linalg.norm(gamma - gamma_true)),
     }
     if sigma_value is not None and "sigma" in truth:
-        sigma_true = np.asarray(truth["sigma"], dtype=np.float64)
+        sigma_true = _truth_matrix(args.truth, truth, "sigma", sigma_value.shape)
         errors["sigma_err_fro"] = float(np.linalg.norm(sigma_value - sigma_true))
     return errors
 
@@ -135,35 +126,28 @@ def _estimate_results(args):
     data, contrast = _load_estimation_inputs(args)
     if args.sigma0:
         try:
-            sigma0 = linalg.check_spd(fileio.read_matrix_csv(args.sigma0, args.header), "sigma0")
+            sigma = linalg.check_spd(fileio.read_matrix_csv(args.sigma0, args.header), "sigma0")
         except NotSpd as exc:
             raise CommandError(EXIT_VALIDATION, "NotSpd", str(exc)) from exc
-        theta = estimators.theta_hat_known(data, sigma0)
         sigma_value = None
         estimator_name = "known_sigma"
-        left, right = _cov_factors(data.design, contrast, sigma0)
     else:
-        try:
-            sig = estimators.sigma_hat(data)
-        except (TooFewSamples, NotSpd) as exc:
-            raise CommandError(
-                EXIT_SINGULAR_FIRST_STAGE, type(exc).__name__, str(exc)
-            ) from exc
-        theta = estimators.theta_hat_known(data, sig.value)
-        sigma_value = sig.value
+        sigma = sigma_value = estimators.sigma_hat(data).value
         estimator_name = "two_stage"
-        left, right = _cov_factors(data.design, contrast, sig.value)
+    theta = estimators.theta_hat_known(data, sigma)
+    x = data.design.X
+    law = inference.cov_factors(x.T @ x, sigma, data.design.Z, contrast)
     gamma = contrast.apply(theta)
     results = {
         "estimator": estimator_name,
-        "gamma": _listify(gamma),
-        "theta": _listify(theta),
-        "cov_left": _listify(left),
-        "cov_right": _listify(right),
-        "std_errors": _listify(np.sqrt(np.outer(np.diag(left), np.diag(right)))),
+        "gamma": fileio.jsonable(gamma),
+        "theta": fileio.jsonable(theta),
+        "cov_left": fileio.jsonable(law.left),
+        "cov_right": fileio.jsonable(law.right),
+        "std_errors": fileio.jsonable(inference.standard_errors(law)),
     }
     if sigma_value is not None:
-        results["sigma_hat"] = _listify(sigma_value)
+        results["sigma_hat"] = fileio.jsonable(sigma_value)
     truth_errors = _truth_errors(args, data, contrast, theta, sigma_value)
     if truth_errors is not None:
         results["truth_errors"] = truth_errors
@@ -206,7 +190,7 @@ def cmd_test(args) -> int:
         raise CommandError(EXIT_SINGULAR_STANDARDIZER, "NotSpd", str(exc)) from exc
     results.update(
         {
-            "t_stat": _listify(outcome.T_stat),
+            "t_stat": fileio.jsonable(outcome.T_stat),
             "chi_sq": outcome.chi_sq,
             "dof": outcome.dof,
             "p_value": outcome.p_value,
@@ -236,10 +220,7 @@ def cmd_mc(args, kind: str) -> int:
     if args.alpha is not None:
         conf["alpha"] = args.alpha
     cfg = mc.McConfig.from_dict(conf)
-    try:
-        report = _MC_RUNNERS[kind](cfg)
-    except (TooFewSamples, NotSpd) as exc:
-        raise CommandError(EXIT_SINGULAR_FIRST_STAGE, type(exc).__name__, str(exc)) from exc
+    report = _MC_RUNNERS[kind](cfg)
     inputs = cfg.to_dict()
     inputs["dump_replicates"] = dump
     doc = fileio.make_report(cfg.seed, inputs, report.to_dict())
@@ -377,20 +358,14 @@ def main(argv=None) -> int:
     except CommandError as exc:
         _emit_error(args, exc.kind, str(exc), exc.code)
         return exc.code
-    except MatrixParseError as exc:
-        _emit_error(args, "MatrixParseError", str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
     except ValidationError as exc:
         _emit_error(args, type(exc).__name__, str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
     except ValueError as exc:
         _emit_error(args, "ValueError", str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
-    except TooFewSamples as exc:
-        _emit_error(args, "TooFewSamples", str(exc), EXIT_SINGULAR_FIRST_STAGE)
-        return EXIT_SINGULAR_FIRST_STAGE
-    except NotSpd as exc:
-        _emit_error(args, "NotSpd", str(exc), EXIT_SINGULAR_FIRST_STAGE)
+    except (TooFewSamples, NotSpd) as exc:
+        _emit_error(args, type(exc).__name__, str(exc), EXIT_SINGULAR_FIRST_STAGE)
         return EXIT_SINGULAR_FIRST_STAGE
     except OSError as exc:
         _emit_error(args, type(exc).__name__, str(exc), EXIT_IO)

@@ -95,8 +95,22 @@ def write_table_csv(path: str, header: list, rows: list) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def jsonable(v):
+    """JSON-ready form of ``v``: arrays become nested lists (at least 2-d),
+    numpy scalars Python numbers, and non-finite floats, such as the standard
+    error of a Monte Carlo cell with fewer than two successes, None (null)."""
+    if isinstance(v, np.ndarray):
+        return [[jsonable(float(x)) for x in row] for row in np.atleast_2d(v)]
+    if isinstance(v, (np.floating, np.integer)):
+        v = v.item()
+    if isinstance(v, float) and not np.isfinite(v):
+        return None
+    return v
+
+
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Sorted-key JSON; raises ValueError on NaN or Inf, which JSON cannot hold."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: str, obj) -> None:

@@ -50,10 +50,10 @@ class AsymptoticSpec:
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticLaw:
-    """Kronecker factors of the covariance of sqrt(n) * vec_t(gamma_hat - gamma).
+    """Kronecker factors of the covariance of sqrt(n) (gamma_hat - gamma).
 
-    ``left`` is s x s, ``right`` is t x t; the full s*t covariance under the
-    row-stacking vec orientation is kron(left, right).
+    ``left`` is s x s, ``right`` is t x t; the full s*t covariance of the
+    row-stacked error, (gamma_hat - gamma).reshape(-1), is kron(left, right).
     """
 
     left: np.ndarray
@@ -75,13 +75,24 @@ class TestResult:
     reject: bool
 
 
-def asym_cov(spec: AsymptoticSpec) -> AsymptoticLaw:
-    """Limit covariance factors C R^{-1} C' and D (Z' sigma^{-1} Z)^{-1} D'."""
-    c, d = spec.contrast.C, spec.contrast.D
-    left = c @ linalg.solve_spd(spec.R, c.T, "R")
-    g = spec.Z.T @ linalg.solve_spd(spec.sigma, spec.Z, "sigma")
+def cov_factors(
+    a: np.ndarray, sigma: np.ndarray, z: np.ndarray, contrast: model.Contrast
+) -> AsymptoticLaw:
+    """Symmetrized covariance factors C a^{-1} C' and D (Z' sigma^{-1} Z)^{-1} D'.
+
+    ``a`` is X'X for the finite-sample plug-in or R = lim X'X/n for the
+    limit law; ``sigma`` is the true, known or first-stage covariance.
+    """
+    c, d = contrast.C, contrast.D
+    left = c @ linalg.solve_spd(a, c.T, "X'X or R")
+    g = z.T @ linalg.solve_spd(sigma, z, "sigma")
     right = d @ linalg.solve_spd(g, d.T, "Z' sigma^{-1} Z")
     return AsymptoticLaw(left=(left + left.T) / 2.0, right=(right + right.T) / 2.0)
+
+
+def asym_cov(spec: AsymptoticSpec) -> AsymptoticLaw:
+    """Limit covariance factors C R^{-1} C' and D (Z' sigma^{-1} Z)^{-1} D'."""
+    return cov_factors(spec.R, spec.sigma, spec.Z, spec.contrast)
 
 
 def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:
@@ -94,12 +105,8 @@ def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:
     """
     estimators._check_contrast(contrast, data.design)
     sig = estimators.sigma_hat(data)
-    x, z = data.design.X, data.design.Z
-    c, d = contrast.C, contrast.D
-    left = c @ linalg.solve_spd(x.T @ x, c.T, "X'X")
-    g = z.T @ linalg.solve_spd(sig.value, z, "sigma_hat")
-    right = d @ linalg.solve_spd(g, d.T, "Z' sigma_hat^{-1} Z")
-    return AsymptoticLaw(left=(left + left.T) / 2.0, right=(right + right.T) / 2.0)
+    x = data.design.X
+    return cov_factors(x.T @ x, sig.value, data.design.Z, contrast)
 
 
 def standard_errors(law: AsymptoticLaw) -> np.ndarray:
@@ -118,13 +125,10 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     n = data.design.n
     sig = estimators.sigma_hat(data)
     gamma = contrast.apply(estimators._gls_theta(data.design, data.Y, sig.value))
-    x, z = data.design.X, data.design.Z
-    c, d = contrast.C, contrast.D
-    left = n * (c @ linalg.solve_spd(x.T @ x, c.T, "X'X"))
-    g = z.T @ linalg.solve_spd(sig.value, z, "sigma_hat")
-    right = d @ linalg.solve_spd(g, d.T, "Z' sigma_hat^{-1} Z")
-    w_left = linalg.inv_sqrt_spd((left + left.T) / 2.0)
-    w_right = linalg.inv_sqrt_spd((right + right.T) / 2.0)
+    x = data.design.X
+    law = cov_factors(x.T @ x, sig.value, data.design.Z, contrast)
+    w_left = linalg.inv_sqrt_spd(n * law.left)
+    w_right = linalg.inv_sqrt_spd(law.right)
     return w_left @ (np.sqrt(n) * gamma) @ w_right
 
 

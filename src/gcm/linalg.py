@@ -1,9 +1,8 @@
 """Dense real matrix primitives used by the estimators.
 
-Orthogonal projectors, the Moore-Penrose inverse, Kronecker products, the
-row-stacking vec operator and symmetric-positive-definite factorizations.
-All functions are pure and operate on float64 arrays; NaN/Inf entries are
-rejected at entry.
+Orthogonal projectors, the Moore-Penrose inverse and symmetric positive
+definite checks, solves and roots. All functions are pure and operate on
+float64 arrays; NaN/Inf entries are rejected at entry.
 """
 
 from __future__ import annotations
@@ -99,23 +98,6 @@ def moore_penrose(a) -> np.ndarray:
         return np.zeros((a.shape[1], a.shape[0]))
     keep = s > PINV_RTOL * s[0]
     return (vt[keep].T / s[keep]) @ u[:, keep].T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with block (i, j) equal to a[i, j] * b."""
-    a = as_matrix(a, "kron left factor")
-    b = as_matrix(b, "kron right factor")
-    return np.kron(a, b)
-
-
-def vec_t(a) -> np.ndarray:
-    """Row-stacking vec: the rows of ``a`` concatenated in order.
-
-    Equals the column-stacking vec of the transpose, which is the
-    orientation all Kronecker-factored covariances in this package use.
-    """
-    a = as_matrix(a, "vec input")
-    return a.reshape(-1)
 
 
 def inv_sqrt_spd(a) -> np.ndarray:

@@ -9,7 +9,7 @@ balanced groups-by-time scenarios: error trends as the group size grows
 Replicate i of sample-size cell j draws its seed from a substream keyed
 only on (seed, j, i), so reports are byte-identical regardless of the
 worker count. GCM_THREADS sets the number of worker processes (0 = one per
-CPU, default 1).
+CPU, default 1), capped at the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from . import estimators, inference, linalg, model
+from . import estimators, fileio, inference, linalg, model
 from .errors import ConfigError, NotSpd, TooFewSamples
 
 _KINDS = ("consistency", "unbiasedness", "normality", "level")
@@ -120,10 +120,10 @@ class Scenario:
             "m": self.m,
             "q": self.q,
             "times": [float(t) for t in self.times],
-            "theta": _listify(self.theta),
-            "sigma": _listify(self.sigma),
+            "theta": fileio.jsonable(self.theta),
+            "sigma": fileio.jsonable(self.sigma),
             "noise": {"family": self.noise_family, "df": self.noise_df},
-            "contrast": {"c": _listify(self.C), "d": _listify(self.D)},
+            "contrast": {"c": fileio.jsonable(self.C), "d": fileio.jsonable(self.D)},
         }
 
     @classmethod
@@ -198,7 +198,7 @@ class McConfig:
             "replications": self.replications,
             "seed": self.seed,
             "alpha": self.alpha,
-            "theta_alt": None if self.theta_alt is None else _listify(self.theta_alt),
+            "theta_alt": fileio.jsonable(self.theta_alt),
         }
 
     @classmethod
@@ -259,7 +259,7 @@ class McCell:
         for key, value in self.__dict__.items():
             if value is None:
                 continue
-            out[key] = _listify(value) if isinstance(value, np.ndarray) else _plain(value)
+            out[key] = fileio.jsonable(value)
         return out
 
 
@@ -278,16 +278,6 @@ class McReport:
             "config": self.config.to_dict(),
             "cells": [cell.to_dict() for cell in self.cells],
         }
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
-def _listify(a: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(a)]
 
 
 def gamma_columns(s: int, t: int) -> list:
@@ -320,9 +310,12 @@ def _worker_count() -> int:
         raise ConfigError(f"GCM_THREADS must be an integer, got {raw!r}") from exc
     if value < 0:
         raise ConfigError(f"GCM_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+    # never more workers than CPUs this process may run on
+    if hasattr(os, "sched_getaffinity"):
+        available = len(os.sched_getaffinity(0))
+    else:
+        available = os.cpu_count() or 1
+    return available if value == 0 else min(value, available)
 
 
 def _run_chunk(args) -> tuple:
@@ -395,7 +388,7 @@ def _run_cell(kind: str, cfg: McConfig, cell_index: int, r: int) -> dict:
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_chunk, tasks))
     for start, out in results:
         span = len(next(iter(out.values())))

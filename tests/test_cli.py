@@ -333,6 +333,22 @@ def test_mc_seed_and_alpha_flags_override_config(tmp_path):
     assert report["inputs"]["alpha"] == 0.1
 
 
+def test_mc_single_replicate_report_is_strict_json(tmp_path):
+    # one replicate per cell leaves the Monte Carlo standard error undefined;
+    # the report must say null, not the non-JSON token NaN
+    cfg = _mc_config(tmp_path, replications=1)
+    out = tmp_path / "mc"
+    assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"report.json holds the non-JSON constant {token}")
+
+    doc = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    for cell in doc["results"]["cells"]:
+        assert cell["successes"] == 1
+        assert cell["se"] == [[None, None], [None, None]]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -368,6 +384,22 @@ def test_exit_2_on_unknown_config_key(tmp_path):
     assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("sigma", [[[float("nan")] * 4] * 4, [[1.0, 0.0], [0.0, 1.0]]])
+def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, sigma):
+    truth = fileio.read_json(str(sim_files / "truth.json"))
+    truth["sigma"] = sigma
+    path = tmp_path / "truth.json"
+    # json.dumps writes the NaN token, which read_json accepts
+    path.write_text(json.dumps(truth))
+    code = cli.main(
+        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(path) in error["message"] and "sigma" in error["message"]
+
+
 def test_exit_2_on_bad_alpha(sim_files, tmp_path):
     code = cli.main(
         ["test", *_estimation_argv(sim_files), "--alpha", "0.0", "--out", str(tmp_path / "o")]
@@ -384,7 +416,7 @@ def test_exit_3_on_missing_input(sim_files, tmp_path, capsys):
     assert err["error"]["exit_code"] == 3
 
 
-def test_exit_4_on_too_few_samples(tmp_path):
+def test_exit_4_on_too_few_samples(tmp_path, capsys):
     rng = np.random.default_rng(1)
     d = tmp_path
     fileio.write_matrix_csv(str(d / "Y.csv"), rng.standard_normal((5, 4)))
@@ -393,6 +425,7 @@ def test_exit_4_on_too_few_samples(tmp_path):
     fileio.write_matrix_csv(str(d / "C.csv"), np.array([[1.0, -1.0]]))
     fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
     assert cli.main(["estimate", *_estimation_argv(d), "--out", str(d / "o")]) == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "TooFewSamples"
 
 
 def test_exit_4_on_noise_free_data(tmp_path):
@@ -452,6 +485,14 @@ def test_report_schema_rejects_unknown_keys(tmp_path):
     fileio.write_json(str(path), doc)
     with pytest.raises(ConfigError):
         fileio.read_report(str(path))
+
+
+def test_json_writer_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "r.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fileio.write_json(str(path), {"x": bad})
+    assert not path.exists()
 
 
 def test_matrix_parse_error_carries_line_number(tmp_path):

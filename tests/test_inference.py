@@ -1,12 +1,16 @@
 """Asymptotic law, plug-in covariance, whitened statistic and the chi-square test."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gcm import estimators, inference, linalg, model
+from gcm import cli, estimators, fileio, inference, linalg, model
 from gcm.errors import NotSpd
 
 TIMES4 = (1.0, 2.0, 3.0, 4.0)
@@ -115,6 +119,69 @@ def test_scaled_plugin_left_approaches_limit_for_generic_designs():
         scaled = n * np.linalg.inv(x.T @ x)
         errs.append(np.abs(scaled - r_inv).max())
     assert errs[1] < errs[0]
+
+
+# ---------------------------------------------------------------------------
+# unbalanced designs: unequal group sizes plus a covariate column, so X'X is
+# not diagonal and the finite-sample R = X'X/n differs from any group layout
+
+
+@st.composite
+def _unbalanced_problem(draw):
+    sizes = draw(st.lists(st.integers(min_value=4, max_value=9), min_size=2, max_size=3))
+    p = draw(st.integers(min_value=4, max_value=5))
+    q = draw(st.integers(min_value=1, max_value=p - 1))
+    m = len(sizes) + 1
+    s = draw(st.integers(min_value=1, max_value=m))
+    t = draw(st.integers(min_value=1, max_value=q))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    groups = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+    x = np.column_stack([groups, rng.standard_normal(groups.shape[0])])
+    design = model.Design(X=x, Z=np.vander(np.arange(1.0, p + 1), q, increasing=True))
+    sigma = _spd(rng, p)
+    params = model.ModelParams(theta=rng.standard_normal((m, q)), sigma=sigma)
+    noise = model.NoiseSpec(family="gaussian", sigma=sigma)
+    data = model.simulate(design, params, noise, seed=int(rng.integers(2**31)))
+    contrast = model.Contrast(C=rng.standard_normal((s, m)), D=rng.standard_normal((t, q)))
+    return data, sigma, contrast
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=_unbalanced_problem())
+def test_cov_factors_on_unbalanced_designs(problem):
+    data, sigma, contrast = problem
+    x, z, n = data.design.X, data.design.Z, data.design.n
+    assert np.abs(x.T @ x - np.diag(np.diag(x.T @ x))).max() > 0.0
+    c, d = contrast.C, contrast.D
+
+    # the shared factors against explicit inverses
+    law = inference.cov_factors(x.T @ x, sigma, z, contrast)
+    left = c @ np.linalg.inv(x.T @ x) @ c.T
+    right = d @ np.linalg.inv(z.T @ np.linalg.inv(sigma) @ z) @ d.T
+    assert_allclose(law.left, left, rtol=1e-9, atol=1e-9 * np.abs(left).max())
+    assert_allclose(law.right, right, rtol=1e-9, atol=1e-9 * np.abs(right).max())
+
+    # the estimate report carries the plug-in factors and standard errors
+    plugin = inference.plugin_cov(data, contrast)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        inputs = {"y": data.Y, "x": x, "z": z, "c": c, "d": d}
+        argv = ["estimate", "--out", str(tmp / "out")]
+        for name, mat in inputs.items():
+            fileio.write_matrix_csv(str(tmp / f"{name}.csv"), mat)
+            argv += [f"--{name}", str(tmp / f"{name}.csv")]
+        assert cli.main(argv) == 0
+        results = fileio.read_report(str(tmp / "out" / "report.json"))["results"]
+    assert np.array_equal(np.asarray(results["cov_left"]), plugin.left)
+    assert np.array_equal(np.asarray(results["cov_right"]), plugin.right)
+    assert np.array_equal(
+        np.asarray(results["std_errors"]), inference.standard_errors(plugin)
+    )
+
+    # the left standardizer of the whitened statistic is n times the plug-in left factor
+    with mock.patch.object(linalg, "inv_sqrt_spd", wraps=linalg.inv_sqrt_spd) as spy:
+        inference.standardized_stat(data, contrast)
+    assert np.array_equal(spy.call_args_list[0].args[0], n * plugin.left)
 
 
 # ---------------------------------------------------------------------------

@@ -125,21 +125,9 @@ def test_penrose_conditions_all_ranks(n, m, rank, seed):
 
 
 # ---------------------------------------------------------------------------
-# kron and vec_t
-
-
-def test_kron_identity_gives_block_diagonal():
-    b = np.arange(6.0).reshape(2, 3) + 1.0
-    out = linalg.kron(np.eye(2), b)
-    expected = np.zeros((4, 6))
-    expected[:2, :3] = b
-    expected[2:, 3:] = b
-    assert np.array_equal(out, expected)
-
-
-def test_kron_scalar_factor():
-    b = np.arange(4.0).reshape(2, 2)
-    assert np.array_equal(linalg.kron(np.array([[2.0]]), b), 2.0 * b)
+# Kronecker / row-stacking vec orientation: kron(A, B) vec_t(M) = vec_t(A M B')
+# with vec_t(M) = M.reshape(-1). AsymptoticLaw.full and the normality
+# whitener in mc.summarize_cell rely on this pairing.
 
 
 def test_kron_vec_identity_seeded():
@@ -147,8 +135,8 @@ def test_kron_vec_identity_seeded():
     a = rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 3))
     m = rng.standard_normal((2, 3))
-    lhs = linalg.kron(a, b) @ linalg.vec_t(m)
-    rhs = linalg.vec_t(a @ m @ b.T)
+    lhs = np.kron(a, b) @ m.reshape(-1)
+    rhs = (a @ m @ b.T).reshape(-1)
     assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -165,25 +153,9 @@ def test_kron_vec_compatibility(a_rows, a_cols, b_rows, b_cols, seed):
     a = rng.standard_normal((a_rows, a_cols))
     b = rng.standard_normal((b_rows, b_cols))
     m = rng.standard_normal((a_cols, b_cols))
-    lhs = linalg.kron(a, b) @ linalg.vec_t(m)
-    rhs = linalg.vec_t(a @ m @ b.T)
+    lhs = np.kron(a, b) @ m.reshape(-1)
+    rhs = (a @ m @ b.T).reshape(-1)
     assert_allclose(lhs, rhs, atol=1e-10)
-
-
-def test_vec_t_stacks_rows():
-    assert np.array_equal(
-        linalg.vec_t(np.array([[1.0, 2.0], [3.0, 4.0]])), np.array([1.0, 2.0, 3.0, 4.0])
-    )
-
-
-def test_vec_t_row_vector_unchanged():
-    row = np.array([[5.0, 6.0, 7.0]])
-    assert np.array_equal(linalg.vec_t(row), row[0])
-
-
-def test_vec_t_round_trip():
-    a = np.random.default_rng(12).standard_normal((3, 4))
-    assert np.array_equal(linalg.vec_t(a).reshape(3, 4), a)
 
 
 # ---------------------------------------------------------------------------

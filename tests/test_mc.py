@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gcm import estimators, mc
+from gcm import estimators, fileio, mc
 from gcm.errors import ConfigError, NotSpd
 
 
@@ -137,6 +137,27 @@ def test_invalid_worker_env_rejected(monkeypatch):
         mc.run_unbiasedness(_cfg(sizes=(10,), reps=2))
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [(None, 1), ("", 1), ("1", 1), ("2", 2), ("3", 3), ("0", 3), ("4", 3), ("1000000", 3)],
+)
+def test_worker_count_is_capped_at_usable_cpus(monkeypatch, raw, expected):
+    # three CPUs in this process's affinity mask, out of more on the host
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    if raw is None:
+        monkeypatch.delenv("GCM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GCM_THREADS", raw)
+    assert mc._worker_count() == expected
+
+
+@pytest.mark.parametrize("raw", ["-1", "abc", "2.5"])
+def test_worker_count_rejects_malformed_values(monkeypatch, raw):
+    monkeypatch.setenv("GCM_THREADS", raw)
+    with pytest.raises(ConfigError):
+        mc._worker_count()
+
+
 def test_auto_worker_count_matches_serial_results(monkeypatch):
     cfg = _cfg(sizes=(10,), reps=24)
     monkeypatch.delenv("GCM_THREADS", raising=False)
@@ -150,6 +171,17 @@ def test_auto_worker_count_matches_serial_results(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # failure accounting and record-based summaries
+
+
+def test_cell_without_successes_serializes_as_null():
+    cols = mc.record_columns("consistency", 2, 2)
+    records = {c: np.full(3, np.nan) for c in cols}
+    records["ok"][:] = 0.0
+    cell = mc.summarize_cell("consistency", records, _scenario(), 10).to_dict()
+    assert cell["failures"] == 3
+    for key in ("mean_gamma", "bias", "se"):
+        assert cell[key] == [[None, None], [None, None]]
+    fileio.dumps_json(cell)  # strict JSON: raises on NaN or Inf
 
 
 def test_failed_replicates_are_counted_not_dropped(monkeypatch):
