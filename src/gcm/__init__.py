@@ -56,15 +56,7 @@ from .inference import (
     standardized_stat,
     test_gamma_zero,
 )
-from .mc import (
-    McConfig,
-    McReport,
-    Scenario,
-    run_consistency,
-    run_level,
-    run_normality,
-    run_unbiasedness,
-)
+from .mc import McConfig, McReport, Scenario
 
 __all__ = [
     "__version__",
@@ -111,8 +103,4 @@ __all__ = [
     "Scenario",
     "McConfig",
     "McReport",
-    "run_consistency",
-    "run_unbiasedness",
-    "run_normality",
-    "run_level",
 ]

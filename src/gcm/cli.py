@@ -33,13 +33,6 @@ class CommandError(Exception):
         super().__init__(message)
 
 
-def _require_seed(value) -> int:
-    seed = int(value)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
 def _load_scenario_config(path: str) -> dict:
     doc = fileio.read_json(path)
     if not isinstance(doc, dict):
@@ -60,7 +53,7 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the config")
-    seed = _require_seed(seed)
+    seed = mc.check_seed(seed)
     design = scenario.design(r)
     data = model.simulate(design, scenario.params(), scenario.noise(), seed)
     out = args.out
@@ -203,24 +196,17 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-_MC_RUNNERS = {
-    "consistency": mc.run_consistency,
-    "normality": mc.run_normality,
-    "level": mc.run_level,
-}
-
-
 def cmd_mc(args, kind: str) -> int:
     raw = _load_scenario_config(args.config)
     conf = dict(raw)
     out = args.out if args.out is not None else conf.pop("out_dir", None) or "."
     dump = bool(conf.pop("dump_replicates", False)) or args.dump_replicates
     if args.seed is not None:
-        conf["seed"] = _require_seed(args.seed)
+        conf["seed"] = args.seed
     if args.alpha is not None:
         conf["alpha"] = args.alpha
     cfg = mc.McConfig.from_dict(conf)
-    report = _MC_RUNNERS[kind](cfg)
+    report = mc.run(kind, cfg)
     inputs = cfg.to_dict()
     inputs["dump_replicates"] = dump
     doc = fileio.make_report(cfg.seed, inputs, report.to_dict())
@@ -335,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--alpha", type=float, default=0.05, help="test level")
     tst.set_defaults(func=cmd_test)
 
-    for kind in ("consistency", "normality", "level"):
+    for kind in mc.KINDS:
         p = sub.add_parser(f"mc-{kind}", help=f"Monte Carlo {kind} run")
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

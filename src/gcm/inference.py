@@ -10,10 +10,10 @@ chi-square test of gamma = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import estimators, linalg, model
 from .errors import DimensionMismatch
@@ -133,12 +133,27 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
 
 
 def chi_sq_p_value(chi_sq: float, dof: int) -> float:
-    """Upper tail of the chi-square distribution with ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
+    """Upper tail of the chi-square distribution with integer ``dof`` degrees of freedom.
+
+    Closed form of the regularized upper gamma Q(dof/2, chi_sq/2): a finite
+    Poisson sum for even dof, erfc plus half-integer terms for odd dof. Each
+    term h^a e^{-h} / Gamma(a + 1) is evaluated in log space, so none overflows.
+    """
+    k = int(dof)
+    if k != dof or k < 1:
+        raise ValueError(f"dof must be an integer >= 1, got {dof}")
     if chi_sq < 0.0:
         raise ValueError(f"chi_sq must be >= 0, got {chi_sq}")
-    return float(special.gammaincc(dof / 2.0, chi_sq / 2.0))
+    h = chi_sq / 2.0
+    if h == 0.0 or math.isinf(h):
+        return 1.0 if h == 0.0 else 0.0
+    first, tail = (0.0, 0.0) if k % 2 == 0 else (0.5, math.erfc(math.sqrt(h)))
+    log_h = math.log(h)
+    terms = [
+        math.exp(a * log_h - h - math.lgamma(a + 1.0))
+        for a in (first + j for j in range(k // 2))
+    ]
+    return math.fsum([tail, *terms])
 
 
 def test_gamma_zero(

@@ -8,7 +8,6 @@ float64 arrays; NaN/Inf entries are rejected at entry.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSpd, RankDeficient
 
@@ -56,12 +55,16 @@ def check_spd(a, name: str = "matrix") -> np.ndarray:
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky."""
+    """Solve ``a @ x = b`` for symmetric positive definite ``a``.
+
+    The Cholesky factorization is the positive definiteness check; the solve
+    itself is LAPACK's ``gesv``, since numpy has no triangular solve.
+    """
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotSpd(f"{name} has no Cholesky factorization: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(a, b)
 
 
 def inv_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -14,17 +14,18 @@ CPU, default 1), capped at the CPUs this process may run on.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import estimators, fileio, inference, linalg, model
 from .errors import ConfigError, NotSpd, TooFewSamples
 
-_KINDS = ("consistency", "unbiasedness", "normality", "level")
+KINDS = ("consistency", "unbiasedness", "normality", "level")
 
 # Offset added to one entry of theta to form the default fixed alternative
 # reported by level runs (power is context, never an asserted bound).
@@ -54,7 +55,10 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         theta = linalg.as_matrix(self.theta, "theta")
-        sigma = linalg.check_spd(self.sigma, "sigma")
+        try:
+            sigma = linalg.check_spd(self.sigma, "sigma")
+        except NotSpd as exc:
+            raise ConfigError(f"scenario key 'sigma': {exc}") from exc
         if theta.shape != (self.m, self.q):
             raise ConfigError(f"theta must be {self.m} x {self.q}, got {theta.shape}")
         if sigma.shape[0] != len(self.times):
@@ -156,6 +160,13 @@ class Scenario:
         )
 
 
+def check_seed(value) -> int:
+    """``value`` as an unsigned 64-bit seed; non-integers are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {value!r}")
+    return int(value)
+
+
 def _contrast_arrays(entry, m: int, q: int):
     """Resolve a config contrast entry: 'identity', 'equality' or explicit c/d."""
     if entry == "identity" or entry is None:
@@ -186,6 +197,7 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(r) for r in self.sample_sizes))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.theta_alt is not None:
             object.__setattr__(
                 self, "theta_alt", linalg.as_matrix(self.theta_alt, "theta_alt")
@@ -217,7 +229,7 @@ class McConfig:
             scenario=Scenario.from_dict(d["scenario"]),
             sample_sizes=tuple(d["sample_sizes"]),
             replications=int(d["replications"]),
-            seed=int(d["seed"]),
+            seed=d["seed"],
             alpha=float(d.get("alpha", 0.05)),
             theta_alt=None if theta_alt is None else np.asarray(theta_alt, dtype=np.float64),
         )
@@ -401,7 +413,7 @@ def ks_distance_normal(x: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between a sample and the standard normal CDF."""
     x = np.sort(np.asarray(x, dtype=np.float64))
     n = x.size
-    cdf = special.ndtr(x)
+    cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in x])
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
@@ -503,7 +515,7 @@ def _resolve_theta_alt(cfg: McConfig) -> np.ndarray:
 
 
 def _validate_config(cfg: McConfig, kind: str) -> None:
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ConfigError(f"unknown run kind {kind!r}")
     if cfg.replications < 1:
         raise ConfigError(f"replications must be >= 1, got {cfg.replications}")
@@ -531,7 +543,14 @@ def _validate_config(cfg: McConfig, kind: str) -> None:
         _resolve_theta_alt(cfg)
 
 
-def _run(kind: str, cfg: McConfig) -> McReport:
+def run(kind: str, cfg: McConfig) -> McReport:
+    """Run one of ``KINDS`` over every sample-size cell of ``cfg``.
+
+    consistency: error trends of sigma_hat, gamma_hat and H(Y) as r grows;
+    unbiasedness: per-entry bias of gamma_hat against its Monte Carlo standard error;
+    normality: covariance match and per-coordinate normal diagnostics of the scaled error;
+    level: rejection rate under gamma = 0, plus power at a fixed alternative.
+    """
     _validate_config(cfg, kind)
     cells, records = [], []
     for j, r in enumerate(cfg.sample_sizes):
@@ -539,23 +558,3 @@ def _run(kind: str, cfg: McConfig) -> McReport:
         cells.append(summarize_cell(kind, rec, cfg.scenario, r))
         records.append(rec)
     return McReport(kind=kind, config=cfg, cells=cells, records=records)
-
-
-def run_consistency(cfg: McConfig) -> McReport:
-    """Error trends of sigma_hat, gamma_hat and H(Y) across growing sample sizes."""
-    return _run("consistency", cfg)
-
-
-def run_unbiasedness(cfg: McConfig) -> McReport:
-    """Centering of gamma_hat: per-entry bias against its Monte Carlo standard error."""
-    return _run("unbiasedness", cfg)
-
-
-def run_normality(cfg: McConfig) -> McReport:
-    """Covariance match and per-coordinate normal diagnostics of the scaled error."""
-    return _run("normality", cfg)
-
-
-def run_level(cfg: McConfig) -> McReport:
-    """Empirical rejection rate under gamma = 0, plus power at a fixed alternative."""
-    return _run("level", cfg)

@@ -169,7 +169,7 @@ def test_criterion_05_unbiasedness(family, df):
         D=contrast.D,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(20,), replications=10_000, seed=501)
-    cell = mc.run_unbiasedness(cfg).cells[0]
+    cell = mc.run("unbiasedness", cfg).cells[0]
     ok = cell.failures == 0 and not cell.bias_flagged
     _check(5, f"gamma_hat unbiased within 4 SE ({family})", ok,
            f"max |bias|/SE = {cell.max_abs_bias_in_se:.2f}")
@@ -193,7 +193,7 @@ def test_criterion_06_consistency_trends(family):
         D=contrast.D,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(16, 64, 256), replications=500, seed=601)
-    report = mc.run_consistency(cfg)
+    report = mc.run("consistency", cfg)
     sig = [cell.median_sigma_err for cell in report.cells]
     gam = [cell.median_gamma_err for cell in report.cells]
     hgap = [cell.median_h_gap for cell in report.cells]
@@ -228,7 +228,7 @@ def normality_cells():
             noise_family=family,
         )
         cfg = McConfig(scenario=scenario, sample_sizes=(250,), replications=5000, seed=701)
-        cells[family] = mc.run_normality(cfg).cells[0]
+        cells[family] = mc.run("normality", cfg).cells[0]
     return cells
 
 
@@ -279,7 +279,7 @@ def test_criterion_09_test_level(family, df, band):
     cfg = McConfig(
         scenario=scenario, sample_sizes=(250,), replications=5000, seed=901, alpha=0.05
     )
-    cell = mc.run_level(cfg).cells[0]
+    cell = mc.run("level", cfg).cells[0]
     ok = cell.failures == 0 and band[0] <= cell.rejection_rate <= band[1]
     _check(9, f"rejection rate near the nominal level ({family})", ok,
            f"rate {cell.rejection_rate:.4f} in [{band[0]}, {band[1]}], "

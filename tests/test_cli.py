@@ -349,6 +349,20 @@ def test_mc_single_replicate_report_is_strict_json(tmp_path):
         assert cell["se"] == [[None, None], [None, None]]
 
 
+def test_mc_unbiasedness_writes_bias_report(tmp_path):
+    cfg = _mc_config(tmp_path, kind="unbiasedness")
+    out = tmp_path / "mc"
+    assert cli.main(["mc-unbiasedness", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    def reject(token):
+        raise ValueError(f"report.json holds the non-JSON constant {token}")
+
+    doc = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert doc["results"]["kind"] == "unbiasedness"
+    assert all("max_abs_bias_in_se" in cell for cell in doc["results"]["cells"])
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -398,6 +412,33 @@ def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, s
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert str(path) in error["message"] and "sigma" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
+def test_exit_2_on_non_spd_scenario_sigma(tmp_path, capsys, command):
+    scenario = _scenario_dict()
+    scenario["sigma"] = np.diag([1.0, -1.0, 1.0, 1.0]).tolist()
+    docs = {
+        "simulate": {"scenario": scenario, "r": 8, "seed": 1},
+        "mc-consistency": {"scenario": scenario, "sample_sizes": [8], "replications": 2, "seed": 1},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(docs[command]))
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "sigma" in error["message"]
+
+
+@pytest.mark.parametrize("seed", [-3, 1.7, 2**70])
+def test_exit_2_on_malformed_config_seed(tmp_path, capsys, seed):
+    cfg = _mc_config(tmp_path, seed=seed)
+    code = cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "seed" in error["message"]
 
 
 def test_exit_2_on_bad_alpha(sim_files, tmp_path):
@@ -509,3 +550,11 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy and the standard library only
+    code = "import sys, gcm, gcm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

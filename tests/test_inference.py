@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, linalg, model
 from gcm.errors import NotSpd
@@ -271,6 +272,21 @@ def test_chi_sq_p_value_validates_inputs():
         inference.chi_sq_p_value(-1.0, 1)
     with pytest.raises(ValueError):
         inference.chi_sq_p_value(1.0, 0)
+    with pytest.raises(ValueError):
+        inference.chi_sq_p_value(1.0, 2.5)
+
+
+@pytest.mark.parametrize("dof", range(1, 41))
+def test_chi_sq_p_value_matches_scipy_oracle(dof):
+    # closed-form upper tail vs scipy's incomplete gamma, from 0 to the
+    # 1 - 1e-12 quantile and on out to the far tail
+    top = stats.chi2.isf(1e-12, dof)
+    points = np.concatenate([np.linspace(0.0, top, 400), np.linspace(1000.0, 1300.0, 31)])
+    ours = np.array([inference.chi_sq_p_value(float(x), dof) for x in points])
+    reference = stats.chi2.sf(points, dof)
+    keep = reference > 1e-300
+    assert keep.sum() >= 400
+    assert_allclose(ours[keep], reference[keep], rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=50, deadline=None)

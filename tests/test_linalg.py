@@ -16,6 +16,35 @@ def _spd(rng, p, jitter=0.5):
 
 
 # ---------------------------------------------------------------------------
+# solve_spd
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=1, max_value=4),
+    log_cond=st.floats(min_value=0.0, max_value=8.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_solve_spd_matches_general_solve(p, k, log_cond, seed):
+    # random orthogonal basis with eigenvalues spread over 10**log_cond
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = (q * np.logspace(0.0, -log_cond, p)) @ q.T
+    a = (a + a.T) / 2.0
+    b = rng.standard_normal((p, k))
+    x = linalg.solve_spd(a, b)
+    assert x.shape == (p, k)
+    assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12 * np.abs(x).max())
+    assert_allclose(a @ x, b, atol=1e-7 * np.abs(b).max())
+
+
+def test_solve_spd_rejects_indefinite():
+    with pytest.raises(NotSpd, match="sigma has no Cholesky factorization"):
+        linalg.solve_spd(np.diag([1.0, -1.0, 1.0]), np.ones(3), "sigma")
+
+
+# ---------------------------------------------------------------------------
 # orth_projector
 
 

@@ -83,25 +83,25 @@ def test_scenario_contrast_shorthand():
 
 def test_consistency_requires_increasing_sizes():
     with pytest.raises(ConfigError):
-        mc.run_consistency(_cfg(sizes=(20, 10), reps=5))
+        mc.run("consistency", _cfg(sizes=(20, 10), reps=5))
 
 
 def test_rejects_sample_size_with_singular_first_stage():
     # r = 2 gives n = 4, n - m = 2 < p = 4
     with pytest.raises(ConfigError):
-        mc.run_consistency(_cfg(sizes=(2, 10), reps=5))
+        mc.run("consistency", _cfg(sizes=(2, 10), reps=5))
 
 
 def test_level_requires_null_theta():
     with pytest.raises(ConfigError):
-        mc.run_level(_cfg(scenario=_scenario(contrast="equality"), sizes=(20,), reps=5))
+        mc.run("level", _cfg(scenario=_scenario(contrast="equality"), sizes=(20,), reps=5))
 
 
 def test_level_rejects_alternative_equal_to_null():
     scen = _scenario(equal_curves=True, contrast="equality")
     cfg = _cfg(scenario=scen, sizes=(20,), reps=5, theta_alt=scen.theta)
     with pytest.raises(ConfigError):
-        mc.run_level(cfg)
+        mc.run("level", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +111,9 @@ def test_level_rejects_alternative_equal_to_null():
 def test_report_is_byte_identical_across_worker_counts(monkeypatch):
     cfg = _cfg(reps=40)
     monkeypatch.setenv("GCM_THREADS", "1")
-    serial = mc.run_consistency(cfg)
+    serial = mc.run("consistency", cfg)
     monkeypatch.setenv("GCM_THREADS", "3")
-    parallel = mc.run_consistency(cfg)
+    parallel = mc.run("consistency", cfg)
     assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
         parallel.to_dict(), sort_keys=True
     )
@@ -134,7 +134,7 @@ def test_replicate_seed_depends_only_on_indices():
 def test_invalid_worker_env_rejected(monkeypatch):
     monkeypatch.setenv("GCM_THREADS", "abc")
     with pytest.raises(ConfigError):
-        mc.run_unbiasedness(_cfg(sizes=(10,), reps=2))
+        mc.run("unbiasedness", _cfg(sizes=(10,), reps=2))
 
 
 @pytest.mark.parametrize(
@@ -161,9 +161,9 @@ def test_worker_count_rejects_malformed_values(monkeypatch, raw):
 def test_auto_worker_count_matches_serial_results(monkeypatch):
     cfg = _cfg(sizes=(10,), reps=24)
     monkeypatch.delenv("GCM_THREADS", raising=False)
-    serial = mc.run_unbiasedness(cfg)
+    serial = mc.run("unbiasedness", cfg)
     monkeypatch.setenv("GCM_THREADS", "0")  # auto
-    auto = mc.run_unbiasedness(cfg)
+    auto = mc.run("unbiasedness", cfg)
     assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
         auto.to_dict(), sort_keys=True
     )
@@ -195,7 +195,7 @@ def test_failed_replicates_are_counted_not_dropped(monkeypatch):
         return original(data)
 
     monkeypatch.setattr(estimators, "sigma_hat", flaky)
-    report = mc.run_unbiasedness(_cfg(sizes=(10,), reps=20))
+    report = mc.run("unbiasedness", _cfg(sizes=(10,), reps=20))
     cell = report.cells[0]
     assert cell.failures == 4
     assert cell.successes == 16
@@ -206,7 +206,7 @@ def test_failed_replicates_are_counted_not_dropped(monkeypatch):
 
 def test_summaries_recompute_exactly_from_records():
     cfg = _cfg(reps=50)
-    report = mc.run_consistency(cfg)
+    report = mc.run("consistency", cfg)
     for cell, records in zip(report.cells, report.records):
         redone = mc.summarize_cell("consistency", records, cfg.scenario, cell.r)
         assert redone.to_dict() == cell.to_dict()
@@ -217,7 +217,7 @@ def test_summaries_recompute_exactly_from_records():
 
 
 def test_consistency_cell_fields():
-    report = mc.run_consistency(_cfg(reps=80, seed=21))
+    report = mc.run("consistency", _cfg(reps=80, seed=21))
     assert report.kind == "consistency"
     assert len(report.cells) == 2
     for cell in report.cells:
@@ -232,7 +232,7 @@ def test_unbiasedness_cell_fields_heavy_tails():
     # symmetric student-t errors at n = 80: the replicate mean must stay
     # inside the 4 SE band entry by entry
     scen = _scenario(family="student_t", df=6.0)
-    report = mc.run_unbiasedness(_cfg(scenario=scen, sizes=(40,), reps=600, seed=9))
+    report = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(40,), reps=600, seed=9))
     cell = report.cells[0]
     assert cell.n == 80
     assert cell.max_abs_bias_in_se >= 0.0
@@ -249,7 +249,7 @@ def test_unbiasedness_zero_theta():
         sigma=_ar_sigma(4),
         noise_family="uniform",
     )
-    report = mc.run_unbiasedness(_cfg(scenario=scen, sizes=(25,), reps=400, seed=10))
+    report = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(25,), reps=400, seed=10))
     cell = report.cells[0]
     assert np.array_equal(cell.bias, cell.mean_gamma)  # gamma_true is zero
     assert cell.bias_flagged is False
@@ -258,7 +258,7 @@ def test_unbiasedness_zero_theta():
 def test_normality_cell_fields():
     scen = _scenario()
     cfg = _cfg(scenario=scen, sizes=(50,), reps=400, seed=6)
-    report = mc.run_normality(cfg)
+    report = mc.run("normality", cfg)
     cell = report.cells[0]
     st_dim = 4
     assert cell.emp_cov.shape == (st_dim, st_dim)
@@ -272,7 +272,7 @@ def test_normality_cell_fields():
 
 def test_level_cell_fields():
     scen = _scenario(equal_curves=True, contrast="equality")
-    report = mc.run_level(_cfg(scenario=scen, sizes=(30,), reps=200, seed=5))
+    report = mc.run("level", _cfg(scenario=scen, sizes=(30,), reps=200, seed=5))
     cell = report.cells[0]
     assert 0.0 <= cell.rejection_rate <= 0.2
     assert cell.alt_rejection_rate > 0.5
@@ -281,8 +281,8 @@ def test_level_cell_fields():
 
 def test_uniform_and_student_t_families_run():
     for family, df in (("uniform", None), ("student_t", 6.0)):
-        report = mc.run_unbiasedness(
-            _cfg(scenario=_scenario(family=family, df=df), sizes=(15,), reps=50)
+        report = mc.run(
+            "unbiasedness", _cfg(scenario=_scenario(family=family, df=df), sizes=(15,), reps=50)
         )
         assert report.cells[0].successes == 50
 
