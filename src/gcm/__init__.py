@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     GcmError,
     InvalidNoise,
+    InvalidValue,
     MatrixParseError,
     NotSpd,
     RankDeficient,
@@ -33,9 +34,6 @@ from .model import (
     validate,
 )
 from .estimators import (
-    GammaHat,
-    HMatrix,
-    SigmaHat,
     gamma_hat_known,
     h_matrix,
     sigma_hat,
@@ -62,6 +60,7 @@ __all__ = [
     "__version__",
     "GcmError",
     "ValidationError",
+    "InvalidValue",
     "RankDeficient",
     "ShapeViolation",
     "DimensionMismatch",
@@ -80,9 +79,6 @@ __all__ = [
     "potthoff_roy_design",
     "equality_contrast",
     "validate",
-    "SigmaHat",
-    "GammaHat",
-    "HMatrix",
     "sigma_hat",
     "theta_hat_known",
     "gamma_hat_known",

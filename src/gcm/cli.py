@@ -49,11 +49,11 @@ def cmd_simulate(args) -> int:
     if "scenario" not in config or "r" not in config:
         raise ConfigError("simulate config requires 'scenario' and 'r'")
     scenario = mc.Scenario.from_dict(config["scenario"])
-    r = int(config["r"])
+    r = mc.check_int(config["r"], "r")
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the config")
-    seed = mc.check_seed(seed)
+    seed = mc.check_int(seed, "seed", 0, 2**64)
     design = scenario.design(r)
     data = model.simulate(design, scenario.params(), scenario.noise(), seed)
     out = args.out
@@ -125,7 +125,7 @@ def _estimate_results(args):
         sigma_value = None
         estimator_name = "known_sigma"
     else:
-        sigma = sigma_value = estimators.sigma_hat(data).value
+        sigma = sigma_value = estimators.sigma_hat(data)
         estimator_name = "two_stage"
     theta = estimators.theta_hat_known(data, sigma)
     x = data.design.X
@@ -346,9 +346,6 @@ def main(argv=None) -> int:
         return exc.code
     except ValidationError as exc:
         _emit_error(args, type(exc).__name__, str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        _emit_error(args, "ValueError", str(exc), EXIT_VALIDATION)
         return EXIT_VALIDATION
     except (TooFewSamples, NotSpd) as exc:
         _emit_error(args, type(exc).__name__, str(exc), EXIT_SINGULAR_FIRST_STAGE)

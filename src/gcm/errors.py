@@ -9,6 +9,10 @@ class ValidationError(GcmError):
     """Invalid input data, configuration or file contents."""
 
 
+class InvalidValue(ValidationError, ValueError):
+    """An argument outside its domain: a non-finite or mis-shaped matrix, a bad alpha."""
+
+
 class RankDeficient(ValidationError):
     """A design or input matrix does not have full column rank."""
 

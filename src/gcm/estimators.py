@@ -10,39 +10,10 @@ verification path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, model
-from .errors import DimensionMismatch, NotSpd, TooFewSamples
-
-
-@dataclass(frozen=True, eq=False)
-class SigmaHat:
-    """First-stage covariance estimate Y'WY and its divisor n - rank(X)."""
-
-    value: np.ndarray
-    divisor: int
-
-
-@dataclass(frozen=True, eq=False)
-class GammaHat:
-    """Estimate of gamma = C theta D' for a given contrast."""
-
-    value: np.ndarray
-    contrast: model.Contrast
-
-
-@dataclass(frozen=True, eq=False)
-class HMatrix:
-    """The p x p matrix sigma^{-1} (P_Z sigma^{-1} P_Z)^+.
-
-    Satisfies H Z (Z'Z)^{-1} = sigma^{-1} Z (Z' sigma^{-1} Z)^{-1}, which is
-    what makes the pseudo-inverse route agree with the solve route.
-    """
-
-    value: np.ndarray
+from .errors import DimensionMismatch, TooFewSamples
 
 
 def _check_contrast(contrast: model.Contrast, design: model.Design) -> None:
@@ -70,7 +41,7 @@ def _gls_theta(design: model.Design, y: np.ndarray, sigma: np.ndarray) -> np.nda
     return linalg.solve_spd(g, (a @ b).T, "Z' sigma^{-1} Z").T
 
 
-def sigma_hat(data: model.Dataset) -> SigmaHat:
+def sigma_hat(data: model.Dataset) -> np.ndarray:
     """Invariant quadratic covariance estimator Y'WY, W = (I - P_X)/(n - m).
 
     Computed through the residuals (I - P_X) Y rather than the explicit
@@ -90,7 +61,7 @@ def sigma_hat(data: model.Dataset) -> SigmaHat:
     s = resid.T @ resid / (n - m)
     s = (s + s.T) / 2.0
     linalg.check_spd(s, "first-stage covariance estimate")
-    return SigmaHat(value=s, divisor=n - m)
+    return s
 
 
 def theta_hat_known(data: model.Dataset, sigma0: np.ndarray) -> np.ndarray:
@@ -106,46 +77,43 @@ def theta_hat_known(data: model.Dataset, sigma0: np.ndarray) -> np.ndarray:
 
 def gamma_hat_known(
     data: model.Dataset, sigma0: np.ndarray, contrast: model.Contrast
-) -> GammaHat:
+) -> np.ndarray:
     """Known-covariance BLUE of gamma = C theta D'."""
     _check_contrast(contrast, data.design)
-    theta = theta_hat_known(data, sigma0)
-    return GammaHat(value=contrast.apply(theta), contrast=contrast)
+    return contrast.apply(theta_hat_known(data, sigma0))
 
 
-def h_matrix(sigma, z: np.ndarray) -> HMatrix:
-    """Compute sigma^{-1} (P_Z sigma^{-1} P_Z)^+ for an SPD sigma.
+def h_matrix(sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The p x p matrix sigma^{-1} (P_Z sigma^{-1} P_Z)^+ for an SPD sigma.
 
-    Accepts either a SigmaHat or a plain SPD matrix (e.g. the true
-    covariance, for convergence diagnostics).
+    Satisfies H Z (Z'Z)^{-1} = sigma^{-1} Z (Z' sigma^{-1} Z)^{-1}, which is
+    what makes the pseudo-inverse route agree with the solve route.
     """
-    s = sigma.value if isinstance(sigma, SigmaHat) else sigma
-    s = linalg.check_spd(s, "sigma")
+    s = linalg.check_spd(sigma, "sigma")
     z = linalg.as_matrix(z, "Z")
     if z.shape[0] != s.shape[0]:
         raise DimensionMismatch(f"Z has {z.shape[0]} rows but sigma is {s.shape[0]} x {s.shape[0]}")
     s_inv = linalg.inv_spd(s, "sigma")
     p_z = linalg.orth_projector(z)
-    return HMatrix(value=s_inv @ linalg.moore_penrose(p_z @ s_inv @ p_z))
+    return s_inv @ linalg.moore_penrose(p_z @ s_inv @ p_z)
 
 
 def two_stage_theta(data: model.Dataset) -> np.ndarray:
     """Two-stage estimator of theta: GLS with sigma_hat plugged in."""
-    sig = sigma_hat(data)
-    return _gls_theta(data.design, data.Y, sig.value)
+    return _gls_theta(data.design, data.Y, sigma_hat(data))
 
 
-def two_stage_gamma(data: model.Dataset, contrast: model.Contrast) -> GammaHat:
+def two_stage_gamma(data: model.Dataset, contrast: model.Contrast) -> np.ndarray:
     """Two-stage generalized least-squares estimator of gamma = C theta D'.
 
     Production path: two SPD solves against sigma_hat. Equals
     C @ two_stage_theta(data) @ D' by construction.
     """
     _check_contrast(contrast, data.design)
-    return GammaHat(value=contrast.apply(two_stage_theta(data)), contrast=contrast)
+    return contrast.apply(two_stage_theta(data))
 
 
-def two_stage_gamma_pinv(data: model.Dataset, contrast: model.Contrast) -> GammaHat:
+def two_stage_gamma_pinv(data: model.Dataset, contrast: model.Contrast) -> np.ndarray:
     """Verification path for the two-stage estimator via the H matrix.
 
     Evaluates C (X'X)^{-1} X' Y H K D' with K = Z (Z'Z)^{-1}. Exercises the
@@ -154,10 +122,8 @@ def two_stage_gamma_pinv(data: model.Dataset, contrast: model.Contrast) -> Gamma
     """
     _check_contrast(contrast, data.design)
     design = data.design
-    sig = sigma_hat(data)
-    h = h_matrix(sig, design.Z).value
+    h = h_matrix(sigma_hat(data), design.Z)
     x, z, y = design.X, design.Z, data.Y
     k = linalg.solve_spd(z.T @ z, z.T, "Z'Z").T
     a = linalg.solve_spd(x.T @ x, x.T @ y, "X'X")
-    theta = a @ h @ k
-    return GammaHat(value=contrast.apply(theta), contrast=contrast)
+    return contrast.apply(a @ h @ k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, linalg, model
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidValue
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +104,8 @@ def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:
     gamma_hat.
     """
     estimators._check_contrast(contrast, data.design)
-    sig = estimators.sigma_hat(data)
     x = data.design.X
-    return cov_factors(x.T @ x, sig.value, data.design.Z, contrast)
+    return cov_factors(x.T @ x, estimators.sigma_hat(data), data.design.Z, contrast)
 
 
 def standard_errors(law: AsymptoticLaw) -> np.ndarray:
@@ -124,9 +123,9 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     estimators._check_contrast(contrast, data.design)
     n = data.design.n
     sig = estimators.sigma_hat(data)
-    gamma = contrast.apply(estimators._gls_theta(data.design, data.Y, sig.value))
+    gamma = contrast.apply(estimators._gls_theta(data.design, data.Y, sig))
     x = data.design.X
-    law = cov_factors(x.T @ x, sig.value, data.design.Z, contrast)
+    law = cov_factors(x.T @ x, sig, data.design.Z, contrast)
     w_left = linalg.inv_sqrt_spd(n * law.left)
     w_right = linalg.inv_sqrt_spd(law.right)
     return w_left @ (np.sqrt(n) * gamma) @ w_right
@@ -141,9 +140,9 @@ def chi_sq_p_value(chi_sq: float, dof: int) -> float:
     """
     k = int(dof)
     if k != dof or k < 1:
-        raise ValueError(f"dof must be an integer >= 1, got {dof}")
+        raise InvalidValue(f"dof must be an integer >= 1, got {dof}")
     if chi_sq < 0.0:
-        raise ValueError(f"chi_sq must be >= 0, got {chi_sq}")
+        raise InvalidValue(f"chi_sq must be >= 0, got {chi_sq}")
     h = chi_sq / 2.0
     if h == 0.0 or math.isinf(h):
         return 1.0 if h == 0.0 else 0.0
@@ -167,7 +166,7 @@ def test_gamma_zero(
     whitening.
     """
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        raise InvalidValue(f"alpha must be in (0, 1], got {alpha}")
     t_stat = standardized_stat(data, contrast)
     chi_sq = float(np.sum(t_stat * t_stat))
     dof = t_stat.size

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotSpd, RankDeficient
+from .errors import InvalidValue, NotSpd, RankDeficient
 
 # Relative cutoffs on singular/eigenvalues. RANK_RTOL is the double-precision
 # cliff below which a column is treated as dependent; PINV_RTOL is the
@@ -20,14 +20,14 @@ SYM_RTOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-d float64 array or raise ValueError."""
+    """Coerce ``a`` to a finite 2-d float64 array or raise InvalidValue."""
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
+        raise InvalidValue(f"{name} must be 2-dimensional, got ndim={out.ndim}")
     if out.size == 0:
-        raise ValueError(f"{name} must be non-empty")
+        raise InvalidValue(f"{name} must be non-empty")
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise InvalidValue(f"{name} contains NaN or Inf entries")
     return out
 
 

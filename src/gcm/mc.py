@@ -141,7 +141,7 @@ class Scenario:
         for key in ("m", "q", "times", "theta", "sigma"):
             if key not in d:
                 raise ConfigError(f"scenario is missing required key {key!r}")
-        m, q = int(d["m"]), int(d["q"])
+        m, q = check_int(d["m"], "m"), check_int(d["q"], "q")
         noise = d.get("noise", {"family": "gaussian"})
         if not isinstance(noise, dict) or "family" not in noise:
             raise ConfigError("scenario noise must be an object with a 'family' key")
@@ -150,21 +150,33 @@ class Scenario:
         return cls(
             m=m,
             q=q,
-            times=tuple(d["times"]),
-            theta=np.asarray(d["theta"], dtype=np.float64),
-            sigma=np.asarray(d["sigma"], dtype=np.float64),
+            times=tuple(check_floats(d["times"], "times", 1)),
+            theta=check_floats(d["theta"], "theta", 2),
+            sigma=check_floats(d["sigma"], "sigma", 2),
             noise_family=str(noise["family"]),
-            noise_df=None if df is None else float(df),
+            noise_df=None if df is None else check_floats(df, "df", 0),
             C=c,
             D=dd,
         )
 
 
-def check_seed(value) -> int:
-    """``value`` as an unsigned 64-bit seed; non-integers are refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {value!r}")
+def check_int(value, key: str, low: int = 1, high: float = math.inf) -> int:
+    """Config ``key`` as an integer in [low, high); non-integers are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
+        raise ConfigError(f"{key} must be an integer in [{low}, {high}), got {value!r}")
     return int(value)
+
+
+def check_floats(value, key: str, ndim: int):
+    """Config ``key`` as a float (ndim 0) or an ndim-d float64 array, else a ConfigError."""
+    try:
+        out = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != ndim:
+        kind = ("a number", "a list of numbers", "a list of equal-length rows of numbers")[ndim]
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return float(out) if ndim == 0 else out
 
 
 def _contrast_arrays(entry, m: int, q: int):
@@ -175,10 +187,7 @@ def _contrast_arrays(entry, m: int, q: int):
         contrast = model.equality_contrast(m, q)
         return contrast.C, contrast.D
     if isinstance(entry, dict) and set(entry) == {"c", "d"}:
-        return (
-            np.asarray(entry["c"], dtype=np.float64),
-            np.asarray(entry["d"], dtype=np.float64),
-        )
+        return check_floats(entry["c"], "contrast c", 2), check_floats(entry["d"], "contrast d", 2)
     raise ConfigError(
         "contrast must be 'identity', 'equality' or an object with keys 'c' and 'd'"
     )
@@ -196,8 +205,12 @@ class McConfig:
     theta_alt: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(int(r) for r in self.sample_sizes))
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        if not isinstance(self.sample_sizes, (list, tuple)):
+            raise ConfigError(f"sample_sizes must be a list of integers, got {self.sample_sizes!r}")
+        sizes = tuple(check_int(r, "sample_sizes entry") for r in self.sample_sizes)
+        object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "replications", check_int(self.replications, "replications"))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2**64))
         if self.theta_alt is not None:
             object.__setattr__(
                 self, "theta_alt", linalg.as_matrix(self.theta_alt, "theta_alt")
@@ -227,11 +240,11 @@ class McConfig:
         theta_alt = d.get("theta_alt")
         return cls(
             scenario=Scenario.from_dict(d["scenario"]),
-            sample_sizes=tuple(d["sample_sizes"]),
-            replications=int(d["replications"]),
+            sample_sizes=d["sample_sizes"],
+            replications=d["replications"],
             seed=d["seed"],
-            alpha=float(d.get("alpha", 0.05)),
-            theta_alt=None if theta_alt is None else np.asarray(theta_alt, dtype=np.float64),
+            alpha=check_floats(d.get("alpha", 0.05), "alpha", 0),
+            theta_alt=None if theta_alt is None else check_floats(theta_alt, "theta_alt", 2),
         )
 
 
@@ -342,7 +355,7 @@ def _run_chunk(args) -> tuple:
     cols = record_columns(kind, s, t)
     out = {c: np.full(stop - start, np.nan) for c in cols}
     if kind == "consistency":
-        h_true = estimators.h_matrix(scenario.sigma, design.Z).value
+        h_true = estimators.h_matrix(scenario.sigma, design.Z)
     if kind == "level":
         params_alt = scenario.params(theta_alt)
 
@@ -351,7 +364,7 @@ def _run_chunk(args) -> tuple:
         data = model.simulate(design, params, noise, replicate_seed(seed, cell_index, i))
         try:
             if kind == "level":
-                gam = estimators.two_stage_gamma(data, contrast).value
+                gam = estimators.two_stage_gamma(data, contrast)
                 res = inference.test_gamma_zero(data, contrast, alpha)
                 data_alt = model.simulate(
                     design, params_alt, noise, replicate_seed(seed, cell_index, i, stream=1)
@@ -359,8 +372,7 @@ def _run_chunk(args) -> tuple:
                 res_alt = inference.test_gamma_zero(data_alt, contrast, alpha)
             else:
                 sig = estimators.sigma_hat(data)
-                theta_h = estimators._gls_theta(design, data.Y, sig.value)
-                gam = contrast.apply(theta_h)
+                gam = contrast.apply(estimators._gls_theta(design, data.Y, sig))
         except (TooFewSamples, NotSpd):
             out["ok"][k] = 0.0
             continue
@@ -369,10 +381,9 @@ def _run_chunk(args) -> tuple:
         for idx, col in enumerate(gamma_columns(s, t)):
             out[col][k] = flat[idx]
         if kind == "consistency":
-            out["sigma_err"][k] = np.linalg.norm(sig.value - scenario.sigma)
+            out["sigma_err"][k] = np.linalg.norm(sig - scenario.sigma)
             out["gamma_err"][k] = np.linalg.norm(gam - gamma_true)
-            h_n = estimators.h_matrix(sig, design.Z).value
-            out["h_gap"][k] = np.abs(h_n - h_true).max()
+            out["h_gap"][k] = np.abs(estimators.h_matrix(sig, design.Z) - h_true).max()
         elif kind == "level":
             out["chi_sq"][k] = res.chi_sq
             out["reject"][k] = float(res.reject)
@@ -517,8 +528,6 @@ def _resolve_theta_alt(cfg: McConfig) -> np.ndarray:
 def _validate_config(cfg: McConfig, kind: str) -> None:
     if kind not in KINDS:
         raise ConfigError(f"unknown run kind {kind!r}")
-    if cfg.replications < 1:
-        raise ConfigError(f"replications must be >= 1, got {cfg.replications}")
     if not cfg.sample_sizes:
         raise ConfigError("sample_sizes must be non-empty")
     if not 0.0 < cfg.alpha <= 1.0:

@@ -100,8 +100,8 @@ def test_criterion_02_two_path_agreement():
     worst = 0.0
     for seed in range(100):
         data, _, contrast = _random_dataset(seed)
-        a = two_stage_gamma(data, contrast).value
-        b = two_stage_gamma_pinv(data, contrast).value
+        a = two_stage_gamma(data, contrast)
+        b = two_stage_gamma_pinv(data, contrast)
         worst = max(worst, np.abs(a - b).max())
     _check(2, "two estimator routes agree on 100 datasets", worst < 1e-8,
            f"max deviation {worst:.2e}")
@@ -118,11 +118,11 @@ def test_criterion_03_equivariance():
         design = data.design
         delta = np.random.default_rng(seed + 900).standard_normal((design.m, design.q))
         shifted = Dataset(Y=data.Y + design.X @ delta @ design.Z.T, design=design)
-        g0 = two_stage_gamma(data, contrast).value
-        g1 = two_stage_gamma(shifted, contrast).value
+        g0 = two_stage_gamma(data, contrast)
+        g1 = two_stage_gamma(shifted, contrast)
         worst_gamma = max(worst_gamma, np.abs(g1 - (g0 + contrast.apply(delta))).max())
-        s0 = sigma_hat(data).value
-        s1 = sigma_hat(shifted).value
+        s0 = sigma_hat(data)
+        s1 = sigma_hat(shifted)
         worst_sigma = max(worst_sigma, np.abs(s1 - s0).max())
     ok = worst_gamma < 1e-9 and worst_sigma < 1e-9
     _check(3, "mean-shift equivariance of gamma_hat and sigma_hat", ok,
@@ -143,7 +143,7 @@ def test_criterion_04_known_sigma_exact_recovery():
         sigma0 = _spd(np.random.default_rng(seed + 40), 4)
         err_theta = np.abs(theta_hat_known(data, sigma0) - theta).max()
         err_gamma = np.abs(
-            gamma_hat_known(data, sigma0, contrast).value - contrast.apply(theta)
+            gamma_hat_known(data, sigma0, contrast) - contrast.apply(theta)
         ).max()
         worst = max(worst, err_theta, err_gamma)
     _check(4, "noise-free data recovers theta and gamma exactly", worst < 1e-10,

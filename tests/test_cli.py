@@ -118,7 +118,7 @@ def test_estimate_report_matches_library_exactly(sim_files, tmp_path):
     z = fileio.read_matrix_csv(str(sim_files / "Z.csv"))
     data = model.Dataset(Y=y, design=model.Design(X=x, Z=z))
     contrast = model.Contrast(C=np.array([[1.0, -1.0]]), D=np.array([[0.0, 1.0]]))
-    gamma = estimators.two_stage_gamma(data, contrast).value
+    gamma = estimators.two_stage_gamma(data, contrast)
     law = inference.plugin_cov(data, contrast)
     assert np.array_equal(np.asarray(results["gamma"]), gamma)
     assert np.array_equal(np.asarray(results["cov_left"]), law.left)
@@ -376,6 +376,16 @@ def test_exit_2_on_malformed_csv(sim_files, tmp_path, capsys):
     assert ":2:" in err["error"]["message"]  # line number of the bad row
 
 
+def test_exit_2_on_non_finite_csv_value(sim_files, tmp_path, capsys):
+    # the library's own ValueErrors are ValidationErrors, so they still exit 2
+    y = fileio.read_matrix_csv(str(sim_files / "Y.csv"))
+    y[3, 1] = np.nan
+    fileio.write_matrix_csv(str(sim_files / "Y.csv"), y)
+    code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidValue"
+
+
 def test_exit_2_on_ragged_csv(sim_files, tmp_path):
     (sim_files / "Y.csv").write_text("1.0,2.0\n3.0\n")
     code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
@@ -439,6 +449,62 @@ def test_exit_2_on_malformed_config_seed(tmp_path, capsys, seed):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert "seed" in error["message"]
+
+
+_RAGGED = [[1.0, 0.5], [2.0]]
+
+
+@pytest.mark.parametrize(
+    "command, path, value, name",
+    [
+        ("mc-consistency", ("replications",), 2.9, "replications"),
+        ("mc-consistency", ("sample_sizes",), [8.7], "sample_sizes"),
+        ("mc-consistency", ("scenario", "m"), 2.5, "m"),
+        ("simulate", ("r",), 8.7, "r"),
+        ("mc-consistency", ("replications",), None, "replications"),
+        ("mc-consistency", ("sample_sizes",), 5, "sample_sizes"),
+        ("mc-consistency", ("scenario", "times"), 5, "times"),
+        ("mc-consistency", ("scenario", "noise", "df"), [6], "df"),
+        ("mc-level", ("alpha",), "abc", "alpha"),
+        ("mc-consistency", ("scenario", "times"), ["a", 2, 3, 4], "times"),
+        ("mc-consistency", ("scenario", "theta"), _RAGGED, "theta"),
+        ("mc-consistency", ("scenario", "m"), "two", "m"),
+        ("mc-consistency", ("scenario", "contrast", "c"), _RAGGED, "contrast c"),
+        ("mc-level", ("theta_alt",), _RAGGED, "theta_alt"),
+    ],
+)
+def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):
+    # config values are checked, never truncated or handed to numpy unchecked
+    if command == "simulate":
+        doc = {"scenario": _scenario_dict(), "r": 8, "seed": 1}
+    else:
+        doc = json.loads(_mc_config(tmp_path, kind=command.removeprefix("mc-")).read_text())
+    doc["scenario"]["noise"] = {"family": "student_t", "df": 6.0}
+    doc["scenario"]["contrast"] = {"c": [[1.0, -1.0]], "d": [[0.0, 1.0]]}
+    *parents, key = path
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(name)
+    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+
+
+def test_unexpected_value_error_is_not_exit_2(tmp_path, monkeypatch):
+    # only ValidationError means a bad input; a bare ValueError is a bug and propagates
+    def broken(kind, cfg):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(mc, "run", broken)
+    cfg = _mc_config(tmp_path)
+    with pytest.raises(ValueError, match="internal failure"):
+        cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 def test_exit_2_on_bad_alpha(sim_files, tmp_path):

@@ -65,8 +65,7 @@ def test_sigma_hat_intercept_only_matches_sample_covariance():
     design = model.Design(X=np.ones((n, 1)), Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
     data = model.Dataset(Y=y, design=design)
     sig = estimators.sigma_hat(data)
-    assert sig.divisor == n - 1
-    assert_allclose(sig.value, np.cov(y, rowvar=False), rtol=1e-12, atol=1e-14)
+    assert_allclose(sig, np.cov(y, rowvar=False), rtol=1e-12, atol=1e-14)
 
 
 def test_sigma_hat_matches_explicit_projector_oracle():
@@ -77,7 +76,7 @@ def test_sigma_hat_matches_explicit_projector_oracle():
     design = model.Design(X=x, Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
     sig = estimators.sigma_hat(model.Dataset(Y=y, design=design))
     w = (np.eye(n) - linalg.orth_projector(x)) / (n - m)
-    assert_allclose(sig.value, y.T @ w @ y, atol=1e-12)
+    assert_allclose(sig, y.T @ w @ y, atol=1e-12)
 
 
 def test_sigma_hat_translation_invariant():
@@ -86,8 +85,8 @@ def test_sigma_hat_translation_invariant():
     rng = np.random.default_rng(99)
     delta = rng.standard_normal((design.m, design.q))
     shifted = model.Dataset(Y=data.Y + design.X @ delta @ design.Z.T, design=design)
-    a = estimators.sigma_hat(data).value
-    b = estimators.sigma_hat(shifted).value
+    a = estimators.sigma_hat(data)
+    b = estimators.sigma_hat(shifted)
     assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -129,7 +128,7 @@ def test_gamma_known_identity_contrast_equals_theta():
     data, _, sigma = _random_instance(40)
     contrast = model.Contrast(C=np.eye(data.design.m), D=np.eye(data.design.q))
     gamma = estimators.gamma_hat_known(data, sigma, contrast)
-    assert np.array_equal(gamma.value, estimators.theta_hat_known(data, sigma))
+    assert np.array_equal(gamma, estimators.theta_hat_known(data, sigma))
 
 
 def test_gamma_known_zero_noise_exact():
@@ -138,7 +137,7 @@ def test_gamma_known_zero_noise_exact():
     data = model.Dataset(Y=design.X @ theta @ design.Z.T, design=design)
     contrast = model.equality_contrast(3, 2)
     gamma = estimators.gamma_hat_known(data, _ar_sigma(4), contrast)
-    assert np.abs(gamma.value - contrast.apply(theta)).max() < 1e-10
+    assert np.abs(gamma - contrast.apply(theta)).max() < 1e-10
 
 
 def test_gamma_known_matches_explicit_inverse_oracle():
@@ -159,7 +158,7 @@ def test_gamma_known_matches_explicit_inverse_oracle():
         @ design.Z
         @ np.linalg.inv(design.Z.T @ s_inv @ design.Z)
     )
-    assert_allclose(gamma.value, contrast.C @ theta @ contrast.D.T, atol=1e-10)
+    assert_allclose(gamma, contrast.C @ theta @ contrast.D.T, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +169,14 @@ def test_h_matrix_identity_covariance_is_projector():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((5, 2))
     h = estimators.h_matrix(np.eye(5), z)
-    assert_allclose(h.value, linalg.orth_projector(z), atol=1e-10)
+    assert_allclose(h, linalg.orth_projector(z), atol=1e-10)
 
 
 def test_h_matrix_bridge_identity():
     rng = np.random.default_rng(71)
     z = rng.standard_normal((5, 2))
     sig = _spd(rng, 5)
-    h = estimators.h_matrix(sig, z).value
+    h = estimators.h_matrix(sig, z)
     lhs = h @ z @ np.linalg.inv(z.T @ z)
     s_inv = np.linalg.inv(sig)
     rhs = s_inv @ z @ np.linalg.inv(z.T @ s_inv @ z)
@@ -220,7 +219,7 @@ def test_two_stage_theta_matches_pinv_route():
     data, _, _ = _random_instance(90)
     contrast = model.Contrast(C=np.eye(data.design.m), D=np.eye(data.design.q))
     theta = estimators.two_stage_theta(data)
-    via_h = estimators.two_stage_gamma_pinv(data, contrast).value
+    via_h = estimators.two_stage_gamma_pinv(data, contrast)
     assert np.abs(theta - via_h).max() < 1e-8
 
 
@@ -228,7 +227,7 @@ def test_two_stage_gamma_identity_contrast_equals_theta():
     data, _, _ = _random_instance(91)
     contrast = model.Contrast(C=np.eye(data.design.m), D=np.eye(data.design.q))
     gamma = estimators.two_stage_gamma(data, contrast)
-    assert np.array_equal(gamma.value, estimators.two_stage_theta(data))
+    assert np.array_equal(gamma, estimators.two_stage_theta(data))
 
 
 def test_two_stage_gamma_equivariance():
@@ -240,8 +239,8 @@ def test_two_stage_gamma_equivariance():
     )
     delta = rng.standard_normal((design.m, design.q))
     shifted = model.Dataset(Y=data.Y + design.X @ delta @ design.Z.T, design=design)
-    a = estimators.two_stage_gamma(data, contrast).value
-    b = estimators.two_stage_gamma(shifted, contrast).value
+    a = estimators.two_stage_gamma(data, contrast)
+    b = estimators.two_stage_gamma(shifted, contrast)
     assert np.abs(b - (a + contrast.apply(delta))).max() < 1e-9
 
 
@@ -253,9 +252,14 @@ def test_two_stage_paths_agree(seed):
         C=rng.standard_normal((2, data.design.m)),
         D=rng.standard_normal((2, data.design.q)),
     )
-    a = estimators.two_stage_gamma(data, contrast).value
-    b = estimators.two_stage_gamma_pinv(data, contrast).value
+    a = estimators.two_stage_gamma(data, contrast)
+    b = estimators.two_stage_gamma_pinv(data, contrast)
     assert np.abs(a - b).max() < 1e-8
+    # the known-sigma route fed sigma_hat runs the same GLS on the same arrays
+    # (the random dense X is unbalanced, so X'X is not diagonal)
+    sig = estimators.sigma_hat(data)
+    assert np.array_equal(estimators.gamma_hat_known(data, sig, contrast), a)
+    assert np.array_equal(estimators.theta_hat_known(data, sig), estimators.two_stage_theta(data))
 
 
 def test_two_stage_gamma_is_centered_under_uniform_noise():
@@ -272,7 +276,7 @@ def test_two_stage_gamma_is_centered_under_uniform_noise():
     draws = np.empty((n_rep, gamma_true.size))
     for i in range(n_rep):
         data = model.simulate(design, params, noise, seed=10_000 + i)
-        draws[i] = estimators.two_stage_gamma(data, contrast).value.reshape(-1)
+        draws[i] = estimators.two_stage_gamma(data, contrast).reshape(-1)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n_rep)
     bias = draws.mean(axis=0) - gamma_true.reshape(-1)
     assert np.all(np.abs(bias) < 4.0 * se)

@@ -81,7 +81,7 @@ def test_asym_cov_matches_unsimplified_form():
     law = inference.asym_cov(
         inference.AsymptoticSpec(R=r_mat, sigma=sigma, Z=z, contrast=contrast)
     )
-    h = estimators.h_matrix(sigma, z).value
+    h = estimators.h_matrix(sigma, z)
     k = z @ np.linalg.inv(z.T @ z)
     right_unsimplified = contrast.D @ k.T @ h.T @ sigma @ h @ k @ contrast.D.T
     left = contrast.C @ np.linalg.inv(r_mat) @ contrast.C.T
@@ -214,8 +214,8 @@ def test_standardized_stat_scalar_case_matches_z_formula():
     t_stat = inference.standardized_stat(data, contrast)
     assert t_stat.shape == (1, 1)
     n = data.design.n
-    sig = estimators.sigma_hat(data).value
-    gamma = estimators.two_stage_gamma(data, contrast).value[0, 0]
+    sig = estimators.sigma_hat(data)
+    gamma = estimators.two_stage_gamma(data, contrast)[0, 0]
     c, d = contrast.C, contrast.D
     x, z = data.design.X, data.design.Z
     left = (n * c @ np.linalg.inv(x.T @ x) @ c.T).item()

@@ -216,8 +216,8 @@ def test_sign_flip_leaves_first_stage_unchanged():
     params = model.ModelParams(theta=np.zeros((2, 2)), sigma=noise.sigma)
     data = model.simulate(design, params, noise, seed=31)
     flipped = model.Dataset(Y=-data.Y, design=design)
-    a = estimators.sigma_hat(data).value
-    b = estimators.sigma_hat(flipped).value
+    a = estimators.sigma_hat(data)
+    b = estimators.sigma_hat(flipped)
     assert np.array_equal(a, b)
 
 
