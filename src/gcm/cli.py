@@ -55,7 +55,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the config")
     seed = mc.check_int(seed, "seed", 0, 2**64)
     design = scenario.design(r)
-    data = model.simulate(design, scenario.params(), scenario.noise(), seed)
+    noise = scenario.noise()
+    data = model.simulate(design, scenario.params(), noise, seed)
     out = args.out
     fileio.write_matrix_csv(os.path.join(out, "Y.csv"), data.Y)
     fileio.write_matrix_csv(os.path.join(out, "X.csv"), design.X)
@@ -63,7 +64,7 @@ def cmd_simulate(args) -> int:
     truth = {
         "theta": fileio.jsonable(scenario.theta),
         "sigma": fileio.jsonable(scenario.sigma),
-        "sigma_cholesky": fileio.jsonable(np.linalg.cholesky(scenario.sigma)),
+        "sigma_cholesky": fileio.jsonable(noise.chol),
         "noise": {"family": scenario.noise_family, "df": scenario.noise_df},
         "seed": seed,
     }
@@ -128,8 +129,7 @@ def _estimate_results(args):
         sigma = sigma_value = estimators.sigma_hat(data)
         estimator_name = "two_stage"
     theta = estimators.theta_hat_known(data, sigma)
-    x = data.design.X
-    law = inference.cov_factors(x.T @ x, sigma, data.design.Z, contrast)
+    law = inference.cov_factors(data.design.xtx, sigma, data.design.Z, contrast)
     gamma = contrast.apply(theta)
     results = {
         "estimator": estimator_name,
@@ -200,7 +200,10 @@ def cmd_mc(args, kind: str) -> int:
     raw = _load_scenario_config(args.config)
     conf = dict(raw)
     out = args.out if args.out is not None else conf.pop("out_dir", None) or "."
-    dump = bool(conf.pop("dump_replicates", False)) or args.dump_replicates
+    dump = conf.pop("dump_replicates", False)
+    if not isinstance(dump, bool):
+        raise ConfigError(f"dump_replicates must be true or false, got {dump!r}")
+    dump = dump or args.dump_replicates
     if args.seed is not None:
         conf["seed"] = args.seed
     if args.alpha is not None:

@@ -35,7 +35,7 @@ def _gls_theta(design: model.Design, y: np.ndarray, sigma: np.ndarray) -> np.nda
     evaluated with two Cholesky solves and no explicit inverse.
     """
     x, z = design.X, design.Z
-    a = linalg.solve_spd(x.T @ x, x.T @ y, "X'X")
+    a = linalg.solve_spd(design.xtx, x.T @ y, "X'X")
     b = linalg.solve_spd(sigma, z, "sigma")
     g = z.T @ b
     return linalg.solve_spd(g, (a @ b).T, "Z' sigma^{-1} Z").T
@@ -57,7 +57,7 @@ def sigma_hat(data: model.Dataset) -> np.ndarray:
             f"need n - m >= p for an invertible first stage, got n={n}, m={m}, p={p}"
         )
     x, y = design.X, data.Y
-    resid = y - x @ linalg.solve_spd(x.T @ x, x.T @ y, "X'X")
+    resid = y - x @ linalg.solve_spd(design.xtx, x.T @ y, "X'X")
     s = resid.T @ resid / (n - m)
     s = (s + s.T) / 2.0
     linalg.check_spd(s, "first-stage covariance estimate")
@@ -125,5 +125,5 @@ def two_stage_gamma_pinv(data: model.Dataset, contrast: model.Contrast) -> np.nd
     h = h_matrix(sigma_hat(data), design.Z)
     x, z, y = design.X, design.Z, data.Y
     k = linalg.solve_spd(z.T @ z, z.T, "Z'Z").T
-    a = linalg.solve_spd(x.T @ x, x.T @ y, "X'X")
+    a = linalg.solve_spd(design.xtx, x.T @ y, "X'X")
     return contrast.apply(a @ h @ k)

@@ -104,8 +104,7 @@ def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:
     gamma_hat.
     """
     estimators._check_contrast(contrast, data.design)
-    x = data.design.X
-    return cov_factors(x.T @ x, estimators.sigma_hat(data), data.design.Z, contrast)
+    return cov_factors(data.design.xtx, estimators.sigma_hat(data), data.design.Z, contrast)
 
 
 def standard_errors(law: AsymptoticLaw) -> np.ndarray:
@@ -124,8 +123,7 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     n = data.design.n
     sig = estimators.sigma_hat(data)
     gamma = contrast.apply(estimators._gls_theta(data.design, data.Y, sig))
-    x = data.design.X
-    law = cov_factors(x.T @ x, sig, data.design.Z, contrast)
+    law = cov_factors(data.design.xtx, sig, data.design.Z, contrast)
     w_left = linalg.inv_sqrt_spd(n * law.left)
     w_right = linalg.inv_sqrt_spd(law.right)
     return w_left @ (np.sqrt(n) * gamma) @ w_right

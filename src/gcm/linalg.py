@@ -31,12 +31,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def check_spd(a, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is symmetric positive definite at working precision.
+def _spd_spectrum(a, name: str, vectors: bool):
+    """The SPD criterion: returns (a, ascending eigenvalues, eigenvectors or None).
 
     Symmetry is checked relative to the largest entry magnitude and positive
     definiteness requires the smallest eigenvalue to exceed ``RANK_RTOL``
-    times the largest. Returns the validated array.
+    times the largest. With ``vectors`` the eigenvalues come from the same
+    ``eigh`` that yields the eigenvectors, so the input is decomposed once.
     """
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
@@ -46,12 +47,20 @@ def check_spd(a, name: str = "matrix") -> np.ndarray:
         raise NotSpd(f"{name} is identically zero")
     if float(np.abs(a - a.T).max()) > SYM_RTOL * scale:
         raise NotSpd(f"{name} is not symmetric at relative tolerance {SYM_RTOL:g}")
-    w = np.linalg.eigvalsh(a)
+    w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     if w[-1] <= 0.0 or w[0] <= RANK_RTOL * w[-1]:
         raise NotSpd(
             f"{name} is not positive definite: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    return a
+    return a, w, v
+
+
+def check_spd(a, name: str = "matrix") -> np.ndarray:
+    """Validate that ``a`` is symmetric positive definite at working precision.
+
+    Returns the validated array; see ``_spd_spectrum`` for the criterion.
+    """
+    return _spd_spectrum(a, name, vectors=False)[0]
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -104,8 +113,11 @@ def moore_penrose(a) -> np.ndarray:
 
 
 def inv_sqrt_spd(a) -> np.ndarray:
-    """Symmetric positive definite B with B A B = I, via spectral decomposition."""
-    a = check_spd(a, "inverse square root input")
-    w, v = np.linalg.eigh(a)
+    """Symmetric positive definite B with B A B = I, via spectral decomposition.
+
+    Refuses the inputs ``check_spd`` refuses, testing the eigenvalues of the
+    one ``eigh`` that also gives B.
+    """
+    _, w, v = _spd_spectrum(a, "inverse square root input", vectors=True)
     b = (v / np.sqrt(w)) @ v.T
     return (b + b.T) / 2.0

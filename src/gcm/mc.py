@@ -145,6 +145,9 @@ class Scenario:
         noise = d.get("noise", {"family": "gaussian"})
         if not isinstance(noise, dict) or "family" not in noise:
             raise ConfigError("scenario noise must be an object with a 'family' key")
+        unknown = set(noise) - {"family", "df"}
+        if unknown:
+            raise ConfigError(f"unknown scenario noise keys: {sorted(unknown)}")
         df = noise.get("df")
         c, dd = _contrast_arrays(d.get("contrast", "identity"), m, q)
         return cls(

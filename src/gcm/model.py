@@ -8,6 +8,7 @@ zero and covariance Sigma.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -32,20 +33,43 @@ _UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
 _Z_CONDITION_WARN = 1e8
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``a``; the caller's array stays writable."""
+    out = a.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Design:
     """Pair of full-rank design matrices.
 
     X is n x m (between-individual design, rows accumulate with sample
-    size), Z is p x q (within-individual design, fixed as n grows).
+    size), Z is p x q (within-individual design, fixed as n grows). Both
+    are held as read-only copies, so the quantities derived from them are
+    computed once per design and stay valid.
     """
 
     X: np.ndarray
     Z: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "X", linalg.as_matrix(self.X, "X"))
-        object.__setattr__(self, "Z", linalg.as_matrix(self.Z, "Z"))
+        object.__setattr__(self, "X", _read_only(linalg.as_matrix(self.X, "X")))
+        object.__setattr__(self, "Z", _read_only(linalg.as_matrix(self.Z, "Z")))
+
+    @functools.cached_property
+    def xtx(self) -> np.ndarray:
+        """Gram matrix X'X."""
+        return _read_only(self.X.T @ self.X)
+
+    @functools.cached_property
+    def rank_deficient(self) -> str | None:
+        """Name of the first of X and Z without full column rank at ``RANK_RTOL``, else None."""
+        for mat, name in ((self.X, "X"), (self.Z, "Z")):
+            s = np.linalg.svd(mat, compute_uv=False)
+            if s[-1] <= linalg.RANK_RTOL * s[0]:
+                return name
+        return None
 
     @property
     def n(self) -> int:
@@ -106,6 +130,8 @@ class NoiseSpec:
     Supported families: gaussian, uniform (symmetric about 0) and student_t
     with df > 4. Base draws are standardized to unit variance per coordinate
     before the covariance transform, so E rows always have covariance sigma.
+    ``sigma`` is held as a read-only copy and its Cholesky factor is
+    computed once.
     """
 
     family: str
@@ -126,11 +152,16 @@ class NoiseSpec:
             object.__setattr__(self, "df", float(self.df))
         elif self.df is not None:
             raise InvalidNoise(f"df is only meaningful for student_t, got {self.family!r}")
-        object.__setattr__(self, "sigma", linalg.check_spd(self.sigma, "noise sigma"))
+        object.__setattr__(self, "sigma", _read_only(linalg.check_spd(self.sigma, "noise sigma")))
 
     @property
     def p(self) -> int:
         return self.sigma.shape[0]
+
+    @functools.cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor L of sigma, sigma = L L'."""
+        return _read_only(np.linalg.cholesky(self.sigma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,16 +187,16 @@ def validate(design: Design) -> None:
     """Check the model shape constraints n > m, p > q and full column rank.
 
     Raises ShapeViolation or RankDeficient; all estimation entry points call
-    this before touching the data.
+    this before touching the data. The rank verdict is cached on the design,
+    so the SVDs run once per design while a bad design raises on every call.
     """
     if design.n <= design.m:
         raise ShapeViolation(f"need n > m, got n={design.n}, m={design.m}")
     if design.p <= design.q:
         raise ShapeViolation(f"need p > q, got p={design.p}, q={design.q}")
-    for mat, name in ((design.X, "X"), (design.Z, "Z")):
-        s = np.linalg.svd(mat, compute_uv=False)
-        if s[-1] <= linalg.RANK_RTOL * s[0]:
-            raise RankDeficient(f"{name} is rank deficient at tolerance {linalg.RANK_RTOL:g}")
+    name = design.rank_deficient
+    if name is not None:
+        raise RankDeficient(f"{name} is rank deficient at tolerance {linalg.RANK_RTOL:g}")
 
 
 def potthoff_roy_design(m: int, r: int, times, q: int) -> Design:
@@ -239,8 +270,6 @@ def simulate(design: Design, params: ModelParams, noise: NoiseSpec, seed: int) -
             f"noise covariance is {noise.p} x {noise.p} but Z has {design.p} rows"
         )
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    base = _standardized_rows(rng, noise, design.n)
-    chol = np.linalg.cholesky(noise.sigma)
-    e = base @ chol.T
+    e = _standardized_rows(rng, noise, design.n) @ noise.chol.T
     y = design.X @ params.theta @ design.Z.T + e
     return Dataset(Y=y, design=design)

@@ -408,6 +408,23 @@ def test_exit_2_on_unknown_config_key(tmp_path):
     assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
+def test_exit_2_on_unknown_noise_key(tmp_path, capsys, command):
+    scenario = _scenario_dict(family="uniform")
+    scenario["noise"]["sd"] = 5
+    docs = {
+        "simulate": {"scenario": scenario, "r": 8, "seed": 1},
+        "mc-consistency": {"scenario": scenario, "sample_sizes": [8], "replications": 2, "seed": 1},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(docs[command]))
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "'sd'" in error["message"]
+
+
 @pytest.mark.parametrize("sigma", [[[float("nan")] * 4] * 4, [[1.0, 0.0], [0.0, 1.0]]])
 def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, sigma):
     truth = fileio.read_json(str(sim_files / "truth.json"))
@@ -471,6 +488,9 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-consistency", ("scenario", "m"), "two", "m"),
         ("mc-consistency", ("scenario", "contrast", "c"), _RAGGED, "contrast c"),
         ("mc-level", ("theta_alt",), _RAGGED, "theta_alt"),
+        ("mc-consistency", ("dump_replicates",), "false", "dump_replicates"),
+        ("mc-consistency", ("dump_replicates",), 1, "dump_replicates"),
+        ("mc-level", ("dump_replicates",), None, "dump_replicates"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):

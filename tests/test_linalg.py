@@ -218,6 +218,34 @@ def test_inv_sqrt_rejects_indefinite():
         linalg.inv_sqrt_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=5),
+    low=st.sampled_from([-1.0, -1e-3, 0.0, 1e-14, 1e-3, 0.5, 1.0]),
+    skew=st.sampled_from([0.0, 1e-13, 1e-6]),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_inv_sqrt_refuses_exactly_what_check_spd_refuses(p, low, skew, scale, seed):
+    # eigenvalues {low} + U(1, 10): indefinite, singular, near-singular or SPD,
+    # then scaled (0 gives the zero matrix) and optionally made asymmetric
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    w = rng.uniform(1.0, 10.0, p)
+    w[0] = low
+    a = scale * (q * w) @ q.T
+    k = rng.standard_normal((p, p))
+    a = (a + a.T) / 2.0 + skew * scale * (k - k.T)
+    try:
+        linalg.check_spd(a)
+    except NotSpd:
+        with pytest.raises(NotSpd):
+            linalg.inv_sqrt_spd(a)
+    else:
+        b = linalg.inv_sqrt_spd(a)
+        assert np.abs(b @ a @ b - np.eye(p)).max() < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # the projector/pseudo-inverse bridge identity
 

@@ -135,6 +135,49 @@ def test_validate_rejects_too_few_rows():
         model.validate(model.Design(X=x, Z=z))
 
 
+def test_validate_runs_the_rank_svds_once_per_design(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    z = np.vander(TIMES4, 2, increasing=True)
+    good = model.Design(X=np.vstack([np.eye(2)] * 3), Z=z)
+    for _ in range(3):
+        model.validate(good)
+    assert calls == [(6, 2), (4, 2)]
+    bad_rank = model.Design(X=np.ones((6, 2)), Z=z)
+    bad_shape = model.Design(X=np.eye(3), Z=z)
+    for _ in range(3):
+        with pytest.raises(RankDeficient):
+            model.validate(bad_rank)
+        with pytest.raises(ShapeViolation):
+            model.validate(bad_shape)
+    # one more SVD: X of bad_rank; the shape checks come before any SVD
+    assert calls == [(6, 2), (4, 2), (6, 2)]
+
+
+def test_design_and_noise_hold_read_only_copies():
+    x = np.vstack([np.eye(2)] * 3)
+    z = np.vander(TIMES4, 2, increasing=True)
+    sigma = _ar_sigma(4)
+    design = model.Design(X=x, Z=z)
+    noise = model.NoiseSpec(family="gaussian", sigma=sigma)
+    for held in (design.X, design.Z, design.xtx, noise.sigma, noise.chol):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 5.0
+    for given in (x, z, sigma):
+        assert given.flags.writeable
+    x[0, 0] = 7.0
+    assert design.X[0, 0] == 1.0
+    assert np.array_equal(design.xtx, design.X.T @ design.X)
+    assert np.array_equal(noise.chol, np.linalg.cholesky(sigma))
+
+
 # ---------------------------------------------------------------------------
 # noise specification
 
