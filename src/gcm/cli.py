@@ -270,11 +270,10 @@ def _write_dumps(out: str, report: mc.McReport) -> None:
     contrast = report.config.scenario.contrast()
     cols = mc.record_columns(report.kind, contrast.s, contrast.t)
     for cell, records in zip(report.cells, report.records):
-        rows = []
-        for i in range(cell.replications):
-            rows.append([i] + [records[c][i] for c in cols])
+        # %.17g prints the replicate index as str(int) does
+        table = np.column_stack([np.arange(cell.replications), *(records[c] for c in cols)])
         path = os.path.join(out, "tables", f"replicates_r{cell.r}.csv")
-        fileio.write_table_csv(path, ["replicate"] + cols, rows)
+        fileio.write_matrix_csv(path, table, ["replicate"] + cols)
 
 
 def _emit_error(args, kind: str, message: str, code: int) -> None:

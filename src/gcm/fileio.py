@@ -44,8 +44,10 @@ def format_matrix_csv(a: np.ndarray, header: list | None = None) -> str:
     lines = []
     if header is not None:
         lines.append(",".join(header))
-    for row in a:
-        lines.append(",".join(_FLOAT_FMT % v for v in row))
+    # one format string per row, applied row by row: a single % over the whole
+    # matrix would hold every value in one tuple
+    row_fmt = ",".join([_FLOAT_FMT] * a.shape[1])
+    lines.extend(row_fmt % tuple(row) for row in a.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -54,9 +56,28 @@ def write_matrix_csv(path: str, a: np.ndarray, header: list | None = None) -> No
 
 
 def read_matrix_csv(path: str, skip_header: bool = False) -> np.ndarray:
-    """Parse a rectangular CSV of floats; report failures with line numbers."""
-    with open(path, encoding="utf-8") as handle:
-        raw_lines = handle.read().splitlines()
+    """Parse a rectangular CSV of floats; report failures with line numbers.
+
+    numpy's C reader parses the common case. Anything it refuses, and any
+    body with an empty line (which it would skip silently), goes to the
+    line-numbered parser, which gives the same array or the error.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw_lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"not UTF-8 text: {exc}", path) from exc
+    body = raw_lines[1:] if skip_header else raw_lines
+    if body and "" not in body:
+        try:
+            return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+    return _parse_matrix_lines(raw_lines, path, skip_header)
+
+
+def _parse_matrix_lines(raw_lines: list, path: str, skip_header: bool) -> np.ndarray:
+    """Parse the lines of a matrix CSV one by one, naming the line of any fault."""
     rows = []
     width = None
     start = 1 if skip_header else 0
@@ -118,8 +139,11 @@ def write_json(path: str, obj) -> None:
 
 
 def read_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, mc, model
-from gcm.errors import ConfigError, MatrixParseError
+from gcm.errors import ConfigError, MatrixParseError, NotSpd
 
 TIMES4 = [1.0, 2.0, 3.0, 4.0]
 
@@ -321,6 +321,45 @@ def test_mc_dump_resummarizes_to_the_same_report(tmp_path):
         assert redone.to_dict() == cell_doc
 
 
+def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
+    # the dump goes through the matrix formatter; its bytes are those of the
+    # named-column table writer: int replicate index, %.17g floats, nan as nan
+    calls = {"n": 0}
+    sigma_hat, run = estimators.sigma_hat, mc.run
+    reports = []
+
+    def flaky(data):
+        # every fifth first stage fails, so the dump holds ok = 0 rows of nan
+        calls["n"] += 1
+        if calls["n"] % 5 == 0:
+            raise NotSpd("synthetic failure")
+        return sigma_hat(data)
+
+    def keep(kind, cfg):
+        reports.append(run(kind, cfg))
+        return reports[-1]
+
+    monkeypatch.setenv("GCM_THREADS", "1")
+    monkeypatch.setattr(estimators, "sigma_hat", flaky)
+    monkeypatch.setattr(mc, "run", keep)
+    cfg = _mc_config(tmp_path, sample_sizes=[4, 8])
+    out = tmp_path / "mc"
+    code = cli.main(
+        ["mc-consistency", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
+    )
+    assert code == 0
+    (report,) = reports
+    contrast = report.config.scenario.contrast()
+    cols = mc.record_columns("consistency", contrast.s, contrast.t)
+    for cell, records in zip(report.cells, report.records):
+        assert 0 < cell.failures < cell.replications
+        rows = [[i] + [records[c][i] for c in cols] for i in range(cell.replications)]
+        expected = tmp_path / f"expected_r{cell.r}.csv"
+        fileio.write_table_csv(str(expected), ["replicate"] + cols, rows)
+        dump = out / "tables" / f"replicates_r{cell.r}.csv"
+        assert dump.read_bytes() == expected.read_bytes()
+
+
 def test_mc_seed_and_alpha_flags_override_config(tmp_path):
     cfg = _mc_config(tmp_path, kind="level")
     out = tmp_path / "mc"
@@ -390,6 +429,17 @@ def test_exit_2_on_ragged_csv(sim_files, tmp_path):
     (sim_files / "Y.csv").write_text("1.0,2.0\n3.0\n")
     code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_exit_2_on_non_utf8_csv(sim_files, tmp_path, capsys):
+    (sim_files / "Y.csv").write_bytes(b"1.0,2.0\n3.0,\xff\n")
+    out = tmp_path / "o"
+    code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "MatrixParseError"
+    assert str(sim_files / "Y.csv") in error["message"]
+    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
 
 
 def test_exit_2_on_invalid_design(tmp_path):
@@ -513,6 +563,17 @@ def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(name)
+    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+
+
+def test_exit_2_on_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(_mc_config(tmp_path, kind="level").read_bytes().replace(b"2718", b"27\xff8"))
+    out = tmp_path / "o"
+    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(cfg) in error["message"]
     assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
 
 

@@ -1,0 +1,117 @@
+"""Matrix CSV reader and formatter against their line-by-line references."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from gcm import fileio
+from gcm.errors import MatrixParseError
+
+# fields the two parsers must agree on: plain, signed zero, the smallest
+# subnormal (2**-1074), overflow to inf, underscores (float() only), padding,
+# non-finite names, empty and non-numeric fields
+_FIELDS = [
+    "1", "-2.5", "0.1", "-0.0", "4.9406564584124654e-324", "1e400", "-1e400",
+    "1_0", " 3 ", "\t4", "nan", "-nan", "inf", "-Infinity", "", "x", "1e", "+7",
+]
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0c"]
+
+
+@st.composite
+def _csv_text(draw):
+    width = draw(st.integers(min_value=1, max_value=4))
+
+    def row():
+        # mostly rectangular; sometimes ragged, blank or with a trailing comma
+        kind = draw(st.sampled_from(["row"] * 6 + ["ragged", "empty", "blank", "trailing"]))
+        if kind == "empty":
+            return ""
+        if kind == "blank":
+            return draw(st.sampled_from([" ", "\t", "  \t "]))
+        n = draw(st.integers(min_value=1, max_value=5)) if kind == "ragged" else width
+        fields = [draw(st.sampled_from(_FIELDS)) for _ in range(n)]
+        return ",".join(fields) + ("," if kind == "trailing" else "")
+
+    lines = [row() for _ in range(draw(st.integers(min_value=0, max_value=6)))]
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(f"c{j}" for j in range(width)))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(_SEPARATORS))
+    if lines and draw(st.booleans()):
+        text = text[:-1]  # no final line break (also splits a \r\n)
+    return text, header
+
+
+def _outcome(fn):
+    try:
+        a = fn()
+    except MatrixParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("array", a.shape, a.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_text())
+@example(case=("1,2\n\n3,4\n", False))
+@example(case=("1_0,2\n3,4\n", False))
+@example(case=("a,b\n1,2\r\n3,4\x0c5,6\r", True))
+@example(case=("a,b\n", True))
+@example(case=("", True))
+@example(case=("-0.0,4.9406564584124654e-324\n1e400,nan\n", False))
+def test_reader_matches_the_line_numbered_parser(tmp_path_factory, case):
+    text, header = case
+    path = tmp_path_factory.getbasetemp() / "reader.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    fast = _outcome(lambda: fileio.read_matrix_csv(str(path), header))
+    slow = _outcome(lambda: fileio._parse_matrix_lines(lines, str(path), header))
+    assert fast == slow
+
+
+def test_reader_takes_the_c_parser_for_written_matrices(tmp_path):
+    a = np.random.default_rng(3).standard_normal((50, 4))
+    path = tmp_path / "m.csv"
+    fileio.write_matrix_csv(str(path), a, ["a", "b", "c", "d"])
+    with mock.patch.object(fileio, "_parse_matrix_lines", side_effect=AssertionError):
+        back = fileio.read_matrix_csv(str(path), skip_header=True)
+    assert back.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("skip_header", [False, True])
+def test_reader_refuses_non_utf8_naming_the_file(tmp_path, skip_header):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    with pytest.raises(MatrixParseError, match="not UTF-8") as excinfo:
+        fileio.read_matrix_csv(str(path), skip_header)
+    assert excinfo.value.path == str(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1, 1e17, 2.0**53]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from(_SPECIAL),
+    ),
+    header=st.booleans(),
+)
+@example(a=np.array([_SPECIAL]), header=True)
+@example(a=np.array([_SPECIAL]).T, header=False)
+def test_formatter_matches_the_per_value_format(a, header):
+    names = [f"c{j}" for j in range(a.shape[1])] if header else None
+    lines = [",".join(names)] if header else []
+    lines += [",".join("%.17g" % v for v in row) for row in a]
+    assert fileio.format_matrix_csv(a, names) == "\n".join(lines) + "\n"
