@@ -26,7 +26,6 @@ from .model import (
     Contrast,
     Dataset,
     Design,
-    ModelParams,
     NoiseSpec,
     equality_contrast,
     potthoff_roy_design,
@@ -71,7 +70,6 @@ __all__ = [
     "TooFewSamples",
     "NotSpd",
     "Design",
-    "ModelParams",
     "Contrast",
     "NoiseSpec",
     "Dataset",

@@ -33,21 +33,9 @@ class CommandError(Exception):
         super().__init__(message)
 
 
-def _load_scenario_config(path: str) -> dict:
-    doc = fileio.read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
-
-
 def cmd_simulate(args) -> int:
-    config = _load_scenario_config(args.config)
-    allowed = {"scenario", "r", "seed"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown simulate config keys: {sorted(unknown)}")
-    if "scenario" not in config or "r" not in config:
-        raise ConfigError("simulate config requires 'scenario' and 'r'")
+    config = fileio.read_json(args.config)
+    fileio.check_keys(config, "simulate config", ("scenario", "r"), ("seed",))
     scenario = mc.Scenario.from_dict(config["scenario"])
     r = mc.check_int(config["r"], "r")
     seed = args.seed if args.seed is not None else config.get("seed")
@@ -55,17 +43,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the config")
     seed = mc.check_int(seed, "seed", 0, 2**64)
     design = scenario.design(r)
-    noise = scenario.noise()
-    data = model.simulate(design, scenario.params(), noise, seed)
+    noise = scenario.noise
+    data = model.simulate(design, scenario.theta, noise, seed)
     out = args.out
     fileio.write_matrix_csv(os.path.join(out, "Y.csv"), data.Y)
     fileio.write_matrix_csv(os.path.join(out, "X.csv"), design.X)
     fileio.write_matrix_csv(os.path.join(out, "Z.csv"), design.Z)
     truth = {
         "theta": fileio.jsonable(scenario.theta),
-        "sigma": fileio.jsonable(scenario.sigma),
+        "sigma": fileio.jsonable(noise.sigma),
         "sigma_cholesky": fileio.jsonable(noise.chol),
-        "noise": {"family": scenario.noise_family, "df": scenario.noise_df},
+        "noise": {"family": noise.family, "df": noise.df},
         "seed": seed,
     }
     fileio.write_json(os.path.join(out, "truth.json"), truth)
@@ -197,13 +185,9 @@ def cmd_test(args) -> int:
 
 
 def cmd_mc(args, kind: str) -> int:
-    raw = _load_scenario_config(args.config)
-    conf = dict(raw)
-    out = args.out if args.out is not None else conf.pop("out_dir", None) or "."
-    dump = conf.pop("dump_replicates", False)
-    if not isinstance(dump, bool):
-        raise ConfigError(f"dump_replicates must be true or false, got {dump!r}")
-    dump = dump or args.dump_replicates
+    conf = fileio.read_json(args.config)
+    if not isinstance(conf, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object")
     if args.seed is not None:
         conf["seed"] = args.seed
     if args.alpha is not None:
@@ -211,14 +195,14 @@ def cmd_mc(args, kind: str) -> int:
     cfg = mc.McConfig.from_dict(conf)
     report = mc.run(kind, cfg)
     inputs = cfg.to_dict()
-    inputs["dump_replicates"] = dump
+    inputs["dump_replicates"] = args.dump_replicates
     doc = fileio.make_report(cfg.seed, inputs, report.to_dict())
     tables = _mc_tables(kind, report)
-    fileio.write_json(os.path.join(out, "report.json"), doc)
+    fileio.write_json(os.path.join(args.out, "report.json"), doc)
     for name, (header, rows) in tables.items():
-        fileio.write_table_csv(os.path.join(out, "tables", name), header, rows)
-    if dump:
-        _write_dumps(out, report)
+        fileio.write_table_csv(os.path.join(args.out, "tables", name), header, rows)
+    if args.dump_replicates:
+        _write_dumps(args.out, report)
     return EXIT_OK
 
 
@@ -236,6 +220,8 @@ def _mc_tables(kind: str, report: mc.McReport) -> dict:
     elif kind == "normality":
         rows = []
         for cell in report.cells:
+            if cell.ks_distance is None:  # fewer than 2 successes: no coordinate summaries
+                continue
             for j in range(cell.ks_distance.size):
                 rows.append(
                     (
@@ -267,7 +253,7 @@ def _mc_tables(kind: str, report: mc.McReport) -> dict:
 
 
 def _write_dumps(out: str, report: mc.McReport) -> None:
-    contrast = report.config.scenario.contrast()
+    contrast = report.config.scenario.contrast
     cols = mc.record_columns(report.kind, contrast.s, contrast.t)
     for cell, records in zip(report.cells, report.records):
         # %.17g prints the replicate index as str(int) does
@@ -328,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--alpha", type=float, default=None, help="override the config alpha")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--dump-replicates",
             action="store_true",

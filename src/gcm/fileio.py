@@ -103,17 +103,13 @@ def _parse_matrix_lines(raw_lines: list, path: str, skip_header: bool) -> np.nda
 
 
 def write_table_csv(path: str, header: list, rows: list) -> None:
-    """Write a small named-column table; floats use the full-precision format."""
-    lines = [",".join(header)]
-    for row in rows:
-        fields = []
-        for v in row:
-            if isinstance(v, float) or isinstance(v, np.floating):
-                fields.append(_FLOAT_FMT % v)
-            else:
-                fields.append(str(v))
-        lines.append(",".join(fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a small named-column table in the matrix format; None is written as nan.
+
+    %.17g prints an integer below 2**53 as str does, so counts and indices
+    keep their integer form.
+    """
+    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+    atomic_write_text(path, format_matrix_csv(table, header))
 
 
 def jsonable(v):
@@ -183,21 +179,22 @@ def make_report(seed, inputs: dict, results, errors: list | None = None) -> dict
     }
 
 
-def read_report(path: str) -> dict:
-    """Load a report file, rejecting unknown top-level or meta keys."""
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: report must be a JSON object")
-    unknown = set(doc) - set(REPORT_KEYS)
+def check_keys(d, where: str, required, optional=()) -> None:
+    """Refuse ``d`` unless it is an object with every ``required`` key and no key
+    outside ``required`` and ``optional``; ``where`` names it in the ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
+    unknown = set(d) - set(required) - set(optional)
     if unknown:
-        raise ConfigError(f"{path}: unknown report keys: {sorted(unknown)}")
-    missing = set(REPORT_KEYS) - set(doc)
-    if missing:
-        raise ConfigError(f"{path}: missing report keys: {sorted(missing)}")
-    meta = doc["meta"]
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{path}: report meta must be an object")
-    unknown_meta = set(meta) - set(META_KEYS)
-    if unknown_meta:
-        raise ConfigError(f"{path}: unknown meta keys: {sorted(unknown_meta)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{where} is missing required key {key!r}")
+
+
+def read_report(path: str) -> dict:
+    """Load a report file, rejecting unknown or missing top-level keys and unknown meta keys."""
+    doc = read_json(path)
+    check_keys(doc, f"report {path}", REPORT_KEYS)
+    check_keys(doc["meta"], f"report {path} meta", (), META_KEYS)
     return doc

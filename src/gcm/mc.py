@@ -40,6 +40,11 @@ class Scenario:
     coefficient count, ``theta`` the m x q group coefficients and ``sigma``
     the p x p row covariance. The limit of X'X/n is I_m / m for every group
     size r, so the asymptotic law is known in closed form.
+
+    Construction checks the inputs once and builds the model objects every
+    replicate reads: ``noise`` (which owns sigma), ``contrast`` (C and D
+    default to identities), the p x q profile matrix ``z`` and
+    ``gamma_true`` = C theta D'.
     """
 
     m: int
@@ -51,29 +56,44 @@ class Scenario:
     noise_df: float | None = None
     C: np.ndarray | None = None
     D: np.ndarray | None = None
+    noise: model.NoiseSpec = field(init=False, repr=False)
+    contrast: model.Contrast = field(init=False, repr=False)
+    z: np.ndarray = field(init=False, repr=False)
+    gamma_true: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        times = tuple(float(t) for t in self.times)
         theta = linalg.as_matrix(self.theta, "theta")
         try:
-            sigma = linalg.check_spd(self.sigma, "sigma")
+            noise = model.NoiseSpec(family=self.noise_family, sigma=self.sigma, df=self.noise_df)
         except NotSpd as exc:
             raise ConfigError(f"scenario key 'sigma': {exc}") from exc
         if theta.shape != (self.m, self.q):
             raise ConfigError(f"theta must be {self.m} x {self.q}, got {theta.shape}")
-        if sigma.shape[0] != len(self.times):
+        if noise.p != len(times):
+            raise ConfigError(f"sigma must be {len(times)} x {len(times)}, got {noise.sigma.shape}")
+        contrast = model.Contrast(
+            C=np.eye(self.m) if self.C is None else self.C,
+            D=np.eye(self.q) if self.D is None else self.D,
+        )
+        if contrast.C.shape[1] != self.m or contrast.D.shape[1] != self.q:
             raise ConfigError(
-                f"sigma must be {len(self.times)} x {len(self.times)}, got {sigma.shape}"
+                f"contrast must have m={self.m} and q={self.q} columns, got "
+                f"C {contrast.C.shape}, D {contrast.D.shape}"
             )
-        c = np.eye(self.m) if self.C is None else linalg.as_matrix(self.C, "C")
-        d = np.eye(self.q) if self.D is None else linalg.as_matrix(self.D, "D")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", d)
-        # construction-time checks of everything replicates will rely on
-        self.contrast()
-        self.noise()
+        built = {
+            "times": times,
+            "theta": theta,
+            "sigma": noise.sigma,
+            "C": contrast.C,
+            "D": contrast.D,
+            "noise": noise,
+            "contrast": contrast,
+            "z": np.vander(np.asarray(times), self.q, increasing=True),
+            "gamma_true": contrast.apply(theta),
+        }
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -82,40 +102,10 @@ class Scenario:
     def design(self, r: int) -> model.Design:
         return model.potthoff_roy_design(self.m, r, self.times, self.q)
 
-    def z_matrix(self) -> np.ndarray:
-        return np.vander(np.asarray(self.times, dtype=np.float64), self.q, increasing=True)
-
-    def contrast(self) -> model.Contrast:
-        contrast = model.Contrast(C=self.C, D=self.D)
-        if contrast.C.shape[1] != self.m or contrast.D.shape[1] != self.q:
-            raise ConfigError(
-                f"contrast must have m={self.m} and q={self.q} columns, got "
-                f"C {contrast.C.shape}, D {contrast.D.shape}"
-            )
-        return contrast
-
-    def noise(self) -> model.NoiseSpec:
-        return model.NoiseSpec(family=self.noise_family, sigma=self.sigma, df=self.noise_df)
-
-    def params(self, theta: np.ndarray | None = None) -> model.ModelParams:
-        return model.ModelParams(
-            theta=self.theta if theta is None else theta, sigma=self.sigma
-        )
-
-    def r_limit(self) -> np.ndarray:
-        """Limit of X'X / n: the balanced design gives I_m / m exactly."""
-        return np.eye(self.m) / self.m
-
-    def gamma_true(self, theta: np.ndarray | None = None) -> np.ndarray:
-        return self.contrast().apply(self.theta if theta is None else theta)
-
     def law(self) -> inference.AsymptoticLaw:
-        """Closed-form limit covariance factors for this scenario."""
+        """Closed-form limit covariance factors; R = lim X'X/n is I_m / m."""
         spec = inference.AsymptoticSpec(
-            R=self.r_limit(),
-            sigma=self.sigma,
-            Z=self.z_matrix(),
-            contrast=self.contrast(),
+            R=np.eye(self.m) / self.m, sigma=self.noise.sigma, Z=self.z, contrast=self.contrast
         )
         return inference.asym_cov(spec)
 
@@ -123,31 +113,20 @@ class Scenario:
         return {
             "m": self.m,
             "q": self.q,
-            "times": [float(t) for t in self.times],
+            "times": list(self.times),
             "theta": fileio.jsonable(self.theta),
-            "sigma": fileio.jsonable(self.sigma),
-            "noise": {"family": self.noise_family, "df": self.noise_df},
+            "sigma": fileio.jsonable(self.noise.sigma),
+            "noise": {"family": self.noise.family, "df": self.noise.df},
             "contrast": {"c": fileio.jsonable(self.C), "d": fileio.jsonable(self.D)},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        if not isinstance(d, dict):
-            raise ConfigError(f"scenario must be an object, got {type(d).__name__}")
-        allowed = {"m", "q", "times", "theta", "sigma", "noise", "contrast"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        for key in ("m", "q", "times", "theta", "sigma"):
-            if key not in d:
-                raise ConfigError(f"scenario is missing required key {key!r}")
+        required = ("m", "q", "times", "theta", "sigma")
+        fileio.check_keys(d, "scenario", required, ("noise", "contrast"))
         m, q = check_int(d["m"], "m"), check_int(d["q"], "q")
         noise = d.get("noise", {"family": "gaussian"})
-        if not isinstance(noise, dict) or "family" not in noise:
-            raise ConfigError("scenario noise must be an object with a 'family' key")
-        unknown = set(noise) - {"family", "df"}
-        if unknown:
-            raise ConfigError(f"unknown scenario noise keys: {sorted(unknown)}")
+        fileio.check_keys(noise, "scenario noise", ("family",), ("df",))
         df = noise.get("df")
         c, dd = _contrast_arrays(d.get("contrast", "identity"), m, q)
         return cls(
@@ -231,15 +210,8 @@ class McConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "McConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"config must be an object, got {type(d).__name__}")
-        allowed = {"scenario", "sample_sizes", "replications", "seed", "alpha", "theta_alt"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("scenario", "sample_sizes", "replications", "seed"):
-            if key not in d:
-                raise ConfigError(f"config is missing required key {key!r}")
+        required = ("scenario", "sample_sizes", "replications", "seed")
+        fileio.check_keys(d, "config", required, ("alpha", "theta_alt"))
         theta_alt = d.get("theta_alt")
         return cls(
             scenario=Scenario.from_dict(d["scenario"]),
@@ -349,28 +321,23 @@ def _worker_count() -> int:
 def _run_chunk(args) -> tuple:
     """Run replicates [start, stop) of one cell; returns (start, columns dict)."""
     kind, scenario, r, cell_index, seed, alpha, theta_alt, start, stop = args
-    contrast = scenario.contrast()
+    contrast, noise = scenario.contrast, scenario.noise
     s, t = contrast.s, contrast.t
     design = scenario.design(r)
-    params = scenario.params()
-    noise = scenario.noise()
-    gamma_true = scenario.gamma_true()
     cols = record_columns(kind, s, t)
     out = {c: np.full(stop - start, np.nan) for c in cols}
     if kind == "consistency":
-        h_true = estimators.h_matrix(scenario.sigma, design.Z)
-    if kind == "level":
-        params_alt = scenario.params(theta_alt)
+        h_true = estimators.h_matrix(noise.sigma, design.Z)
 
     for i in range(start, stop):
         k = i - start
-        data = model.simulate(design, params, noise, replicate_seed(seed, cell_index, i))
+        data = model.simulate(design, scenario.theta, noise, replicate_seed(seed, cell_index, i))
         try:
             if kind == "level":
                 gam = estimators.two_stage_gamma(data, contrast)
                 res = inference.test_gamma_zero(data, contrast, alpha)
                 data_alt = model.simulate(
-                    design, params_alt, noise, replicate_seed(seed, cell_index, i, stream=1)
+                    design, theta_alt, noise, replicate_seed(seed, cell_index, i, stream=1)
                 )
                 res_alt = inference.test_gamma_zero(data_alt, contrast, alpha)
             else:
@@ -384,8 +351,8 @@ def _run_chunk(args) -> tuple:
         for idx, col in enumerate(gamma_columns(s, t)):
             out[col][k] = flat[idx]
         if kind == "consistency":
-            out["sigma_err"][k] = np.linalg.norm(sig - scenario.sigma)
-            out["gamma_err"][k] = np.linalg.norm(gam - gamma_true)
+            out["sigma_err"][k] = np.linalg.norm(sig - noise.sigma)
+            out["gamma_err"][k] = np.linalg.norm(gam - scenario.gamma_true)
             out["h_gap"][k] = np.abs(estimators.h_matrix(sig, design.Z) - h_true).max()
         elif kind == "level":
             out["chi_sq"][k] = res.chi_sq
@@ -395,13 +362,14 @@ def _run_chunk(args) -> tuple:
     return start, out
 
 
-def _run_cell(kind: str, cfg: McConfig, cell_index: int, r: int) -> dict:
-    contrast = cfg.scenario.contrast()
+def _run_cell(
+    kind: str, cfg: McConfig, cell_index: int, r: int, theta_alt: np.ndarray | None
+) -> dict:
+    contrast = cfg.scenario.contrast
     cols = record_columns(kind, contrast.s, contrast.t)
     n_rep = cfg.replications
     records = {c: np.full(n_rep, np.nan) for c in cols}
     workers = _worker_count()
-    theta_alt = _resolve_theta_alt(cfg) if kind == "level" else None
     if workers <= 1 or n_rep < 2 * workers:
         bounds = [(0, n_rep)]
     else:
@@ -451,14 +419,13 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> McCe
     Pure function of the recorded values, so reloading a persisted dump and
     re-summarizing reproduces the report exactly.
     """
-    contrast = scenario.contrast()
-    s, t = contrast.s, contrast.t
+    s, t = scenario.contrast.s, scenario.contrast.t
     n = r * scenario.m
     ok = records["ok"] == 1.0
     n_rep = records["ok"].size
     successes = int(ok.sum())
     failures = n_rep - successes
-    gamma_true = scenario.gamma_true()
+    gamma_true = scenario.gamma_true
     gam = np.column_stack([records[c] for c in gamma_columns(s, t)])[ok]
     mean_gamma = gam.mean(axis=0).reshape(s, t) if successes else np.full((s, t), np.nan)
     if successes >= 2:
@@ -510,6 +477,7 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> McCe
 
 
 def _resolve_theta_alt(cfg: McConfig) -> np.ndarray:
+    """The level run's fixed alternative: ``theta_alt``, else theta with one entry bumped."""
     scenario = cfg.scenario
     if cfg.theta_alt is not None:
         alt = cfg.theta_alt
@@ -520,7 +488,7 @@ def _resolve_theta_alt(cfg: McConfig) -> np.ndarray:
     else:
         alt = scenario.theta.copy()
         alt[0, -1] += _DEFAULT_ALT_BUMP
-    if np.abs(scenario.gamma_true(alt)).max() == 0.0:
+    if np.abs(scenario.contrast.apply(alt)).max() == 0.0:
         raise ConfigError(
             "the alternative theta maps to gamma = 0 under this contrast; "
             "supply an explicit theta_alt"
@@ -545,14 +513,11 @@ def _validate_config(cfg: McConfig, kind: str) -> None:
             raise ConfigError(
                 f"sample size r={r} gives n - m < p; the first stage would be singular"
             )
-    if kind == "level":
-        gamma_null = scenario.gamma_true()
-        if np.abs(gamma_null).max() > 1e-12:
-            raise ConfigError(
-                "level runs require C theta D' = 0 for the scenario theta; "
-                f"got max |gamma| = {np.abs(gamma_null).max():.3e}"
-            )
-        _resolve_theta_alt(cfg)
+    if kind == "level" and np.abs(scenario.gamma_true).max() > 1e-12:
+        raise ConfigError(
+            "level runs require C theta D' = 0 for the scenario theta; "
+            f"got max |gamma| = {np.abs(scenario.gamma_true).max():.3e}"
+        )
 
 
 def run(kind: str, cfg: McConfig) -> McReport:
@@ -564,9 +529,10 @@ def run(kind: str, cfg: McConfig) -> McReport:
     level: rejection rate under gamma = 0, plus power at a fixed alternative.
     """
     _validate_config(cfg, kind)
+    theta_alt = _resolve_theta_alt(cfg) if kind == "level" else None
     cells, records = [], []
     for j, r in enumerate(cfg.sample_sizes):
-        rec = _run_cell(kind, cfg, j, r)
+        rec = _run_cell(kind, cfg, j, r, theta_alt)
         cells.append(summarize_cell(kind, rec, cfg.scenario, r))
         records.append(rec)
     return McReport(kind=kind, config=cfg, cells=cells, records=records)

@@ -1,4 +1,4 @@
-"""Growth curve model: designs, parameters, noise families and simulation.
+"""Growth curve model: designs, contrasts, noise families and simulation.
 
 The model is Y = X Theta Z' + E with X (n x m) indexing individuals or
 groups, Z (p x q) the within-individual profile (typically polynomial in
@@ -89,18 +89,6 @@ class Design:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelParams:
-    """First-order parameter theta (m x q) and second-order parameter sigma (p x p)."""
-
-    theta: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", linalg.as_matrix(self.theta, "theta"))
-        object.__setattr__(self, "sigma", linalg.check_spd(self.sigma, "sigma"))
-
-
-@dataclass(frozen=True, eq=False)
 class Contrast:
     """Estimable transformation gamma = C theta D' with C (s x m), D (t x q)."""
 
@@ -152,7 +140,7 @@ class NoiseSpec:
             object.__setattr__(self, "df", float(self.df))
         elif self.df is not None:
             raise InvalidNoise(f"df is only meaningful for student_t, got {self.family!r}")
-        object.__setattr__(self, "sigma", _read_only(linalg.check_spd(self.sigma, "noise sigma")))
+        object.__setattr__(self, "sigma", _read_only(linalg.check_spd(self.sigma, "sigma")))
 
     @property
     def p(self) -> int:
@@ -252,24 +240,24 @@ def _standardized_rows(rng: np.random.Generator, noise: NoiseSpec, n: int) -> np
     return rng.standard_t(df, size=shape) * np.sqrt((df - 2.0) / df)
 
 
-def simulate(design: Design, params: ModelParams, noise: NoiseSpec, seed: int) -> Dataset:
-    """Draw Y = X theta Z' + E with E rows iid, mean zero, covariance sigma.
+def simulate(design: Design, theta: np.ndarray, noise: NoiseSpec, seed: int) -> Dataset:
+    """Draw Y = X theta Z' + E with E rows iid, mean zero, covariance ``noise.sigma``.
 
-    E is generated as (standardized iid matrix) @ L' with L the lower
-    Cholesky factor of the noise covariance. The standardized matrix is
-    filled row by row from a single stream keyed on ``seed``, so identical
-    inputs and seed reproduce Y byte for byte.
+    ``theta`` is the m x q coefficient matrix. E is generated as
+    (standardized iid matrix) @ L' with L the lower Cholesky factor of the
+    noise covariance. The standardized matrix is filled row by row from a
+    single stream keyed on ``seed``, so identical inputs and seed reproduce
+    Y byte for byte.
     """
     validate(design)
-    if params.theta.shape != (design.m, design.q):
-        raise DimensionMismatch(
-            f"theta must be {design.m} x {design.q}, got {params.theta.shape}"
-        )
+    theta = linalg.as_matrix(theta, "theta")
+    if theta.shape != (design.m, design.q):
+        raise DimensionMismatch(f"theta must be {design.m} x {design.q}, got {theta.shape}")
     if noise.p != design.p:
         raise DimensionMismatch(
             f"noise covariance is {noise.p} x {noise.p} but Z has {design.p} rows"
         )
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     e = _standardized_rows(rng, noise, design.n) @ noise.chol.T
-    y = design.X @ params.theta @ design.Z.T + e
+    y = design.X @ theta @ design.Z.T + e
     return Dataset(Y=y, design=design)

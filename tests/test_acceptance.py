@@ -17,7 +17,6 @@ from gcm import (
     Dataset,
     Design,
     McConfig,
-    ModelParams,
     NoiseSpec,
     Scenario,
     cli,
@@ -64,7 +63,7 @@ def _random_dataset(seed, n=20, m=3, p=5, q=2):
     sigma = _spd(rng, p)
     data = simulate(
         design,
-        ModelParams(theta=theta, sigma=sigma),
+        theta,
         NoiseSpec(family="gaussian", sigma=sigma),
         seed=seed + 10_000,
     )
@@ -350,7 +349,7 @@ def test_criterion_11_io_round_trip_and_exit_codes(tmp_path, monkeypatch):
     theta = np.array([[1.0, 0.5], [2.0, 0.25]])
     sigma = _ar_sigma(4)
     data = simulate(
-        design, ModelParams(theta=theta, sigma=sigma),
+        design, theta,
         NoiseSpec(family="gaussian", sigma=sigma), seed=11,
     )
     d = tmp_path

@@ -1,5 +1,6 @@
 """Command-line contract: files, exit codes, determinism and round trips."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -310,7 +311,7 @@ def test_mc_dump_resummarizes_to_the_same_report(tmp_path):
     config = mc.McConfig.from_dict(
         {k: v for k, v in report["inputs"].items() if k != "dump_replicates"}
     )
-    contrast = config.scenario.contrast()
+    contrast = config.scenario.contrast
     cols = mc.record_columns("consistency", contrast.s, contrast.t)
     for cell_doc in report["results"]["cells"]:
         dump = fileio.read_matrix_csv(
@@ -349,7 +350,7 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
     )
     assert code == 0
     (report,) = reports
-    contrast = report.config.scenario.contrast()
+    contrast = report.config.scenario.contrast
     cols = mc.record_columns("consistency", contrast.s, contrast.t)
     for cell, records in zip(report.cells, report.records):
         assert 0 < cell.failures < cell.replications
@@ -386,6 +387,25 @@ def test_mc_single_replicate_report_is_strict_json(tmp_path):
     for cell in doc["results"]["cells"]:
         assert cell["successes"] == 1
         assert cell["se"] == [[None, None], [None, None]]
+
+
+def test_mc_normality_single_replicate_writes_both_tables(tmp_path):
+    # a cell with fewer than 2 successes has no coordinate summaries: the
+    # normality table gets no rows for it and the covariance match is nan
+    cfg = _mc_config(tmp_path, kind="normality", replications=1)
+    out = tmp_path / "mc"
+    assert cli.main(["mc-normality", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"report.json holds the non-JSON constant {token}")
+
+    doc = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert [cell["successes"] for cell in doc["results"]["cells"]] == [1]
+    tables = out / "tables"
+    assert (tables / "normality.csv").read_text() == (
+        "coordinate,ks_distance,mean,variance,skewness,ex_kurtosis\n"
+    )
+    assert (tables / "covariance_match.csv").read_text() == "relative_frobenius\nnan\n"
 
 
 def test_mc_unbiasedness_writes_bias_report(tmp_path):
@@ -538,9 +558,6 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-consistency", ("scenario", "m"), "two", "m"),
         ("mc-consistency", ("scenario", "contrast", "c"), _RAGGED, "contrast c"),
         ("mc-level", ("theta_alt",), _RAGGED, "theta_alt"),
-        ("mc-consistency", ("dump_replicates",), "false", "dump_replicates"),
-        ("mc-consistency", ("dump_replicates",), 1, "dump_replicates"),
-        ("mc-level", ("dump_replicates",), None, "dump_replicates"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):
@@ -564,6 +581,83 @@ def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(name)
     assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("mc-consistency", "dump_replicates", True),
+        ("mc-consistency", "dump_replicates", "false"),
+        ("mc-consistency", "dump_replicates", 1),
+        ("mc-level", "dump_replicates", None),
+        ("mc-consistency", "out_dir", "elsewhere"),
+    ],
+)
+def test_exit_2_on_run_option_in_config(tmp_path, capsys, command, key, value):
+    # --out and --dump-replicates are the only way to set these run options
+    cfg = _mc_config(tmp_path, kind=command.removeprefix("mc-"), **{key: value})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert repr(key) in error["message"]
+    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert not (out / "tables").exists()
+
+
+def _key_checked(tmp_path, name):
+    """(loader, valid document, key of the nested object checked or None, a required key)."""
+
+    def simulate(doc):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        cli.cmd_simulate(argparse.Namespace(config=str(path), seed=None, out=str(tmp_path / "o")))
+
+    def report(doc):
+        path = tmp_path / "report.json"
+        fileio.write_json(str(path), doc)
+        fileio.read_report(str(path))
+
+    scenario = _scenario_dict(family="uniform")
+    config = json.loads(_mc_config(tmp_path).read_text())
+    return {
+        "scenario": (mc.Scenario.from_dict, scenario, None, "m"),
+        "scenario noise": (mc.Scenario.from_dict, scenario, "noise", "family"),
+        "config": (mc.McConfig.from_dict, config, None, "seed"),
+        "simulate config": (simulate, {"scenario": scenario, "r": 8, "seed": 1}, None, "r"),
+        "report": (report, fileio.make_report(1, {}, None), None, "errors"),
+        "report meta": (report, fileio.make_report(1, {}, None), "meta", None),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        (name, fault)
+        for name in ("scenario", "scenario noise", "config", "simulate config", "report",
+                     "report meta")
+        for fault in ("non-object", "missing", "unknown")
+        if not (name == "report meta" and fault == "missing")  # meta has no required key
+    ],
+)
+def test_key_checked_objects_refuse_malformed_input(tmp_path, name, fault):
+    load, doc, nested, required = _key_checked(tmp_path, name)
+    load(doc)
+    target = doc[nested] if nested else doc
+    if fault == "non-object":
+        target = [target]
+    elif fault == "missing":
+        target = {k: v for k, v in target.items() if k != required}
+    else:
+        target = {**target, "bogus": 1}
+    if nested:
+        doc[nested] = target
+    else:
+        doc = target
+    with pytest.raises(ConfigError) as info:
+        load(doc)
+    if fault != "non-object":
+        assert repr(required if fault == "missing" else "bogus") in str(info.value)
 
 
 def test_exit_2_on_non_utf8_config(tmp_path, capsys):

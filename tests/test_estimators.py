@@ -29,8 +29,7 @@ def _random_instance(seed, n=20, m=3, p=5, q=2, noise_scale=1.0):
     theta = rng.standard_normal((m, q))
     sigma = _spd(rng, p)
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
-    params = model.ModelParams(theta=theta, sigma=sigma)
-    data = model.simulate(design, params, noise, seed=seed + 1)
+    data = model.simulate(design, theta, noise, seed=seed + 1)
     if noise_scale != 1.0:
         mean = x @ theta @ z.T
         data = model.Dataset(Y=mean + noise_scale * (data.Y - mean), design=design)
@@ -268,14 +267,13 @@ def test_two_stage_gamma_is_centered_under_uniform_noise():
     design = model.potthoff_roy_design(2, 10, (1.0, 2.0, 3.0), 2)
     theta = np.array([[1.0, 0.4], [1.5, 0.8]])
     sigma = _ar_sigma(3)
-    params = model.ModelParams(theta=theta, sigma=sigma)
     noise = model.NoiseSpec(family="uniform", sigma=sigma)
     contrast = model.equality_contrast(2, 2)
     gamma_true = contrast.apply(theta)
     n_rep = 3000
     draws = np.empty((n_rep, gamma_true.size))
     for i in range(n_rep):
-        data = model.simulate(design, params, noise, seed=10_000 + i)
+        data = model.simulate(design, theta, noise, seed=10_000 + i)
         draws[i] = estimators.two_stage_gamma(data, contrast).reshape(-1)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n_rep)
     bias = draws.mean(axis=0) - gamma_true.reshape(-1)

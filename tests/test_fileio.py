@@ -115,3 +115,31 @@ def test_formatter_matches_the_per_value_format(a, header):
     lines = [",".join(names)] if header else []
     lines += [",".join("%.17g" % v for v in row) for row in a]
     assert fileio.format_matrix_csv(a, names) == "\n".join(lines) + "\n"
+
+
+def _per_value_table(header, rows):
+    """Former table rendering: %.17g for floats, str() for every other value."""
+    lines = [",".join(header)]
+    for row in rows:
+        fields = ["%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def test_table_writer_keeps_the_per_value_bytes(tmp_path):
+    # the rows the mc tables hold: int counts and indices beside float summaries
+    header = ["n", "alpha", "rate", "coordinate"]
+    rows = [
+        (40, 0.05, np.float64(0.1), 0),
+        (2**53 - 1, -0.0, np.float64(-2.5e-300), 7),
+        (-3, 1e16, np.float64(1.0 / 3.0), np.int64(12)),
+        (500, 5e-324, 1.7976931348623157e308, 3),
+    ]
+    path = tmp_path / "t.csv"
+    fileio.write_table_csv(str(path), header, rows)
+    assert path.read_text() == _per_value_table(header, rows)
+    # an undefined summary is written as nan, which every CSV reader parses
+    fileio.write_table_csv(str(path), ["alpha", "rejection_rate"], [(0.5, None)])
+    assert path.read_text() == "alpha,rejection_rate\n0.5,nan\n"
+    fileio.write_table_csv(str(path), ["coordinate"], [])
+    assert path.read_text() == "coordinate\n"

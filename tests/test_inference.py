@@ -32,9 +32,8 @@ def _pr_data(seed, m=2, r=10, q=2, theta=None, family="gaussian", df=None):
     if theta is None:
         theta = np.linspace(0.5, 2.0, m * q).reshape(m, q)
     sigma = _ar_sigma(4)
-    params = model.ModelParams(theta=theta, sigma=sigma)
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
-    return model.simulate(design, params, noise, seed=seed), theta, sigma
+    return model.simulate(design, theta, noise, seed=seed), theta, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +139,9 @@ def _unbalanced_problem(draw):
     x = np.column_stack([groups, rng.standard_normal(groups.shape[0])])
     design = model.Design(X=x, Z=np.vander(np.arange(1.0, p + 1), q, increasing=True))
     sigma = _spd(rng, p)
-    params = model.ModelParams(theta=rng.standard_normal((m, q)), sigma=sigma)
+    theta = rng.standard_normal((m, q))
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
-    data = model.simulate(design, params, noise, seed=int(rng.integers(2**31)))
+    data = model.simulate(design, theta, noise, seed=int(rng.integers(2**31)))
     contrast = model.Contrast(C=rng.standard_normal((s, m)), D=rng.standard_normal((t, q)))
     return data, sigma, contrast
 
@@ -181,7 +180,13 @@ def test_cov_factors_on_unbalanced_designs(problem):
 
     # the left standardizer of the whitened statistic is n times the plug-in left factor
     with mock.patch.object(linalg, "inv_sqrt_spd", wraps=linalg.inv_sqrt_spd) as spy:
-        inference.standardized_stat(data, contrast)
+        try:
+            inference.standardized_stat(data, contrast)
+        except NotSpd:
+            # documented refusal: with p - q small and a raw Vandermonde Z the
+            # plug-in standardizer can be numerically singular
+            w = np.linalg.eigvalsh(spy.call_args_list[-1].args[0])
+            assert w[0] <= linalg.RANK_RTOL * w[-1]
     assert np.array_equal(spy.call_args_list[0].args[0], n * plugin.left)
 
 
@@ -330,13 +335,12 @@ def test_standardized_stat_is_approximately_standard_normal_under_null():
     theta = np.array([[1.0, 0.5], [1.0, 0.5]])
     design = model.potthoff_roy_design(m, r, TIMES4, q)
     sigma = _ar_sigma(4)
-    params = model.ModelParams(theta=theta, sigma=sigma)
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
     contrast = model.equality_contrast(m, q)
     n_rep = 5000
     draws = np.empty(n_rep)
     for i in range(n_rep):
-        data = model.simulate(design, params, noise, seed=50_000 + i)
+        data = model.simulate(design, theta, noise, seed=50_000 + i)
         draws[i] = inference.standardized_stat(data, contrast)[0, 0]
     assert abs(draws.mean()) < 0.05
     assert 0.9 < draws.var(ddof=1) < 1.1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gcm import estimators, fileio, mc
+from gcm import estimators, fileio, mc, model
 from gcm.errors import ConfigError, NotSpd
 
 
@@ -202,6 +202,25 @@ def test_failed_replicates_are_counted_not_dropped(monkeypatch):
     assert cell.failures + cell.successes == cell.replications
     ok = report.records[0]["ok"]
     assert np.isnan(report.records[0]["gamma_0_0"][ok == 0.0]).all()
+
+
+@pytest.mark.parametrize("kind", mc.KINDS)
+def test_run_builds_no_model_objects_after_the_scenario(monkeypatch, kind):
+    # the scenario checks and builds its noise and contrast once; chunks,
+    # cells and the config checks read them
+    level = kind == "level"
+    cfg = _cfg(_scenario(equal_curves=level, contrast="equality" if level else "identity"), reps=6)
+    built = []
+    for cls in (model.NoiseSpec, model.Contrast):
+        def counted(self, init=cls.__post_init__):
+            built.append(type(self).__name__)
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setenv("GCM_THREADS", "1")
+    report = mc.run(kind, cfg)
+    assert built == []
+    assert sum(cell.successes for cell in report.cells) == 12
 
 
 def test_summaries_recompute_exactly_from_records():

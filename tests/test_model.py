@@ -9,6 +9,7 @@ from gcm.errors import (
     DegenerateTimes,
     DimensionMismatch,
     InvalidNoise,
+    InvalidValue,
     RankDeficient,
     ShapeViolation,
 )
@@ -26,9 +27,8 @@ def _scenario(m=2, r=10, q=2, times=TIMES4, family="gaussian", df=None, theta=No
     if theta is None:
         theta = np.linspace(0.5, 2.0, m * q).reshape(m, q)
     sigma = _ar_sigma(len(times))
-    params = model.ModelParams(theta=theta, sigma=sigma)
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
-    return design, params, noise
+    return design, theta, noise
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +203,30 @@ def test_noise_rejects_unknown_family_and_stray_df():
 
 
 def test_simulate_is_deterministic():
-    design, params, noise = _scenario()
-    a = model.simulate(design, params, noise, seed=987654321)
-    b = model.simulate(design, params, noise, seed=987654321)
+    design, theta, noise = _scenario()
+    a = model.simulate(design, theta, noise, seed=987654321)
+    b = model.simulate(design, theta, noise, seed=987654321)
     assert a.Y.tobytes() == b.Y.tobytes()
-    c = model.simulate(design, params, noise, seed=987654322)
+    c = model.simulate(design, theta, noise, seed=987654322)
     assert not np.array_equal(a.Y, c.Y)
 
 
 def test_simulate_rejects_mismatched_theta():
-    design, params, noise = _scenario()
-    bad = model.ModelParams(theta=np.ones((3, 2)), sigma=params.sigma)
-    with pytest.raises(DimensionMismatch):
-        model.simulate(design, bad, noise, seed=1)
+    design, _, noise = _scenario()
+    for bad, error in (
+        (np.ones((3, 2)), DimensionMismatch),
+        (np.full((2, 2), np.nan), InvalidValue),
+        (np.ones(4), InvalidValue),
+    ):
+        with pytest.raises(error):
+            model.simulate(design, bad, noise, seed=1)
 
 
 def test_simulate_rejects_mismatched_noise_covariance():
-    design, params, _ = _scenario()
+    design, theta, _ = _scenario()
     noise = model.NoiseSpec(family="gaussian", sigma=_ar_sigma(3))
     with pytest.raises(DimensionMismatch):
-        model.simulate(design, params, noise, seed=1)
+        model.simulate(design, theta, noise, seed=1)
 
 
 @pytest.mark.parametrize("family,df", [("gaussian", None), ("uniform", None), ("student_t", 6.0)])
@@ -232,9 +236,8 @@ def test_simulate_rows_are_centered(family, df):
     p = 3
     sigma = _ar_sigma(p)
     design = model.Design(X=np.ones((n_rows, 1)), Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
-    params = model.ModelParams(theta=np.zeros((1, 2)), sigma=sigma)
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
-    data = model.simulate(design, params, noise, seed=2024)
+    data = model.simulate(design, np.zeros((1, 2)), noise, seed=2024)
     se = np.sqrt(np.diag(sigma) / n_rows)
     assert np.all(np.abs(data.Y.mean(axis=0)) < 4.0 * se)
 
@@ -245,9 +248,8 @@ def test_simulate_rows_have_target_covariance(family, df):
     p = 3
     sigma = _ar_sigma(p)
     design = model.Design(X=np.ones((n_rows, 1)), Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
-    params = model.ModelParams(theta=np.zeros((1, 2)), sigma=sigma)
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
-    data = model.simulate(design, params, noise, seed=5150)
+    data = model.simulate(design, np.zeros((1, 2)), noise, seed=5150)
     emp = np.cov(data.Y, rowvar=False)
     assert np.linalg.norm(emp - sigma) / np.linalg.norm(sigma) < 0.05
 
@@ -256,8 +258,7 @@ def test_sign_flip_leaves_first_stage_unchanged():
     # theta = 0 makes Y the raw error draw; the quadratic estimator cannot
     # distinguish E from -E
     design, _, noise = _scenario(m=2, r=8)
-    params = model.ModelParams(theta=np.zeros((2, 2)), sigma=noise.sigma)
-    data = model.simulate(design, params, noise, seed=31)
+    data = model.simulate(design, np.zeros((2, 2)), noise, seed=31)
     flipped = model.Dataset(Y=-data.Y, design=design)
     a = estimators.sigma_hat(data)
     b = estimators.sigma_hat(flipped)
@@ -265,7 +266,7 @@ def test_sign_flip_leaves_first_stage_unchanged():
 
 
 def test_dataset_shape_checks():
-    design, params, noise = _scenario()
+    design, _, _ = _scenario()
     with pytest.raises(DimensionMismatch):
         model.Dataset(Y=np.ones((design.n + 1, design.p)), design=design)
     with pytest.raises(DimensionMismatch):
