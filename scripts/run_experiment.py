@@ -21,7 +21,7 @@ import argparse
 import json
 from pathlib import Path
 
-from gcm import cli, fileio
+from gcm import cli, fileio, mc
 
 SIGMA = [
     [1.0, 0.4, 0.16, 0.064],
@@ -30,8 +30,8 @@ SIGMA = [
     [0.064, 0.16, 0.4, 1.0],
 ]
 
-# Per experiment: scenario, defaults and the tables printed after each run;
-# only the level test takes an alpha.
+# Per experiment: scenario and defaults; only the level test takes an alpha.
+# The tables printed after each run are those of the run kind, mc.KINDS.
 EXPERIMENTS = {
     "consistency": {
         "scenario": {
@@ -42,7 +42,6 @@ EXPERIMENTS = {
         "seed": 601,
         "sizes": [16, 64, 256],
         "families": ["gaussian", "uniform"],
-        "tables": ["consistency.csv"],
     },
     "normality": {
         "scenario": {
@@ -53,7 +52,6 @@ EXPERIMENTS = {
         "seed": 701,
         "sizes": [250],
         "families": ["gaussian", "uniform"],
-        "tables": ["covariance_match.csv", "normality.csv"],
     },
     "level": {
         "scenario": {
@@ -65,7 +63,6 @@ EXPERIMENTS = {
         "alpha": 0.05,
         "sizes": [250],
         "families": ["gaussian", "student_t"],
-        "tables": ["level.csv"],
     },
 }
 
@@ -118,11 +115,11 @@ def main():
         if code != 0:
             raise SystemExit(code)
         print(f"== {family} ==")
-        for table in spec["tables"]:
+        for table in mc.KINDS[args.kind].tables:
             print((run_dir / "tables" / table).read_text())
-        if args.kind == "level":
-            report = fileio.read_report(str(run_dir / "report.json"))
-            for cell in report["results"]["cells"]:
+        report = fileio.read_report(str(run_dir / "report.json"))
+        for cell in report["results"]["cells"]:
+            if "alt_rejection_rate" in cell:
                 print(f"power at the fixed alternative (r={cell['r']}): "
                       f"{cell['alt_rejection_rate']:.3f}\n")
 

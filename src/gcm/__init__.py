@@ -43,9 +43,7 @@ from .estimators import (
 )
 from .inference import (
     AsymptoticLaw,
-    AsymptoticSpec,
     TestResult,
-    asym_cov,
     chi_sq_p_value,
     cov_factors,
     plugin_cov,
@@ -84,11 +82,9 @@ __all__ = [
     "two_stage_theta",
     "two_stage_gamma",
     "two_stage_gamma_pinv",
-    "AsymptoticSpec",
     "AsymptoticLaw",
     "TestResult",
     "cov_factors",
-    "asym_cov",
     "plugin_cov",
     "standard_errors",
     "standardized_stat",

@@ -197,59 +197,13 @@ def cmd_mc(args, kind: str) -> int:
     inputs = cfg.to_dict()
     inputs["dump_replicates"] = args.dump_replicates
     doc = fileio.make_report(cfg.seed, inputs, report.to_dict())
-    tables = _mc_tables(kind, report)
     fileio.write_json(os.path.join(args.out, "report.json"), doc)
-    for name, (header, rows) in tables.items():
-        fileio.write_table_csv(os.path.join(args.out, "tables", name), header, rows)
+    for name, (header, rows) in mc.KINDS[kind].tables.items():
+        body = [row for cell in report.cells for row in rows(cfg, cell)]
+        fileio.write_table_csv(os.path.join(args.out, "tables", name), header, body)
     if args.dump_replicates:
         _write_dumps(args.out, report)
     return EXIT_OK
-
-
-def _mc_tables(kind: str, report: mc.McReport) -> dict:
-    tables = {}
-    if kind == "consistency":
-        rows = [
-            (cell.n, cell.median_sigma_err, cell.median_gamma_err, cell.median_h_gap)
-            for cell in report.cells
-        ]
-        tables["consistency.csv"] = (
-            ["n", "median_sigma_err", "median_gamma_err", "h_gap"],
-            rows,
-        )
-    elif kind == "normality":
-        rows = []
-        for cell in report.cells:
-            if cell.ks_distance is None:  # fewer than 2 successes: no coordinate summaries
-                continue
-            for j in range(cell.ks_distance.size):
-                rows.append(
-                    (
-                        j,
-                        cell.ks_distance[j],
-                        cell.coord_mean[j],
-                        cell.coord_variance[j],
-                        cell.coord_skewness[j],
-                        cell.coord_ex_kurtosis[j],
-                    )
-                )
-        tables["normality.csv"] = (
-            ["coordinate", "ks_distance", "mean", "variance", "skewness", "ex_kurtosis"],
-            rows,
-        )
-        tables["covariance_match.csv"] = (
-            ["relative_frobenius"],
-            [(cell.rel_frobenius,) for cell in report.cells],
-        )
-    elif kind == "level":
-        tables["level.csv"] = (
-            ["alpha", "rejection_rate", "n_replicates"],
-            [
-                (report.config.alpha, cell.rejection_rate, cell.replications)
-                for cell in report.cells
-            ],
-        )
-    return tables
 
 
 def _write_dumps(out: str, report: mc.McReport) -> None:

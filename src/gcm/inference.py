@@ -16,36 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, linalg, model
-from .errors import DimensionMismatch, InvalidValue
-
-
-@dataclass(frozen=True, eq=False)
-class AsymptoticSpec:
-    """Ingredients of the limit law: R = lim X'X/n, the true covariance, Z and the contrast."""
-
-    R: np.ndarray
-    sigma: np.ndarray
-    Z: np.ndarray
-    contrast: model.Contrast
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", linalg.check_spd(self.R, "R"))
-        object.__setattr__(self, "sigma", linalg.check_spd(self.sigma, "sigma"))
-        object.__setattr__(self, "Z", linalg.as_matrix(self.Z, "Z"))
-        if self.R.shape[0] != self.contrast.C.shape[1]:
-            raise DimensionMismatch(
-                f"R is {self.R.shape[0]} x {self.R.shape[0]} but C has "
-                f"{self.contrast.C.shape[1]} columns"
-            )
-        if self.sigma.shape[0] != self.Z.shape[0]:
-            raise DimensionMismatch(
-                f"sigma is {self.sigma.shape[0]} x {self.sigma.shape[0]} but Z has "
-                f"{self.Z.shape[0]} rows"
-            )
-        if self.Z.shape[1] != self.contrast.D.shape[1]:
-            raise DimensionMismatch(
-                f"Z has {self.Z.shape[1]} columns but D has {self.contrast.D.shape[1]}"
-            )
+from .errors import InvalidValue
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +59,6 @@ def cov_factors(
     g = z.T @ linalg.solve_spd(sigma, z, "sigma")
     right = d @ linalg.solve_spd(g, d.T, "Z' sigma^{-1} Z")
     return AsymptoticLaw(left=(left + left.T) / 2.0, right=(right + right.T) / 2.0)
-
-
-def asym_cov(spec: AsymptoticSpec) -> AsymptoticLaw:
-    """Limit covariance factors C R^{-1} C' and D (Z' sigma^{-1} Z)^{-1} D'."""
-    return cov_factors(spec.R, spec.sigma, spec.Z, spec.contrast)
 
 
 def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:

@@ -4,7 +4,9 @@ Empirically checks the large-sample behavior of the two-stage estimator on
 balanced groups-by-time scenarios: error trends as the group size grows
 (consistency), centering of gamma_hat under symmetric errors
 (unbiasedness), the Kronecker-factored normal limit of the scaled error
-(normality) and the level of the chi-square test (level).
+(normality) and the level of the chi-square test (level). ``KINDS`` maps
+each of these run kinds to the ``Kind`` spec that is all it adds to the
+shared replicate loop, cell summary and tables.
 
 Replicate i of sample-size cell j draws its seed from a substream keyed
 only on (seed, j, i), so reports are byte-identical regardless of the
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,8 +27,6 @@ import numpy as np
 
 from . import estimators, fileio, inference, linalg, model
 from .errors import ConfigError, NotSpd, TooFewSamples
-
-KINDS = ("consistency", "unbiasedness", "normality", "level")
 
 # Offset added to one entry of theta to form the default fixed alternative
 # reported by level runs (power is context, never an asserted bound).
@@ -104,10 +105,8 @@ class Scenario:
 
     def law(self) -> inference.AsymptoticLaw:
         """Closed-form limit covariance factors; R = lim X'X/n is I_m / m."""
-        spec = inference.AsymptoticSpec(
-            R=np.eye(self.m) / self.m, sigma=self.noise.sigma, Z=self.z, contrast=self.contrast
-        )
-        return inference.asym_cov(spec)
+        r_limit = np.eye(self.m) / self.m
+        return inference.cov_factors(r_limit, self.noise.sigma, self.z, self.contrast)
 
     def to_dict(self) -> dict:
         return {
@@ -225,7 +224,7 @@ class McConfig:
 
 @dataclass
 class McCell:
-    """Summaries for one sample-size cell; optional fields depend on the run kind."""
+    """Summaries for one sample-size cell; ``stats`` holds those of the run kind."""
 
     r: int
     n: int
@@ -235,32 +234,13 @@ class McCell:
     mean_gamma: np.ndarray
     bias: np.ndarray
     se: np.ndarray
-    max_abs_bias_in_se: float | None = None
-    bias_flagged: bool | None = None
-    median_sigma_err: float | None = None
-    mean_sigma_err: float | None = None
-    median_gamma_err: float | None = None
-    mean_gamma_err: float | None = None
-    median_h_gap: float | None = None
-    mean_h_gap: float | None = None
-    emp_cov: np.ndarray | None = None
-    theory_cov: np.ndarray | None = None
-    rel_frobenius: float | None = None
-    ks_distance: np.ndarray | None = None
-    coord_mean: np.ndarray | None = None
-    coord_variance: np.ndarray | None = None
-    coord_skewness: np.ndarray | None = None
-    coord_ex_kurtosis: np.ndarray | None = None
-    rejection_rate: float | None = None
-    alt_rejection_rate: float | None = None
+    stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if value is None:
-                continue
-            out[key] = fileio.jsonable(value)
-        return out
+        """The fields and the kind's ``stats``, merged into one flat mapping."""
+        out = {key: value for key, value in self.__dict__.items() if key != "stats"}
+        out.update(self.stats)
+        return {key: fileio.jsonable(value) for key, value in out.items()}
 
 
 @dataclass
@@ -286,12 +266,7 @@ def gamma_columns(s: int, t: int) -> list:
 
 def record_columns(kind: str, s: int, t: int) -> list:
     """Per-replicate record schema for a run kind, in dump order."""
-    cols = ["ok"] + gamma_columns(s, t)
-    if kind == "consistency":
-        cols += ["sigma_err", "gamma_err", "h_gap"]
-    elif kind == "level":
-        cols += ["chi_sq", "reject", "chi_sq_alt", "reject_alt"]
-    return cols
+    return ["ok", *gamma_columns(s, t), *KINDS[kind].columns]
 
 
 def replicate_seed(seed: int, cell_index: int, rep: int, stream: int = 0) -> int:
@@ -319,76 +294,44 @@ def _worker_count() -> int:
 
 
 def _run_chunk(args) -> tuple:
-    """Run replicates [start, stop) of one cell; returns (start, columns dict)."""
-    kind, scenario, r, cell_index, seed, alpha, theta_alt, start, stop = args
-    contrast, noise = scenario.contrast, scenario.noise
-    s, t = contrast.s, contrast.t
-    design = scenario.design(r)
-    cols = record_columns(kind, s, t)
-    out = {c: np.full(stop - start, np.nan) for c in cols}
-    if kind == "consistency":
-        h_true = estimators.h_matrix(noise.sigma, design.Z)
-
-    for i in range(start, stop):
-        k = i - start
-        data = model.simulate(design, scenario.theta, noise, replicate_seed(seed, cell_index, i))
+    """Run replicates [start, stop) of one cell; returns (start, one row per record column)."""
+    kind, cfg, prep, cell_index, design, start, stop = args
+    spec, scenario = KINDS[kind], cfg.scenario
+    s, t = scenario.contrast.s, scenario.contrast.t
+    out = np.full((len(record_columns(kind, s, t)), stop - start), np.nan)
+    for k, i in enumerate(range(start, stop)):
+        key = (cfg.seed, cell_index, i)
+        data = model.simulate(design, scenario.theta, scenario.noise, replicate_seed(*key))
         try:
-            if kind == "level":
-                gam = estimators.two_stage_gamma(data, contrast)
-                res = inference.test_gamma_zero(data, contrast, alpha)
-                data_alt = model.simulate(
-                    design, theta_alt, noise, replicate_seed(seed, cell_index, i, stream=1)
-                )
-                res_alt = inference.test_gamma_zero(data_alt, contrast, alpha)
-            else:
-                sig = estimators.sigma_hat(data)
-                gam = contrast.apply(estimators._gls_theta(design, data.Y, sig))
+            gam, extra = spec.replicate(cfg, prep, design, data, key)
         except (TooFewSamples, NotSpd):
-            out["ok"][k] = 0.0
+            out[0, k] = 0.0
             continue
-        out["ok"][k] = 1.0
-        flat = gam.reshape(-1)
-        for idx, col in enumerate(gamma_columns(s, t)):
-            out[col][k] = flat[idx]
-        if kind == "consistency":
-            out["sigma_err"][k] = np.linalg.norm(sig - noise.sigma)
-            out["gamma_err"][k] = np.linalg.norm(gam - scenario.gamma_true)
-            out["h_gap"][k] = np.abs(estimators.h_matrix(sig, design.Z) - h_true).max()
-        elif kind == "level":
-            out["chi_sq"][k] = res.chi_sq
-            out["reject"][k] = float(res.reject)
-            out["chi_sq_alt"][k] = res_alt.chi_sq
-            out["reject_alt"][k] = float(res_alt.reject)
+        out[:, k] = (1.0, *gam.reshape(-1), *extra)
     return start, out
 
 
-def _run_cell(
-    kind: str, cfg: McConfig, cell_index: int, r: int, theta_alt: np.ndarray | None
-) -> dict:
+def _run_cell(kind: str, cfg: McConfig, prep, cell_index: int, design: model.Design) -> dict:
+    """Records of every replicate of one cell, as column name -> array."""
     contrast = cfg.scenario.contrast
     cols = record_columns(kind, contrast.s, contrast.t)
     n_rep = cfg.replications
-    records = {c: np.full(n_rep, np.nan) for c in cols}
+    records = np.full((len(cols), n_rep), np.nan)
     workers = _worker_count()
     if workers <= 1 or n_rep < 2 * workers:
         bounds = [(0, n_rep)]
     else:
         edges = np.linspace(0, n_rep, 4 * workers + 1, dtype=int)
         bounds = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    tasks = [
-        (kind, cfg.scenario, r, cell_index, cfg.seed, cfg.alpha, theta_alt, a, b)
-        for a, b in bounds
-    ]
+    tasks = [(kind, cfg, prep, cell_index, design, a, b) for a, b in bounds]
     if len(tasks) == 1:
         results = [_run_chunk(tasks[0])]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_chunk, tasks))
     for start, out in results:
-        span = len(next(iter(out.values())))
-        for c in cols:
-            records[c][start : start + span] = out[c]
-    return records
+        records[:, start : start + out.shape[1]] = out
+    return dict(zip(cols, records))
 
 
 def ks_distance_normal(x: np.ndarray) -> float:
@@ -419,13 +362,11 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> McCe
     Pure function of the recorded values, so reloading a persisted dump and
     re-summarizing reproduces the report exactly.
     """
+    spec = KINDS[kind]
     s, t = scenario.contrast.s, scenario.contrast.t
-    n = r * scenario.m
     ok = records["ok"] == 1.0
     n_rep = records["ok"].size
     successes = int(ok.sum())
-    failures = n_rep - successes
-    gamma_true = scenario.gamma_true
     gam = np.column_stack([records[c] for c in gamma_columns(s, t)])[ok]
     mean_gamma = gam.mean(axis=0).reshape(s, t) if successes else np.full((s, t), np.nan)
     if successes >= 2:
@@ -434,60 +375,175 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> McCe
         se = np.full((s, t), np.nan)
     cell = McCell(
         r=r,
-        n=n,
+        n=r * scenario.m,
         replications=n_rep,
         successes=successes,
-        failures=failures,
+        failures=n_rep - successes,
         mean_gamma=mean_gamma,
-        bias=mean_gamma - gamma_true,
+        bias=mean_gamma - scenario.gamma_true,
         se=se,
     )
-    if kind == "unbiasedness" and successes >= 2:
-        ratio = np.abs(cell.bias) / cell.se
-        cell.max_abs_bias_in_se = float(ratio.max())
-        cell.bias_flagged = bool((ratio > 4.0).any())
-    elif kind == "consistency" and successes >= 1:
-        for name in ("sigma_err", "gamma_err", "h_gap"):
-            values = records[name][ok]
-            setattr(cell, f"median_{name}", float(np.median(values)))
-            setattr(cell, f"mean_{name}", float(values.mean()))
-    elif kind == "normality" and successes >= 2:
-        law = scenario.law()
-        theory = law.full()
-        v = np.sqrt(n) * (gam - gamma_true.reshape(-1))
-        centered = v - v.mean(axis=0)
-        emp = centered.T @ centered / (successes - 1)
-        cell.emp_cov = emp
-        cell.theory_cov = theory
-        cell.rel_frobenius = float(
-            np.linalg.norm(emp - theory) / np.linalg.norm(theory)
-        )
-        whitener = np.kron(linalg.inv_sqrt_spd(law.left), linalg.inv_sqrt_spd(law.right))
-        wht = v @ whitener.T
-        stats = np.array([_coord_moments(wht[:, j]) for j in range(s * t)])
-        cell.ks_distance = np.array([ks_distance_normal(wht[:, j]) for j in range(s * t)])
-        cell.coord_mean = stats[:, 0]
-        cell.coord_variance = stats[:, 1]
-        cell.coord_skewness = stats[:, 2]
-        cell.coord_ex_kurtosis = stats[:, 3]
-    elif kind == "level" and successes >= 1:
-        cell.rejection_rate = float(records["reject"][ok].mean())
-        cell.alt_rejection_rate = float(records["reject_alt"][ok].mean())
+    if successes >= spec.min_successes:
+        cell.stats = spec.summarize(cell, records, ok, gam, scenario)
     return cell
 
 
-def _resolve_theta_alt(cfg: McConfig) -> np.ndarray:
-    """The level run's fixed alternative: ``theta_alt``, else theta with one entry bumped."""
-    scenario = cfg.scenario
-    if cfg.theta_alt is not None:
-        alt = cfg.theta_alt
-        if alt.shape != scenario.theta.shape:
+def _validate_config(cfg: McConfig, kind: str) -> list:
+    """The checks every kind shares; returns each cell's validated design."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown run kind {kind!r}")
+    if not cfg.sample_sizes:
+        raise ConfigError("sample_sizes must be non-empty")
+    if not 0.0 < cfg.alpha <= 1.0:
+        raise ConfigError(f"alpha must be in (0, 1], got {cfg.alpha}")
+    designs = []
+    for r in cfg.sample_sizes:
+        design = cfg.scenario.design(r)
+        model.validate(design)
+        if design.n - design.m < design.p:
             raise ConfigError(
-                f"theta_alt must be {scenario.theta.shape}, got {alt.shape}"
+                f"sample size r={r} gives n - m < p; the first stage would be singular"
             )
-    else:
+        designs.append(design)
+    return designs
+
+
+def run(kind: str, cfg: McConfig) -> McReport:
+    """Run one of ``KINDS`` over every sample-size cell of ``cfg``."""
+    designs = _validate_config(cfg, kind)
+    prep = KINDS[kind].prepare(cfg)
+    cells, records = [], []
+    for j, (r, design) in enumerate(zip(cfg.sample_sizes, designs)):
+        rec = _run_cell(kind, cfg, prep, j, design)
+        cells.append(summarize_cell(kind, rec, cfg.scenario, r))
+        records.append(rec)
+    return McReport(kind=kind, config=cfg, cells=cells, records=records)
+
+
+# ---------------------------------------------------------------------------
+# run kinds
+
+
+@dataclass(frozen=True, eq=False)
+class Kind:
+    """What one run kind adds to the shared replicate loop and cell summary.
+
+    ``prepare(cfg)`` runs the kind's own config checks and returns the
+    per-run value each replicate reads. ``replicate(cfg, prep, design, data,
+    key)`` fits one dataset, ``key`` being its ``replicate_seed`` arguments,
+    and returns gamma_hat and the values of the record ``columns``.
+    ``summarize(cell, records, ok, gam, scenario)`` gives the cell's
+    ``stats`` once it has ``min_successes`` successes. ``tables`` maps each
+    file under tables/ to its header and a (cfg, cell) -> rows function.
+    """
+
+    columns: tuple
+    prepare: Callable
+    replicate: Callable
+    summarize: Callable
+    min_successes: int
+    tables: dict
+
+
+def _check_full_row_rank(cfg: McConfig) -> None:
+    """Refuse C or D without full row rank by the SPD check the whitening applies."""
+    law = cfg.scenario.law()
+    for factor, name in ((law.left, "C R^{-1} C'"), (law.right, "D (Z' sigma^{-1} Z)^{-1} D'")):
+        try:
+            linalg.check_spd(factor, name)
+        except NotSpd as exc:
+            raise ConfigError(f"the contrast must have full row rank: {exc}") from exc
+
+
+def _two_stage(cfg: McConfig, design: model.Design, data: model.Dataset) -> tuple:
+    """First-stage sigma_hat and the two-stage gamma_hat of one dataset."""
+    sig = estimators.sigma_hat(data)
+    return sig, cfg.scenario.contrast.apply(estimators._gls_theta(design, data.Y, sig))
+
+
+def _gamma_replicate(cfg, prep, design, data, key) -> tuple:
+    return _two_stage(cfg, design, data)[1], ()
+
+
+_ERRORS = ("sigma_err", "gamma_err", "h_gap")
+
+
+def _consistency_prepare(cfg: McConfig) -> np.ndarray:
+    """Sizes must increase; returns the true H that each replicate's H(Y) is measured against."""
+    if list(cfg.sample_sizes) != sorted(set(cfg.sample_sizes)):
+        raise ConfigError("sample_sizes must be strictly increasing for consistency runs")
+    return estimators.h_matrix(cfg.scenario.noise.sigma, cfg.scenario.z)
+
+
+def _consistency_replicate(cfg, h_true, design, data, key) -> tuple:
+    sig, gam = _two_stage(cfg, design, data)
+    return gam, (
+        np.linalg.norm(sig - cfg.scenario.noise.sigma),
+        np.linalg.norm(gam - cfg.scenario.gamma_true),
+        np.abs(estimators.h_matrix(sig, design.Z) - h_true).max(),
+    )
+
+
+def _consistency_summary(cell, records, ok, gam, scenario) -> dict:
+    stats = {}
+    for name in _ERRORS:
+        values = records[name][ok]
+        stats[f"median_{name}"] = float(np.median(values))
+        stats[f"mean_{name}"] = float(values.mean())
+    return stats
+
+
+def _unbiasedness_summary(cell, records, ok, gam, scenario) -> dict:
+    ratio = np.abs(cell.bias) / cell.se
+    return {"max_abs_bias_in_se": float(ratio.max()), "bias_flagged": bool((ratio > 4.0).any())}
+
+
+_MOMENTS = ("coord_mean", "coord_variance", "coord_skewness", "coord_ex_kurtosis")
+
+
+def _normality_summary(cell, records, ok, gam, scenario) -> dict:
+    law = scenario.law()
+    theory = law.full()
+    v = np.sqrt(cell.n) * (gam - scenario.gamma_true.reshape(-1))
+    centered = v - v.mean(axis=0)
+    emp = centered.T @ centered / (cell.successes - 1)
+    whitener = np.kron(linalg.inv_sqrt_spd(law.left), linalg.inv_sqrt_spd(law.right))
+    coords = (v @ whitener.T).T
+    return {
+        "emp_cov": emp,
+        "theory_cov": theory,
+        "rel_frobenius": float(np.linalg.norm(emp - theory) / np.linalg.norm(theory)),
+        "ks_distance": np.array([ks_distance_normal(x) for x in coords]),
+        **dict(zip(_MOMENTS, np.array([_coord_moments(x) for x in coords]).T)),
+    }
+
+
+def _normality_rows(cfg, cell) -> list:
+    """One row per whitened coordinate; none for a cell with fewer than 2 successes."""
+    if "ks_distance" not in cell.stats:
+        return []
+    ks = cell.stats["ks_distance"]
+    return list(zip(range(ks.size), ks, *(cell.stats[name] for name in _MOMENTS)))
+
+
+def _level_prepare(cfg: McConfig) -> np.ndarray:
+    """Needs gamma = 0 and a full-row-rank contrast; returns the fixed alternative.
+
+    That is ``theta_alt``, else theta with one entry bumped.
+    """
+    scenario = cfg.scenario
+    if np.abs(scenario.gamma_true).max() > 1e-12:
+        raise ConfigError(
+            "level runs require C theta D' = 0 for the scenario theta; "
+            f"got max |gamma| = {np.abs(scenario.gamma_true).max():.3e}"
+        )
+    _check_full_row_rank(cfg)
+    alt = cfg.theta_alt
+    if alt is None:
         alt = scenario.theta.copy()
         alt[0, -1] += _DEFAULT_ALT_BUMP
+    elif alt.shape != scenario.theta.shape:
+        raise ConfigError(f"theta_alt must be {scenario.theta.shape}, got {alt.shape}")
     if np.abs(scenario.contrast.apply(alt)).max() == 0.0:
         raise ConfigError(
             "the alternative theta maps to gamma = 0 under this contrast; "
@@ -496,43 +552,49 @@ def _resolve_theta_alt(cfg: McConfig) -> np.ndarray:
     return alt
 
 
-def _validate_config(cfg: McConfig, kind: str) -> None:
-    if kind not in KINDS:
-        raise ConfigError(f"unknown run kind {kind!r}")
-    if not cfg.sample_sizes:
-        raise ConfigError("sample_sizes must be non-empty")
-    if not 0.0 < cfg.alpha <= 1.0:
-        raise ConfigError(f"alpha must be in (0, 1], got {cfg.alpha}")
-    if kind == "consistency" and list(cfg.sample_sizes) != sorted(set(cfg.sample_sizes)):
-        raise ConfigError("sample_sizes must be strictly increasing for consistency runs")
-    scenario = cfg.scenario
-    for r in cfg.sample_sizes:
-        design = scenario.design(r)
-        model.validate(design)
-        if design.n - design.m < design.p:
-            raise ConfigError(
-                f"sample size r={r} gives n - m < p; the first stage would be singular"
-            )
-    if kind == "level" and np.abs(scenario.gamma_true).max() > 1e-12:
-        raise ConfigError(
-            "level runs require C theta D' = 0 for the scenario theta; "
-            f"got max |gamma| = {np.abs(scenario.gamma_true).max():.3e}"
-        )
+def _level_replicate(cfg, theta_alt, design, data, key) -> tuple:
+    contrast = cfg.scenario.contrast
+    gam = estimators.two_stage_gamma(data, contrast)
+    res = inference.test_gamma_zero(data, contrast, cfg.alpha)
+    data_alt = model.simulate(design, theta_alt, cfg.scenario.noise, replicate_seed(*key, stream=1))
+    res_alt = inference.test_gamma_zero(data_alt, contrast, cfg.alpha)
+    return gam, (res.chi_sq, float(res.reject), res_alt.chi_sq, float(res_alt.reject))
 
 
-def run(kind: str, cfg: McConfig) -> McReport:
-    """Run one of ``KINDS`` over every sample-size cell of ``cfg``.
+def _level_summary(cell, records, ok, gam, scenario) -> dict:
+    return {
+        "rejection_rate": float(records["reject"][ok].mean()),
+        "alt_rejection_rate": float(records["reject_alt"][ok].mean()),
+    }
 
-    consistency: error trends of sigma_hat, gamma_hat and H(Y) as r grows;
-    unbiasedness: per-entry bias of gamma_hat against its Monte Carlo standard error;
-    normality: covariance match and per-coordinate normal diagnostics of the scaled error;
-    level: rejection rate under gamma = 0, plus power at a fixed alternative.
-    """
-    _validate_config(cfg, kind)
-    theta_alt = _resolve_theta_alt(cfg) if kind == "level" else None
-    cells, records = [], []
-    for j, r in enumerate(cfg.sample_sizes):
-        rec = _run_cell(kind, cfg, j, r, theta_alt)
-        cells.append(summarize_cell(kind, rec, cfg.scenario, r))
-        records.append(rec)
-    return McReport(kind=kind, config=cfg, cells=cells, records=records)
+
+KINDS = {
+    "consistency": Kind(
+        _ERRORS, _consistency_prepare, _consistency_replicate, _consistency_summary, 1,
+        {"consistency.csv": (
+            ["n", "median_sigma_err", "median_gamma_err", "h_gap"],
+            lambda cfg, cell: [(cell.n, *(cell.stats.get(f"median_{e}") for e in _ERRORS))],
+        )},
+    ),
+    "unbiasedness": Kind((), lambda cfg: None, _gamma_replicate, _unbiasedness_summary, 2, {}),
+    "normality": Kind(
+        (), _check_full_row_rank, _gamma_replicate, _normality_summary, 2,
+        {
+            "covariance_match.csv": (
+                ["relative_frobenius"], lambda cfg, cell: [(cell.stats.get("rel_frobenius"),)]
+            ),
+            "normality.csv": (
+                ["coordinate", "ks_distance", "mean", "variance", "skewness", "ex_kurtosis"],
+                _normality_rows,
+            ),
+        },
+    ),
+    "level": Kind(
+        ("chi_sq", "reject", "chi_sq_alt", "reject_alt"),
+        _level_prepare, _level_replicate, _level_summary, 1,
+        {"level.csv": (
+            ["alpha", "rejection_rate", "n_replicates"],
+            lambda cfg, cell: [(cfg.alpha, cell.stats.get("rejection_rate"), cell.replications)],
+        )},
+    ),
+}

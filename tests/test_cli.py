@@ -422,8 +422,44 @@ def test_mc_unbiasedness_writes_bias_report(tmp_path):
     assert all("max_abs_bias_in_se" in cell for cell in doc["results"]["cells"])
 
 
+@pytest.mark.parametrize("kind", mc.KINDS)
+def test_mc_writes_the_tables_and_dump_columns_of_its_kind(tmp_path, kind):
+    sizes = [8, 12]
+    cfg = _mc_config(tmp_path, kind=kind, sample_sizes=sizes, replications=6)
+    out = tmp_path / "mc"
+    argv = [f"mc-{kind}", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
+    assert cli.main(argv) == 0
+    dumps = [f"replicates_r{r}.csv" for r in sizes]
+    written = sorted(p.name for p in (out / "tables").iterdir())
+    assert written == sorted([*mc.KINDS[kind].tables, *dumps])
+    contrast = mc.McConfig.from_dict(json.loads(cfg.read_text())).scenario.contrast
+    for name in dumps:
+        header = (out / "tables" / name).read_text().splitlines()[0].split(",")
+        assert header == ["replicate"] + mc.record_columns(kind, contrast.s, contrast.t)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+@pytest.mark.parametrize("kind", ["normality", "level"])
+@pytest.mark.parametrize(
+    "c, d", [([[1.0, -1.0], [1.0, -1.0]], [[0.0, 1.0]]), ([[1.0, -1.0]], [[0.0, 1.0], [0.0, 2.0]])]
+)
+def test_exit_2_before_any_replicate_on_contrast_without_full_row_rank(
+    tmp_path, capsys, monkeypatch, kind, c, d
+):
+    # the whitening needs C and D of full row rank; such a contrast is refused
+    # up front instead of failing every replicate or the cell summary
+    seeds = []
+    monkeypatch.setattr(mc, "replicate_seed", lambda *args, **kw: seeds.append(args) or 0)
+    scenario = _scenario_dict(equal_curves=True, contrast={"c": c, "d": d})
+    cfg = _mc_config(tmp_path, kind=kind, scenario=scenario)
+    assert cli.main([f"mc-{kind}", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert "full row rank" in error["message"]
+    assert seeds == []
 
 
 def test_exit_2_on_malformed_csv(sim_files, tmp_path, capsys):

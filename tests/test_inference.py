@@ -37,35 +37,31 @@ def _pr_data(seed, m=2, r=10, q=2, theta=None, family="gaussian", df=None):
 
 
 # ---------------------------------------------------------------------------
-# asym_cov
+# cov_factors with R = lim X'X/n: the limit law
 
 
-def test_asym_cov_balanced_design_left_factor():
+def test_cov_factors_balanced_design_left_factor():
     # for the balanced design R = I/m, so the left factor is m C C'
     m, q = 3, 2
     contrast = model.equality_contrast(m, q)
     design = model.potthoff_roy_design(m, 2, TIMES4, q)
     sigma = _ar_sigma(4)
-    spec = inference.AsymptoticSpec(
-        R=np.eye(m) / m, sigma=sigma, Z=design.Z, contrast=contrast
-    )
-    law = inference.asym_cov(spec)
+    law = inference.cov_factors(np.eye(m) / m, sigma, design.Z, contrast)
     assert_allclose(law.left, m * contrast.C @ contrast.C.T, atol=1e-12)
 
 
-def test_asym_cov_identity_substitutions():
+def test_cov_factors_identity_substitutions():
     rng = np.random.default_rng(5)
     m, q, p = 3, 2, 5
     z = rng.standard_normal((p, q))
     r_mat = _spd(rng, m)
     contrast = model.Contrast(C=np.eye(m), D=np.eye(q))
-    spec = inference.AsymptoticSpec(R=r_mat, sigma=np.eye(p), Z=z, contrast=contrast)
-    law = inference.asym_cov(spec)
+    law = inference.cov_factors(r_mat, np.eye(p), z, contrast)
     assert_allclose(law.left, np.linalg.inv(r_mat), atol=1e-10)
     assert_allclose(law.right, np.linalg.inv(z.T @ z), atol=1e-10)
 
 
-def test_asym_cov_matches_unsimplified_form():
+def test_cov_factors_matches_unsimplified_form():
     # the right factor must equal D K'H' sigma H K D' with
     # H = sigma^{-1}(P_Z sigma^{-1} P_Z)^+ and K = Z(Z'Z)^{-1}: the closing
     # simplification of the covariance derivation
@@ -77,9 +73,7 @@ def test_asym_cov_matches_unsimplified_form():
     contrast = model.Contrast(
         C=rng.standard_normal((s, m)), D=rng.standard_normal((t, q))
     )
-    law = inference.asym_cov(
-        inference.AsymptoticSpec(R=r_mat, sigma=sigma, Z=z, contrast=contrast)
-    )
+    law = inference.cov_factors(r_mat, sigma, z, contrast)
     h = estimators.h_matrix(sigma, z)
     k = z @ np.linalg.inv(z.T @ z)
     right_unsimplified = contrast.D @ k.T @ h.T @ sigma @ h @ k @ contrast.D.T

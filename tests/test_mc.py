@@ -223,6 +223,22 @@ def test_run_builds_no_model_objects_after_the_scenario(monkeypatch, kind):
     assert sum(cell.successes for cell in report.cells) == 12
 
 
+def test_run_builds_each_cell_design_once(monkeypatch):
+    # the config checks build and validate each cell's design; the cell's
+    # replicates reuse it
+    sizes = []
+    original = model.potthoff_roy_design
+
+    def counted(m, r, times, q):
+        sizes.append(r)
+        return original(m, r, times, q)
+
+    monkeypatch.setattr(model, "potthoff_roy_design", counted)
+    monkeypatch.setenv("GCM_THREADS", "1")
+    mc.run("consistency", _cfg(sizes=(10, 20), reps=4))
+    assert sizes == [10, 20]
+
+
 def test_summaries_recompute_exactly_from_records():
     cfg = _cfg(reps=50)
     report = mc.run("consistency", cfg)
@@ -242,9 +258,9 @@ def test_consistency_cell_fields():
     for cell in report.cells:
         assert cell.failures == 0
         for field in ("median_sigma_err", "median_gamma_err", "median_h_gap"):
-            assert getattr(cell, field) > 0.0
+            assert cell.stats[field] > 0.0
     # a 2x sample-size jump at these sizes should already show shrinkage
-    assert report.cells[1].median_sigma_err < report.cells[0].median_sigma_err
+    assert report.cells[1].stats["median_sigma_err"] < report.cells[0].stats["median_sigma_err"]
 
 
 def test_unbiasedness_cell_fields_heavy_tails():
@@ -254,8 +270,8 @@ def test_unbiasedness_cell_fields_heavy_tails():
     report = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(40,), reps=600, seed=9))
     cell = report.cells[0]
     assert cell.n == 80
-    assert cell.max_abs_bias_in_se >= 0.0
-    assert cell.bias_flagged is False
+    assert cell.stats["max_abs_bias_in_se"] >= 0.0
+    assert cell.stats["bias_flagged"] is False
     assert cell.bias.shape == (2, 2)
 
 
@@ -271,7 +287,7 @@ def test_unbiasedness_zero_theta():
     report = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(25,), reps=400, seed=10))
     cell = report.cells[0]
     assert np.array_equal(cell.bias, cell.mean_gamma)  # gamma_true is zero
-    assert cell.bias_flagged is False
+    assert cell.stats["bias_flagged"] is False
 
 
 def test_normality_cell_fields():
@@ -280,21 +296,23 @@ def test_normality_cell_fields():
     report = mc.run("normality", cfg)
     cell = report.cells[0]
     st_dim = 4
-    assert cell.emp_cov.shape == (st_dim, st_dim)
-    assert np.array_equal(cell.theory_cov, scen.law().full())
-    assert 0.0 < cell.rel_frobenius < 1.0
-    assert cell.ks_distance.shape == (st_dim,)
-    assert np.all((cell.ks_distance > 0.0) & (cell.ks_distance < 1.0))
-    assert np.all(np.abs(cell.coord_mean) < 0.5)
-    assert np.all((cell.coord_variance > 0.5) & (cell.coord_variance < 1.5))
+    assert cell.stats["emp_cov"].shape == (st_dim, st_dim)
+    assert np.array_equal(cell.stats["theory_cov"], scen.law().full())
+    assert 0.0 < cell.stats["rel_frobenius"] < 1.0
+    assert cell.stats["ks_distance"].shape == (st_dim,)
+    ks = cell.stats["ks_distance"]
+    assert np.all((ks > 0.0) & (ks < 1.0))
+    assert np.all(np.abs(cell.stats["coord_mean"]) < 0.5)
+    variance = cell.stats["coord_variance"]
+    assert np.all((variance > 0.5) & (variance < 1.5))
 
 
 def test_level_cell_fields():
     scen = _scenario(equal_curves=True, contrast="equality")
     report = mc.run("level", _cfg(scenario=scen, sizes=(30,), reps=200, seed=5))
     cell = report.cells[0]
-    assert 0.0 <= cell.rejection_rate <= 0.2
-    assert cell.alt_rejection_rate > 0.5
+    assert 0.0 <= cell.stats["rejection_rate"] <= 0.2
+    assert cell.stats["alt_rejection_rate"] > 0.5
     assert cell.failures == 0
 
 
