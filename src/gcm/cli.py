@@ -136,19 +136,9 @@ def _estimate_results(args):
 
 
 def _estimation_inputs_echo(args) -> dict:
-    echo = {
-        "y": args.y,
-        "x": args.x,
-        "z": args.z,
-        "c": args.c,
-        "d": args.d,
-        "header": bool(args.header),
-        "sigma0": args.sigma0,
-        "truth": args.truth,
-    }
-    if hasattr(args, "alpha"):
-        echo["alpha"] = args.alpha
-    return echo
+    """Every parsed estimation input, so the parser is the one list of them."""
+    skip = ("command", "func", "out")
+    return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def cmd_estimate(args) -> int:

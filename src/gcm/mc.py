@@ -38,67 +38,52 @@ class Scenario:
     """Balanced simulation scenario: m groups of r subjects on a polynomial profile.
 
     ``times`` fixes the p measurement points, ``q`` the polynomial
-    coefficient count, ``theta`` the m x q group coefficients and ``sigma``
-    the p x p row covariance. The limit of X'X/n is I_m / m for every group
-    size r, so the asymptotic law is known in closed form.
+    coefficient count, ``theta`` the m x q group coefficients, ``noise`` the
+    error family and its p x p row covariance, and ``contrast`` gives
+    gamma = C theta D' (None: identities). The limit of X'X/n is I_m / m for
+    every group size r, so the asymptotic law is known in closed form.
 
-    Construction checks the inputs once and builds the model objects every
-    replicate reads: ``noise`` (which owns sigma), ``contrast`` (C and D
-    default to identities), the p x q profile matrix ``z`` and
-    ``gamma_true`` = C theta D'.
+    Construction checks the inputs once and builds what every replicate
+    reads: the p x q profile matrix ``z`` and ``gamma_true``.
     """
 
     m: int
     q: int
     times: tuple
     theta: np.ndarray
-    sigma: np.ndarray
-    noise_family: str = "gaussian"
-    noise_df: float | None = None
-    C: np.ndarray | None = None
-    D: np.ndarray | None = None
-    noise: model.NoiseSpec = field(init=False, repr=False)
-    contrast: model.Contrast = field(init=False, repr=False)
+    noise: model.NoiseSpec
+    contrast: model.Contrast | None = None
     z: np.ndarray = field(init=False, repr=False)
     gamma_true: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        theta = linalg.as_matrix(self.theta, "theta")
-        try:
-            noise = model.NoiseSpec(family=self.noise_family, sigma=self.sigma, df=self.noise_df)
-        except NotSpd as exc:
-            raise ConfigError(f"scenario key 'sigma': {exc}") from exc
-        if theta.shape != (self.m, self.q):
-            raise ConfigError(f"theta must be {self.m} x {self.q}, got {theta.shape}")
-        if noise.p != len(times):
-            raise ConfigError(f"sigma must be {len(times)} x {len(times)}, got {noise.sigma.shape}")
-        contrast = model.Contrast(
-            C=np.eye(self.m) if self.C is None else self.C,
-            D=np.eye(self.q) if self.D is None else self.D,
-        )
-        if contrast.C.shape[1] != self.m or contrast.D.shape[1] != self.q:
+        m, q = check_int(self.m, "m"), check_int(self.q, "q")
+        times = tuple(check_floats(self.times, "times", 1).tolist())
+        theta = check_floats(self.theta, "theta", 2)
+        if theta.shape != (m, q):
+            raise ConfigError(f"theta must be {m} x {q}, got {theta.shape}")
+        if self.noise.p != len(times):
+            p = len(times)
+            raise ConfigError(f"sigma must be {p} x {p}, got {self.noise.sigma.shape}")
+        contrast = self.contrast
+        if contrast is None:
+            contrast = model.Contrast(C=np.eye(m), D=np.eye(q))
+        if contrast.C.shape[1] != m or contrast.D.shape[1] != q:
             raise ConfigError(
-                f"contrast must have m={self.m} and q={self.q} columns, got "
+                f"contrast must have m={m} and q={q} columns, got "
                 f"C {contrast.C.shape}, D {contrast.D.shape}"
             )
         built = {
+            "m": m,
+            "q": q,
             "times": times,
             "theta": theta,
-            "sigma": noise.sigma,
-            "C": contrast.C,
-            "D": contrast.D,
-            "noise": noise,
             "contrast": contrast,
-            "z": np.vander(np.asarray(times), self.q, increasing=True),
+            "z": np.vander(np.asarray(times), q, increasing=True),
             "gamma_true": contrast.apply(theta),
         }
         for name, value in built.items():
             object.__setattr__(self, name, value)
-
-    @property
-    def p(self) -> int:
-        return len(self.times)
 
     def design(self, r: int) -> model.Design:
         return model.potthoff_roy_design(self.m, r, self.times, self.q)
@@ -116,29 +101,27 @@ class Scenario:
             "theta": fileio.jsonable(self.theta),
             "sigma": fileio.jsonable(self.noise.sigma),
             "noise": {"family": self.noise.family, "df": self.noise.df},
-            "contrast": {"c": fileio.jsonable(self.C), "d": fileio.jsonable(self.D)},
+            "contrast": {"c": fileio.jsonable(self.contrast.C),
+                         "d": fileio.jsonable(self.contrast.D)},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         required = ("m", "q", "times", "theta", "sigma")
         fileio.check_keys(d, "scenario", required, ("noise", "contrast"))
-        m, q = check_int(d["m"], "m"), check_int(d["q"], "q")
         noise = d.get("noise", {"family": "gaussian"})
         fileio.check_keys(noise, "scenario noise", ("family",), ("df",))
         df = noise.get("df")
-        c, dd = _contrast_arrays(d.get("contrast", "identity"), m, q)
-        return cls(
-            m=m,
-            q=q,
-            times=tuple(check_floats(d["times"], "times", 1)),
-            theta=check_floats(d["theta"], "theta", 2),
-            sigma=check_floats(d["sigma"], "sigma", 2),
-            noise_family=str(noise["family"]),
-            noise_df=None if df is None else check_floats(df, "df", 0),
-            C=c,
-            D=dd,
-        )
+        try:
+            spec = model.NoiseSpec(
+                family=noise["family"],
+                sigma=check_floats(d["sigma"], "sigma", 2),
+                df=None if df is None else check_floats(df, "df", 0),
+            )
+        except NotSpd as exc:
+            raise ConfigError(f"scenario key 'sigma': {exc}") from exc
+        contrast = _contrast(d.get("contrast", "identity"), d["m"], d["q"])
+        return cls(d["m"], d["q"], d["times"], d["theta"], noise=spec, contrast=contrast)
 
 
 def check_int(value, key: str, low: int = 1, high: float = math.inf) -> int:
@@ -149,34 +132,47 @@ def check_int(value, key: str, low: int = 1, high: float = math.inf) -> int:
 
 
 def check_floats(value, key: str, ndim: int):
-    """Config ``key`` as a float (ndim 0) or an ndim-d float64 array, else a ConfigError."""
+    """Config ``key`` as a finite float (ndim 0) or ndim-d float64 array, else a ConfigError.
+
+    Strings and booleans are refused, never coerced."""
     try:
-        out = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+        out = np.asarray(value, dtype=np.float64) if _real_leaves(value) else None
+    except (ValueError, OverflowError):  # ragged rows, an int beyond float range
         out = None
-    if out is None or out.ndim != ndim:
-        kind = ("a number", "a list of numbers", "a list of equal-length rows of numbers")[ndim]
+    if out is None or out.ndim != ndim or not np.isfinite(out).all():
+        kind = ("a finite number", "a list of finite numbers",
+                "a list of equal-length rows of finite numbers")[ndim]
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return float(out) if ndim == 0 else out
 
 
-def _contrast_arrays(entry, m: int, q: int):
-    """Resolve a config contrast entry: 'identity', 'equality' or explicit c/d."""
+def _real_leaves(value) -> bool:
+    """Whether every leaf of the nested lists or arrays ``value`` is a real non-bool number."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(_real_leaves(v) for v in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _contrast(entry, m, q) -> model.Contrast | None:
+    """The contrast of a config entry: 'identity' (None), 'equality' or explicit c/d."""
     if entry == "identity" or entry is None:
-        return None, None
+        return None
     if entry == "equality":
-        contrast = model.equality_contrast(m, q)
-        return contrast.C, contrast.D
+        return model.equality_contrast(check_int(m, "m"), check_int(q, "q"))
     if isinstance(entry, dict) and set(entry) == {"c", "d"}:
-        return check_floats(entry["c"], "contrast c", 2), check_floats(entry["d"], "contrast d", 2)
-    raise ConfigError(
-        "contrast must be 'identity', 'equality' or an object with keys 'c' and 'd'"
-    )
+        return model.Contrast(
+            C=check_floats(entry["c"], "contrast c", 2), D=check_floats(entry["d"], "contrast d", 2)
+        )
+    raise ConfigError("contrast must be 'identity', 'equality' or an object with keys 'c' and 'd'")
 
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
-    """One harness run: a scenario, the group sizes to sweep, replication count and seed."""
+    """One harness run: a scenario, the group sizes to sweep, replication count and seed.
+
+    Checks the values every run kind shares: distinct sizes, alpha, theta_alt's shape."""
 
     scenario: Scenario
     sample_sizes: tuple
@@ -186,16 +182,32 @@ class McConfig:
     theta_alt: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.sample_sizes, (list, tuple)):
-            raise ConfigError(f"sample_sizes must be a list of integers, got {self.sample_sizes!r}")
-        sizes = tuple(check_int(r, "sample_sizes entry") for r in self.sample_sizes)
-        object.__setattr__(self, "sample_sizes", sizes)
-        object.__setattr__(self, "replications", check_int(self.replications, "replications"))
-        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2**64))
-        if self.theta_alt is not None:
-            object.__setattr__(
-                self, "theta_alt", linalg.as_matrix(self.theta_alt, "theta_alt")
+        if not isinstance(self.sample_sizes, (list, tuple)) or not self.sample_sizes:
+            raise ConfigError(
+                f"sample_sizes must be a non-empty list of integers, got {self.sample_sizes!r}"
             )
+        sizes = tuple(check_int(r, "sample_sizes entry") for r in self.sample_sizes)
+        if len(set(sizes)) != len(sizes):
+            raise ConfigError(f"sample_sizes must not repeat a size, got {list(sizes)}")
+        alpha = check_floats(self.alpha, "alpha", 0)
+        if not 0.0 < alpha <= 1.0:
+            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+        theta_alt = self.theta_alt
+        if theta_alt is not None:
+            theta_alt = check_floats(theta_alt, "theta_alt", 2)
+            if theta_alt.shape != self.scenario.theta.shape:
+                raise ConfigError(
+                    f"theta_alt must be {self.scenario.theta.shape}, got {theta_alt.shape}"
+                )
+        checked = {
+            "sample_sizes": sizes,
+            "replications": check_int(self.replications, "replications"),
+            "seed": check_int(self.seed, "seed", 0, 2**64),
+            "alpha": alpha,
+            "theta_alt": theta_alt,
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -211,14 +223,13 @@ class McConfig:
     def from_dict(cls, d: dict) -> "McConfig":
         required = ("scenario", "sample_sizes", "replications", "seed")
         fileio.check_keys(d, "config", required, ("alpha", "theta_alt"))
-        theta_alt = d.get("theta_alt")
         return cls(
             scenario=Scenario.from_dict(d["scenario"]),
             sample_sizes=d["sample_sizes"],
             replications=d["replications"],
             seed=d["seed"],
-            alpha=check_floats(d.get("alpha", 0.05), "alpha", 0),
-            theta_alt=None if theta_alt is None else check_floats(theta_alt, "theta_alt", 2),
+            alpha=d.get("alpha", 0.05),
+            theta_alt=d.get("theta_alt"),
         )
 
 
@@ -389,13 +400,9 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> McCe
 
 
 def _validate_config(cfg: McConfig, kind: str) -> list:
-    """The checks every kind shares; returns each cell's validated design."""
+    """Refuse an unknown kind; returns each cell's validated design."""
     if kind not in KINDS:
         raise ConfigError(f"unknown run kind {kind!r}")
-    if not cfg.sample_sizes:
-        raise ConfigError("sample_sizes must be non-empty")
-    if not 0.0 < cfg.alpha <= 1.0:
-        raise ConfigError(f"alpha must be in (0, 1], got {cfg.alpha}")
     designs = []
     for r in cfg.sample_sizes:
         design = cfg.scenario.design(r)
@@ -470,7 +477,7 @@ _ERRORS = ("sigma_err", "gamma_err", "h_gap")
 
 def _consistency_prepare(cfg: McConfig) -> np.ndarray:
     """Sizes must increase; returns the true H that each replicate's H(Y) is measured against."""
-    if list(cfg.sample_sizes) != sorted(set(cfg.sample_sizes)):
+    if list(cfg.sample_sizes) != sorted(cfg.sample_sizes):
         raise ConfigError("sample_sizes must be strictly increasing for consistency runs")
     return estimators.h_matrix(cfg.scenario.noise.sigma, cfg.scenario.z)
 
@@ -542,8 +549,6 @@ def _level_prepare(cfg: McConfig) -> np.ndarray:
     if alt is None:
         alt = scenario.theta.copy()
         alt[0, -1] += _DEFAULT_ALT_BUMP
-    elif alt.shape != scenario.theta.shape:
-        raise ConfigError(f"theta_alt must be {scenario.theta.shape}, got {alt.shape}")
     if np.abs(scenario.contrast.apply(alt)).max() == 0.0:
         raise ConfigError(
             "the alternative theta maps to gamma = 0 under this contrast; "

@@ -9,6 +9,7 @@ zero and covariance Sigma.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -116,8 +117,9 @@ class NoiseSpec:
     """Symmetric error family with row covariance ``sigma``.
 
     Supported families: gaussian, uniform (symmetric about 0) and student_t
-    with df > 4. Base draws are standardized to unit variance per coordinate
-    before the covariance transform, so E rows always have covariance sigma.
+    with a finite df > 4. Base draws are standardized to unit variance per
+    coordinate before the covariance transform, so E rows always have
+    covariance sigma.
     ``sigma`` is held as a read-only copy and its Cholesky factor is
     computed once.
     """
@@ -132,10 +134,10 @@ class NoiseSpec:
                 f"unknown noise family {self.family!r}; expected one of {NOISE_FAMILIES}"
             )
         if self.family == "student_t":
-            if self.df is None or not self.df > 4.0:
+            if self.df is None or not 4.0 < self.df < math.inf:
                 raise InvalidNoise(
-                    "student_t noise requires df > 4 (finite fourth moments), "
-                    f"got {self.df!r}"
+                    "student_t noise requires a finite df > 4 (finite fourth moments), "
+                    f"got df={self.df!r}"
                 )
             object.__setattr__(self, "df", float(self.df))
         elif self.df is not None:

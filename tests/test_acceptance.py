@@ -161,11 +161,8 @@ def test_criterion_05_unbiasedness(family, df):
         q=2,
         times=TIMES4,
         theta=np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]),
-        sigma=_ar_sigma(4),
-        noise_family=family,
-        noise_df=df,
-        C=contrast.C,
-        D=contrast.D,
+        noise=NoiseSpec(family=family, sigma=_ar_sigma(4), df=df),
+        contrast=contrast,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(20,), replications=10_000, seed=501)
     cell = mc.run("unbiasedness", cfg).cells[0]
@@ -186,10 +183,8 @@ def test_criterion_06_consistency_trends(family):
         q=2,
         times=TIMES4,
         theta=np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]),
-        sigma=_ar_sigma(4),
-        noise_family=family,
-        C=contrast.C,
-        D=contrast.D,
+        noise=NoiseSpec(family=family, sigma=_ar_sigma(4)),
+        contrast=contrast,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(16, 64, 256), replications=500, seed=601)
     report = mc.run("consistency", cfg)
@@ -223,8 +218,7 @@ def normality_cells():
             q=2,
             times=TIMES4,
             theta=np.array([[1.0, 0.5], [2.0, 0.25]]),
-            sigma=_ar_sigma(4),
-            noise_family=family,
+            noise=NoiseSpec(family=family, sigma=_ar_sigma(4)),
         )
         cfg = McConfig(scenario=scenario, sample_sizes=(250,), replications=5000, seed=701)
         cells[family] = mc.run("normality", cfg).cells[0]
@@ -269,11 +263,8 @@ def test_criterion_09_test_level(family, df, band):
         q=2,
         times=TIMES4,
         theta=np.array([[1.0, 0.5], [1.0, 0.5]]),  # equal curves: gamma = 0
-        sigma=_ar_sigma(4),
-        noise_family=family,
-        noise_df=df,
-        C=contrast.C,
-        D=contrast.D,
+        noise=NoiseSpec(family=family, sigma=_ar_sigma(4), df=df),
+        contrast=contrast,
     )
     cfg = McConfig(
         scenario=scenario, sample_sizes=(250,), replications=5000, seed=901, alpha=0.05

@@ -594,6 +594,12 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-consistency", ("scenario", "m"), "two", "m"),
         ("mc-consistency", ("scenario", "contrast", "c"), _RAGGED, "contrast c"),
         ("mc-level", ("theta_alt",), _RAGGED, "theta_alt"),
+        ("mc-level", ("alpha",), "0.05", "alpha"),
+        ("mc-level", ("alpha",), True, "alpha"),
+        ("mc-consistency", ("scenario", "times"), ["1", "2", "3", "4"], "times"),
+        ("mc-consistency", ("scenario", "theta"), [[True, False], [True, True]], "theta"),
+        ("mc-consistency", ("scenario", "noise", "df"), "6", "df"),
+        ("simulate", ("scenario", "noise", "df"), float("inf"), "df"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):
@@ -638,6 +644,18 @@ def test_exit_2_on_run_option_in_config(tmp_path, capsys, command, key, value):
     assert error["type"] == "ConfigError"
     assert repr(key) in error["message"]
     assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert not (out / "tables").exists()
+
+
+def test_exit_2_on_repeated_sample_size(tmp_path, capsys):
+    # one dump file per size: a repeated size would overwrite the first cell's records
+    cfg = _mc_config(tmp_path, kind="unbiasedness", sample_sizes=[8, 8], replications=2)
+    out = tmp_path / "o"
+    argv = ["mc-unbiasedness", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
+    assert cli.main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("sample_sizes")
     assert not (out / "tables").exists()
 
 

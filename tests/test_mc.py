@@ -21,20 +21,16 @@ def _scenario(family="gaussian", df=None, equal_curves=False, contrast="identity
         if equal_curves
         else np.array([[1.0, 0.5], [2.0, 0.25]])
     )
-    c = d = None
+    c = None
     if contrast == "equality":
-        c = np.array([[1.0, -1.0]])
-        d = np.array([[0.0, 1.0]])
+        c = model.Contrast(C=np.array([[1.0, -1.0]]), D=np.array([[0.0, 1.0]]))
     return mc.Scenario(
         m=2,
         q=2,
         times=(1.0, 2.0, 3.0, 4.0),
         theta=theta,
-        sigma=_ar_sigma(4),
-        noise_family=family,
-        noise_df=df,
-        C=c,
-        D=d,
+        noise=model.NoiseSpec(family=family, sigma=_ar_sigma(4), df=df),
+        contrast=c,
     )
 
 
@@ -74,11 +70,40 @@ def test_scenario_contrast_shorthand():
     doc = _cfg(scenario=_scenario()).to_dict()
     doc["scenario"]["contrast"] = "equality"
     cfg = mc.McConfig.from_dict(doc)
-    assert np.array_equal(cfg.scenario.C, np.array([[1.0, -1.0]]))
-    assert np.array_equal(cfg.scenario.D, np.array([[0.0, 1.0]]))
+    assert np.array_equal(cfg.scenario.contrast.C, np.array([[1.0, -1.0]]))
+    assert np.array_equal(cfg.scenario.contrast.D, np.array([[0.0, 1.0]]))
     doc["scenario"]["contrast"] = "identity"
     cfg = mc.McConfig.from_dict(doc)
-    assert np.array_equal(cfg.scenario.C, np.eye(2))
+    assert np.array_equal(cfg.scenario.contrast.C, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("scenario", "times"), "1234"),
+        (("theta_alt",), np.zeros((3, 3))),
+        (("sample_sizes",), ()),
+        (("alpha",), 2.0),
+    ],
+)
+def test_constructor_and_from_dict_refuse_the_same_values(path, value):
+    # both ways of building a config check a value in the object that owns it,
+    # so neither defers the verdict to mc.run
+    scenario = dict(
+        m=2,
+        q=2,
+        times=(1.0, 2.0, 3.0, 4.0),
+        theta=np.array([[1.0, 0.5], [2.0, 0.25]]),
+        noise=model.NoiseSpec(family="gaussian", sigma=_ar_sigma(4)),
+    )
+    config = dict(sample_sizes=(10, 20), replications=5, seed=1)
+    (scenario if path[0] == "scenario" else config)[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"^{path[-1]}"):
+        mc.McConfig(scenario=mc.Scenario(**scenario), **config)
+    doc = _cfg().to_dict()
+    (doc["scenario"] if path[0] == "scenario" else doc)[path[-1]] = fileio.jsonable(value)
+    with pytest.raises(ConfigError, match=f"^{path[-1]}"):
+        mc.McConfig.from_dict(doc)
 
 
 def test_consistency_requires_increasing_sizes():
@@ -281,8 +306,7 @@ def test_unbiasedness_zero_theta():
         q=2,
         times=(1.0, 2.0, 3.0, 4.0),
         theta=np.zeros((2, 2)),
-        sigma=_ar_sigma(4),
-        noise_family="uniform",
+        noise=model.NoiseSpec(family="uniform", sigma=_ar_sigma(4)),
     )
     report = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(25,), reps=400, seed=10))
     cell = report.cells[0]

@@ -188,6 +188,9 @@ def test_noise_rejects_low_degrees_of_freedom():
         model.NoiseSpec(family="student_t", sigma=sigma, df=4.0)
     with pytest.raises(InvalidNoise):
         model.NoiseSpec(family="student_t", sigma=sigma, df=None)
+    for df in (np.inf, np.nan):
+        with pytest.raises(InvalidNoise, match="df"):
+            model.NoiseSpec(family="student_t", sigma=sigma, df=df)
 
 
 def test_noise_rejects_unknown_family_and_stray_df():
