@@ -74,41 +74,40 @@ def _load_estimation_inputs(args):
     return data, contrast
 
 
-def _truth_matrix(path, truth, key, shape):
-    """The finite ``shape`` matrix under ``key`` of a truth file, or ConfigError."""
-    try:
-        value = linalg.as_matrix(truth[key], key)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if value.shape != shape:
-        raise ConfigError(f"{path}: {key} must be {shape[0]} x {shape[1]}, got {value.shape}")
-    return value
+def _truth_errors(path, design, contrast, theta, sigma_value):
+    """Frobenius errors of theta, gamma and (two-stage runs) sigma_hat against a truth file.
 
-
-def _truth_errors(args, data, contrast, theta, sigma_value):
-    if not args.truth:
-        return None
-    truth = fileio.read_json(args.truth)
-    if not isinstance(truth, dict) or "theta" not in truth:
-        raise ConfigError(f"{args.truth}: truth file must be an object with a 'theta' key")
-    theta_true = _truth_matrix(args.truth, truth, "theta", theta.shape)
-    gamma_true = contrast.apply(theta_true)
-    gamma = contrast.apply(theta)
+    The file holds the keys ``simulate`` writes; theta and, when present,
+    sigma are checked as config matrices are, then against the data's shapes.
+    """
+    truth = fileio.read_json(path)
+    where = f"truth file {path}"
+    fileio.check_keys(truth, where, ("theta",), ("sigma", "sigma_cholesky", "noise", "seed"))
+    true = {}
+    for key, shape in (("theta", theta.shape), ("sigma", (design.p, design.p))):
+        if key in truth:
+            true[key] = mc.check_floats(truth[key], f"{where} {key}", 2)
+            if true[key].shape != shape:
+                raise ConfigError(
+                    f"{where}: {key} must be {shape[0]} x {shape[1]}, got {true[key].shape}"
+                )
+    gamma_error = contrast.apply(theta) - contrast.apply(true["theta"])
     errors = {
-        "theta_err_fro": float(np.linalg.norm(theta - theta_true)),
-        "gamma_err_fro": float(np.linalg.norm(gamma - gamma_true)),
+        "theta_err_fro": float(np.linalg.norm(theta - true["theta"])),
+        "gamma_err_fro": float(np.linalg.norm(gamma_error)),
     }
-    if sigma_value is not None and "sigma" in truth:
-        sigma_true = _truth_matrix(args.truth, truth, "sigma", sigma_value.shape)
-        errors["sigma_err_fro"] = float(np.linalg.norm(sigma_value - sigma_true))
+    if sigma_value is not None and "sigma" in true:
+        errors["sigma_err_fro"] = float(np.linalg.norm(sigma_value - true["sigma"]))
     return errors
 
 
-def _estimate_results(args):
+def _estimate_results(args, sigma0=None):
+    """Fit the CSV inputs of ``args``: by the known-covariance estimator when a
+    ``sigma0`` CSV is given, else by the two-stage estimator."""
     data, contrast = _load_estimation_inputs(args)
-    if args.sigma0:
+    if sigma0:
         try:
-            sigma = linalg.check_spd(fileio.read_matrix_csv(args.sigma0, args.header), "sigma0")
+            sigma = linalg.check_spd(fileio.read_matrix_csv(sigma0, args.header), "sigma0")
         except NotSpd as exc:
             raise CommandError(EXIT_VALIDATION, "NotSpd", str(exc)) from exc
         sigma_value = None
@@ -129,9 +128,10 @@ def _estimate_results(args):
     }
     if sigma_value is not None:
         results["sigma_hat"] = fileio.jsonable(sigma_value)
-    truth_errors = _truth_errors(args, data, contrast, theta, sigma_value)
-    if truth_errors is not None:
-        results["truth_errors"] = truth_errors
+    if args.truth:
+        results["truth_errors"] = _truth_errors(
+            args.truth, data.design, contrast, theta, sigma_value
+        )
     return data, contrast, results
 
 
@@ -142,18 +142,13 @@ def _estimation_inputs_echo(args) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    _, _, results = _estimate_results(args)
+    _, _, results = _estimate_results(args, args.sigma0)
     report = fileio.make_report(None, _estimation_inputs_echo(args), results)
     fileio.write_json(os.path.join(args.out, "report.json"), report)
     return EXIT_OK
 
 
 def cmd_test(args) -> int:
-    if not 0.0 < args.alpha <= 1.0:
-        raise ConfigError(f"--alpha must be in (0, 1], got {args.alpha}")
-    if args.sigma0:
-        raise ConfigError("the test statistic is defined for the two-stage estimator; "
-                          "--sigma0 is not supported here")
     data, contrast, results = _estimate_results(args)
     try:
         outcome = inference.test_gamma_zero(data, contrast, args.alpha)
@@ -180,8 +175,6 @@ def cmd_mc(args, kind: str) -> int:
         raise ConfigError(f"{args.config}: config must be a JSON object")
     if args.seed is not None:
         conf["seed"] = args.seed
-    if args.alpha is not None:
-        conf["alpha"] = args.alpha
     cfg = mc.McConfig.from_dict(conf)
     report = mc.run(kind, cfg)
     inputs = cfg.to_dict()
@@ -239,13 +232,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z", required=True, help="within-individual design CSV (p x q)")
         p.add_argument("--c", required=True, help="left contrast CSV (s x m)")
         p.add_argument("--d", required=True, help="right contrast CSV (t x q)")
-        p.add_argument("--sigma0", default=None, help="known covariance CSV (p x p)")
         p.add_argument("--truth", default=None, help="truth.json for error reporting")
         p.add_argument("--header", action="store_true", help="skip one header row in input CSVs")
         p.add_argument("--out", default=".", help="output directory")
 
     est = sub.add_parser("estimate", help="estimate gamma = C theta D' from CSV data")
     add_estimation_args(est)
+    est.add_argument("--sigma0", default=None, help="known covariance CSV (p x p)")
     est.set_defaults(func=cmd_estimate)
 
     tst = sub.add_parser("test", help="chi-square test of C theta D' = 0")
@@ -257,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"mc-{kind}", help=f"Monte Carlo {kind} run")
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--alpha", type=float, default=None, help="override the config alpha")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--dump-replicates",

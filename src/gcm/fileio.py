@@ -8,7 +8,6 @@ temp-file rename, so partially written files are never observed.
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
 import tempfile
@@ -19,7 +18,7 @@ from . import __version__
 from .errors import ConfigError, MatrixParseError
 
 REPORT_KEYS = ("meta", "inputs", "results", "errors")
-META_KEYS = ("version", "seed", "timestamp")
+META_KEYS = ("version", "seed")
 
 _FLOAT_FMT = "%.17g"
 
@@ -146,33 +145,9 @@ def read_json(path: str):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def deterministic_timestamp() -> str:
-    """ISO-8601 timestamp derived from SOURCE_DATE_EPOCH (default epoch 0).
-
-    Wall-clock time would break the byte-identical rerun contract, so the
-    timestamp is pinned unless the caller opts into a real one through the
-    environment.
-    """
-    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
-    try:
-        epoch = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SOURCE_DATE_EPOCH must be an integer, got {raw!r}") from exc
-    moment = datetime.datetime.fromtimestamp(epoch, tz=datetime.timezone.utc)
-    return moment.isoformat().replace("+00:00", "Z")
-
-
-def make_meta(seed) -> dict:
-    return {
-        "version": __version__,
-        "seed": None if seed is None else int(seed),
-        "timestamp": deterministic_timestamp(),
-    }
-
-
 def make_report(seed, inputs: dict, results, errors: list | None = None) -> dict:
     return {
-        "meta": make_meta(seed),
+        "meta": {"version": __version__, "seed": None if seed is None else int(seed)},
         "inputs": inputs,
         "results": results,
         "errors": [] if errors is None else errors,

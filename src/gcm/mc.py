@@ -157,7 +157,7 @@ def _real_leaves(value) -> bool:
 
 def _contrast(entry, m, q) -> model.Contrast | None:
     """The contrast of a config entry: 'identity' (None), 'equality' or explicit c/d."""
-    if entry == "identity" or entry is None:
+    if entry == "identity":
         return None
     if entry == "equality":
         return model.equality_contrast(check_int(m, "m"), check_int(q, "q"))

@@ -268,6 +268,7 @@ def test_mc_report_bytes_are_reproducible(tmp_path, monkeypatch):
     monkeypatch.delenv("GCM_THREADS", raising=False)
     assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(a)]) == 0
     monkeypatch.setenv("GCM_THREADS", "2")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1e3")  # a build clock the report does not read
     assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(b)]) == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "tables" / "consistency.csv").read_bytes() == (
@@ -362,15 +363,17 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
 
 
 def test_mc_seed_and_alpha_flags_override_config(tmp_path):
-    cfg = _mc_config(tmp_path, kind="level")
+    # --seed overrides the config seed; the test level comes from the config alone
+    cfg = _mc_config(tmp_path, kind="level", alpha=0.1)
     out = tmp_path / "mc"
-    code = cli.main(
-        ["mc-level", "--config", str(cfg), "--seed", "5", "--alpha", "0.1", "--out", str(out)]
-    )
+    code = cli.main(["mc-level", "--config", str(cfg), "--seed", "5", "--out", str(out)])
     assert code == 0
     report = fileio.read_report(str(out / "report.json"))
     assert report["meta"]["seed"] == 5
     assert report["inputs"]["alpha"] == 0.1
+    with pytest.raises(SystemExit) as info:
+        cli.main(["mc-level", "--config", str(cfg), "--alpha", "0.2", "--out", str(out)])
+    assert info.value.code == 2
 
 
 def test_mc_single_replicate_report_is_strict_json(tmp_path):
@@ -547,6 +550,38 @@ def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, s
     assert str(path) in error["message"] and "sigma" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("theta", [["1.0", "0.5"], ["2.0", "0.25"]]), ("sigma", [[True] * 4] * 4), ("bogus", 1)],
+)
+@pytest.mark.parametrize("known_sigma", [False, True])
+def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, capsys, key, value, known_sigma):
+    # a truth file is checked as a config is: no coercion, no unknown keys, on either route
+    truth = fileio.read_json(str(sim_files / "truth.json"))
+    truth[key] = value
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
+    extra = ["--sigma0", str(sim_files / "S0.csv")] if known_sigma else []
+    code = cli.main(
+        ["estimate", *_estimation_argv(sim_files, extra), "--truth", str(path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(path) in error["message"] and key in error["message"]
+
+
+def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path):
+    # the test statistic is defined for the two-stage estimator alone
+    fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
+    argv = _estimation_argv(sim_files, ["--sigma0", str(sim_files / "S0.csv")])
+    with pytest.raises(SystemExit) as info:
+        cli.main(["test", *argv, "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+
+
 @pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
 def test_exit_2_on_non_spd_scenario_sigma(tmp_path, capsys, command):
     scenario = _scenario_dict()
@@ -600,6 +635,7 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-consistency", ("scenario", "theta"), [[True, False], [True, True]], "theta"),
         ("mc-consistency", ("scenario", "noise", "df"), "6", "df"),
         ("simulate", ("scenario", "noise", "df"), float("inf"), "df"),
+        ("mc-unbiasedness", ("scenario", "contrast"), None, "contrast"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):

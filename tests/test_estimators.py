@@ -285,3 +285,109 @@ def test_contrast_dimension_check():
     bad = model.Contrast(C=np.ones((1, data.design.m + 1)), D=np.ones((1, data.design.q)))
     with pytest.raises(DimensionMismatch):
         estimators.two_stage_gamma(data, bad)
+
+
+# ---------------------------------------------------------------------------
+# exact finite-sample moments
+#
+# At small n the model has exact results the large-sample gates cannot see:
+# the known-covariance estimator is linear in E, the first stage is a scaled
+# Wishart matrix under gaussian errors, and the two-stage estimator's
+# covariance is the known-covariance one times Khatri's (1966) factor
+# (n - m - 1) / (n - m - 1 - (p - q)). On the unbalanced design below
+# (groups of 6 and 8 plus a covariate, n - m = 11, p - q = 3) the factor is
+# 10 / 7 = 1.43, far from the limit's 1.
+
+EXACT_REPS = 2500
+# Each empirical moment is compared with its exact value in units of its own
+# Monte Carlo standard error; 4.5 keeps a fixed-seed false alarm below 1e-3
+# over the 120 moments of the largest check.
+EXACT_Z = 4.5
+
+
+def _exact_design():
+    group = np.repeat([0, 1], [6, 8])
+    covariate = np.linspace(-1.0, 1.0, 14) ** 2
+    x = np.column_stack([group == 0, group == 1, covariate]).astype(float)
+    z = np.vander(np.arange(1.0, 6.0), 2, increasing=True)
+    theta = np.array([[1.0, 0.5], [2.0, -0.25], [0.3, 0.1]])
+    sigma = _ar_sigma(5) * np.outer(np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5))
+    return model.Design(X=x, Z=z), theta, sigma
+
+
+def _known_sigma_cov(design, sigma):
+    """(X'X)^-1 kron (Z' sigma^-1 Z)^-1: Cov(theta_hat.reshape(-1)) when sigma is known."""
+    g = design.Z.T @ np.linalg.solve(sigma, design.Z)
+    return np.kron(np.linalg.inv(design.xtx), np.linalg.inv(g))
+
+
+def _moment_z(samples, mean, cov):
+    """z-scores of the sample mean and the upper-triangle second moments about
+    ``mean`` of the rows of ``samples``, against their exact values ``mean`` and
+    ``cov``: each gap divided by its Monte Carlo standard error."""
+    u = samples - mean
+    root_r = np.sqrt(len(u))
+    mean_z = u.mean(axis=0) / (u.std(axis=0, ddof=1) / root_r)
+    iu = np.triu_indices(u.shape[1])
+    products = (u[:, :, None] * u[:, None, :])[:, iu[0], iu[1]]
+    cov_z = (products.mean(axis=0) - cov[iu]) / (products.std(axis=0, ddof=1) / root_r)
+    return mean_z, cov_z
+
+
+@pytest.mark.parametrize(
+    "family, df", [("gaussian", None), ("uniform", None), ("student_t", 6.0)]
+)
+def test_theta_known_covariance_is_exact_for_every_family(family, df):
+    design, theta, sigma = _exact_design()
+    noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
+    thetas = np.array([
+        estimators.theta_hat_known(model.simulate(design, theta, noise, seed), sigma).reshape(-1)
+        for seed in range(EXACT_REPS)
+    ])
+    cov = _known_sigma_cov(design, sigma)
+    mean_z, cov_z = _moment_z(thetas, theta.reshape(-1), cov)
+    assert np.abs(mean_z).max() < EXACT_Z
+    assert np.abs(cov_z).max() < EXACT_Z
+    # power: the two-stage covariance (Khatri's factor) is refused here
+    _, inflated_z = _moment_z(thetas, theta.reshape(-1), cov * 10.0 / 7.0)
+    assert np.abs(inflated_z).max() > EXACT_Z
+
+
+@pytest.fixture(scope="module")
+def gaussian_two_stage_draws():
+    """(design, theta, sigma, sigma_hat draws, two-stage theta draws) under gaussian errors."""
+    design, theta, sigma = _exact_design()
+    noise = model.NoiseSpec(family="gaussian", sigma=sigma)
+    sigmas, thetas = [], []
+    for seed in range(EXACT_REPS):
+        data = model.simulate(design, theta, noise, seed)
+        sigmas.append(estimators.sigma_hat(data))
+        thetas.append(estimators.two_stage_theta(data).reshape(-1))
+    return design, theta, sigma, np.array(sigmas), np.array(thetas)
+
+
+def test_sigma_hat_has_wishart_moments(gaussian_two_stage_draws):
+    # (n - m) sigma_hat ~ Wishart_p(n - m, sigma): E s_ij = sigma_ij and
+    # Cov(s_ij, s_kl) = (sigma_ik sigma_jl + sigma_il sigma_jk) / (n - m)
+    design, _, sigma, sigmas, _ = gaussian_two_stage_draws
+    i, j = np.triu_indices(design.p)
+    dof = design.n - design.m
+    cov = (sigma[np.ix_(i, i)] * sigma[np.ix_(j, j)] + sigma[np.ix_(i, j)] * sigma[np.ix_(j, i)]) / dof
+    assert_allclose(np.diag(cov), (sigma[i, j] ** 2 + sigma[i, i] * sigma[j, j]) / dof)
+    mean_z, cov_z = _moment_z(sigmas[:, i, j], sigma[i, j], cov)
+    assert np.abs(mean_z).max() < EXACT_Z
+    assert np.abs(cov_z).max() < EXACT_Z
+
+
+def test_two_stage_theta_covariance_is_khatris(gaussian_two_stage_draws):
+    design, theta, sigma, _, thetas = gaussian_two_stage_draws
+    n, m, p, q = design.n, design.m, design.p, design.q
+    factor = (n - m - 1) / (n - m - 1 - (p - q))
+    assert factor == pytest.approx(10.0 / 7.0)
+    known = _known_sigma_cov(design, sigma)
+    mean_z, cov_z = _moment_z(thetas, theta.reshape(-1), factor * known)
+    assert np.abs(mean_z).max() < EXACT_Z
+    assert np.abs(cov_z).max() < EXACT_Z
+    # power: without the factor (the known-covariance and limit law) the check fails
+    _, limit_z = _moment_z(thetas, theta.reshape(-1), known)
+    assert np.abs(limit_z).max() > EXACT_Z

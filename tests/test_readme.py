@@ -1,9 +1,14 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour runs as written, and its command block
+matches the parser."""
 
+import argparse
 import pathlib
 import re
 
+from gcm import cli
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def test_readme_quick_tour_runs():
@@ -12,3 +17,36 @@ def test_readme_quick_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_quick_tour"})
+
+
+def _subparser_options() -> dict:
+    """Each gcm subcommand's option strings, without --help."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+               for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+
+
+def _command_lines() -> dict:
+    """The README's command block as {subcommand: the text of its usage line}."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, flags=re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return {line.split()[1]: line for line in lines if line.startswith("gcm ")}
+
+
+def test_readme_command_block_matches_the_parser():
+    options = _subparser_options()
+    lines = _command_lines()
+    assert set(lines) == set(options)
+    # every flag shown for a command is one of that command's options
+    for name, line in lines.items():
+        assert set(FLAG.findall(line)) <= options[name], name
+    # every option of every command is shown in the block
+    documented = set(FLAG.findall(" ".join(lines.values())))
+    for name, opts in options.items():
+        assert opts <= documented, (name, opts - documented)
