@@ -213,8 +213,15 @@ def _emit_error(args, kind: str, message: str, code: int) -> None:
             pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so it follows the error contract."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcm",
         description="Growth curve model estimation and Monte Carlo verification",
     )
@@ -262,8 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except CommandError as exc:
         _emit_error(args, exc.kind, str(exc), exc.code)

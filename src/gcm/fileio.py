@@ -22,6 +22,10 @@ META_KEYS = ("version", "seed")
 
 _FLOAT_FMT = "%.17g"
 
+# mkstemp makes 0600 files; a written file gets the mode open() would give it
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file and rename in one step."""
@@ -31,6 +35,7 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -22,6 +22,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -304,45 +305,30 @@ def _worker_count() -> int:
     return available if value == 0 else min(value, available)
 
 
-def _run_chunk(args) -> tuple:
-    """Run replicates [start, stop) of one cell; returns (start, one row per record column)."""
-    kind, cfg, prep, cell_index, design, start, stop = args
+def _replicate(kind: str, cfg: McConfig, prep, cell_index: int, design, i: int) -> tuple:
+    """Record of replicate ``i`` of one cell; a failed fit is ok = 0 with nan elsewhere."""
     spec, scenario = KINDS[kind], cfg.scenario
-    s, t = scenario.contrast.s, scenario.contrast.t
-    out = np.full((len(record_columns(kind, s, t)), stop - start), np.nan)
-    for k, i in enumerate(range(start, stop)):
-        key = (cfg.seed, cell_index, i)
-        data = model.simulate(design, scenario.theta, scenario.noise, replicate_seed(*key))
-        try:
-            gam, extra = spec.replicate(cfg, prep, design, data, key)
-        except (TooFewSamples, NotSpd):
-            out[0, k] = 0.0
-            continue
-        out[:, k] = (1.0, *gam.reshape(-1), *extra)
-    return start, out
+    key = (cfg.seed, cell_index, i)
+    data = model.simulate(design, scenario.theta, scenario.noise, replicate_seed(*key))
+    try:
+        gam, extra = spec.replicate(cfg, prep, design, data, key)
+    except (TooFewSamples, NotSpd):
+        width = len(record_columns(kind, scenario.contrast.s, scenario.contrast.t))
+        return (0.0,) + (math.nan,) * (width - 1)
+    return (1.0, *gam.reshape(-1), *extra)
 
 
 def _run_cell(kind: str, cfg: McConfig, prep, cell_index: int, design: model.Design) -> dict:
     """Records of every replicate of one cell, as column name -> array."""
-    contrast = cfg.scenario.contrast
-    cols = record_columns(kind, contrast.s, contrast.t)
-    n_rep = cfg.replications
-    records = np.full((len(cols), n_rep), np.nan)
-    workers = _worker_count()
+    one = partial(_replicate, kind, cfg, prep, cell_index, design)
+    n_rep, workers = cfg.replications, _worker_count()
     if workers <= 1 or n_rep < 2 * workers:
-        bounds = [(0, n_rep)]
+        rows = list(map(one, range(n_rep)))
     else:
-        edges = np.linspace(0, n_rep, 4 * workers + 1, dtype=int)
-        bounds = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    tasks = [(kind, cfg, prep, cell_index, design, a, b) for a, b in bounds]
-    if len(tasks) == 1:
-        results = [_run_chunk(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_run_chunk, tasks))
-    for start, out in results:
-        records[:, start : start + out.shape[1]] = out
-    return dict(zip(cols, records))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one, range(n_rep), chunksize=math.ceil(n_rep / (4 * workers))))
+    contrast = cfg.scenario.contrast
+    return dict(zip(record_columns(kind, contrast.s, contrast.t), np.array(rows).T))
 
 
 def ks_distance_normal(x: np.ndarray) -> float:

@@ -362,7 +362,15 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
         assert dump.read_bytes() == expected.read_bytes()
 
 
-def test_mc_seed_and_alpha_flags_override_config(tmp_path):
+def _usage_error(capsys) -> dict:
+    """The one JSON line a usage error prints to stderr."""
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConfigError" and error["exit_code"] == 2
+    return error
+
+
+def test_mc_seed_and_alpha_flags_override_config(tmp_path, capsys):
     # --seed overrides the config seed; the test level comes from the config alone
     cfg = _mc_config(tmp_path, kind="level", alpha=0.1)
     out = tmp_path / "mc"
@@ -371,9 +379,31 @@ def test_mc_seed_and_alpha_flags_override_config(tmp_path):
     report = fileio.read_report(str(out / "report.json"))
     assert report["meta"]["seed"] == 5
     assert report["inputs"]["alpha"] == 0.1
-    with pytest.raises(SystemExit) as info:
-        cli.main(["mc-level", "--config", str(cfg), "--alpha", "0.2", "--out", str(out)])
-    assert info.value.code == 2
+    capsys.readouterr()
+    code = cli.main(["mc-level", "--config", str(cfg), "--alpha", "0.2", "--out", str(out)])
+    assert code == 2
+    assert "--alpha" in _usage_error(capsys)["message"]
+    # the arguments never parsed, so --out is unknown and the report stays as it was
+    assert fileio.read_report(str(out / "report.json")) == report
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["mc-level", "--config", "c.json", "--bogus"], "--bogus"),
+        (["mc-level", "--out", "o"], "--config"),
+        (["mc-level", "--config", "c.json", "--seed", "x"], "invalid int value"),
+        (["simulate", "--config", "c.json", "--seed", "1.5"], "invalid int value"),
+        (["test", "--y", "Y.csv"], "required"),
+        (["mc-everything"], "invalid choice"),
+        ([], "required"),
+    ],
+)
+def test_usage_errors_follow_the_error_contract(tmp_path, monkeypatch, capsys, argv, words):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert words in _usage_error(capsys)["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mc_single_replicate_report_is_strict_json(tmp_path):
@@ -573,13 +603,14 @@ def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, capsys, key, value,
     assert str(path) in error["message"] and key in error["message"]
 
 
-def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path):
+def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path, capsys):
     # the test statistic is defined for the two-stage estimator alone
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
     argv = _estimation_argv(sim_files, ["--sigma0", str(sim_files / "S0.csv")])
-    with pytest.raises(SystemExit) as info:
-        cli.main(["test", *argv, "--out", str(tmp_path / "o")])
-    assert info.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["test", *argv, "--out", str(tmp_path / "o")]) == 2
+    assert "--sigma0" in _usage_error(capsys)["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["mc-consistency", "simulate"])

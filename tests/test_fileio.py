@@ -1,5 +1,10 @@
 """Matrix CSV reader and formatter against their line-by-line references."""
 
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -143,3 +148,24 @@ def test_table_writer_keeps_the_per_value_bytes(tmp_path):
     assert path.read_text() == "alpha,rejection_rate\n0.5,nan\n"
     fileio.write_table_csv(str(path), ["coordinate"], [])
     assert path.read_text() == "coordinate\n"
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_written_files_honour_the_umask(tmp_path, mask):
+    # the umask is read when fileio is imported, so each mask gets a fresh process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    code = (
+        "import sys; from gcm import fileio; "
+        "fileio.write_json(sys.argv[1], {}); fileio.write_matrix_csv(sys.argv[2], [[1.0]])"
+    )
+    paths = [tmp_path / "report.json", tmp_path / "sub" / "Y.csv"]
+    old = os.umask(mask)
+    try:
+        argv = [sys.executable, "-c", code, *map(str, paths)]
+        subprocess.run(argv, env=env, check=True, timeout=120)
+    finally:
+        os.umask(old)
+    for path in paths:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask, path

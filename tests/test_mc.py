@@ -229,9 +229,36 @@ def test_failed_replicates_are_counted_not_dropped(monkeypatch):
     assert np.isnan(report.records[0]["gamma_0_0"][ok == 0.0]).all()
 
 
+def test_failed_replicates_match_across_worker_counts(monkeypatch):
+    # the workers fork with the patch in place; a rule on the data, unlike a
+    # per-process call counter, fails the same replicates in every process
+    original = estimators.sigma_hat
+
+    def flaky(data):
+        if data.Y[0, 0] > 2.0:
+            raise NotSpd("synthetic failure")
+        return original(data)
+
+    monkeypatch.setattr(estimators, "sigma_hat", flaky)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _cfg(reps=40)
+    runs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GCM_THREADS", workers)
+        runs[workers] = mc.run("consistency", cfg).records
+    for serial, pooled in zip(runs["1"], runs["2"]):
+        assert serial.keys() == pooled.keys()
+        for key in serial:
+            assert np.array_equal(serial[key], pooled[key], equal_nan=True), key
+        failed = serial["ok"] == 0.0
+        assert 0 < failed.sum() < failed.size
+        rest = np.column_stack([serial[key] for key in serial if key != "ok"])
+        assert np.isnan(rest[failed]).all() and not np.isnan(rest[~failed]).any()
+
+
 @pytest.mark.parametrize("kind", mc.KINDS)
 def test_run_builds_no_model_objects_after_the_scenario(monkeypatch, kind):
-    # the scenario checks and builds its noise and contrast once; chunks,
+    # the scenario checks and builds its noise and contrast once; replicates,
     # cells and the config checks read them
     level = kind == "level"
     cfg = _cfg(_scenario(equal_curves=level, contrast="equality" if level else "identity"), reps=6)
