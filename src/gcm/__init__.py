@@ -51,7 +51,7 @@ from .inference import (
     standardized_stat,
     test_gamma_zero,
 )
-from .mc import McConfig, McReport, Scenario
+from .mc import McConfig, Scenario
 
 __all__ = [
     "__version__",
@@ -92,5 +92,4 @@ __all__ = [
     "test_gamma_zero",
     "Scenario",
     "McConfig",
-    "McReport",
 ]

@@ -176,26 +176,26 @@ def cmd_mc(args, kind: str) -> int:
     if args.seed is not None:
         conf["seed"] = args.seed
     cfg = mc.McConfig.from_dict(conf)
-    report = mc.run(kind, cfg)
+    cells, records = mc.run(kind, cfg)
     inputs = cfg.to_dict()
     inputs["dump_replicates"] = args.dump_replicates
-    doc = fileio.make_report(cfg.seed, inputs, report.to_dict())
+    results = {"kind": kind, "cells": [fileio.jsonable(cell) for cell in cells]}
+    doc = fileio.make_report(cfg.seed, inputs, results)
     fileio.write_json(os.path.join(args.out, "report.json"), doc)
     for name, (header, rows) in mc.KINDS[kind].tables.items():
-        body = [row for cell in report.cells for row in rows(cfg, cell)]
+        body = [row for cell in cells for row in rows(cfg, cell)]
         fileio.write_table_csv(os.path.join(args.out, "tables", name), header, body)
     if args.dump_replicates:
-        _write_dumps(args.out, report)
+        contrast = cfg.scenario.contrast
+        _write_dumps(args.out, cells, records, mc.record_columns(kind, contrast.s, contrast.t))
     return EXIT_OK
 
 
-def _write_dumps(out: str, report: mc.McReport) -> None:
-    contrast = report.config.scenario.contrast
-    cols = mc.record_columns(report.kind, contrast.s, contrast.t)
-    for cell, records in zip(report.cells, report.records):
+def _write_dumps(out: str, cells: list, records: list, cols: list) -> None:
+    for cell, rec in zip(cells, records):
         # %.17g prints the replicate index as str(int) does
-        table = np.column_stack([np.arange(cell.replications), *(records[c] for c in cols)])
-        path = os.path.join(out, "tables", f"replicates_r{cell.r}.csv")
+        table = np.column_stack([np.arange(cell["replications"]), *(rec[c] for c in cols)])
+        path = os.path.join(out, "tables", f"replicates_r{cell['r']}.csv")
         fileio.write_matrix_csv(path, table, ["replicate"] + cols)
 
 

@@ -8,6 +8,7 @@ temp-file rename, so partially written files are never observed.
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import tempfile
@@ -117,9 +118,11 @@ def write_table_csv(path: str, header: list, rows: list) -> None:
 
 
 def jsonable(v):
-    """JSON-ready form of ``v``: arrays become nested lists (at least 2-d),
-    numpy scalars Python numbers, and non-finite floats, such as the standard
-    error of a Monte Carlo cell with fewer than two successes, None (null)."""
+    """JSON-ready form of ``v``, a dict value by value: arrays become nested lists
+    (at least 2-d), numpy scalars Python numbers, and non-finite floats, such as the
+    standard error of a Monte Carlo cell with fewer than two successes, None (null)."""
+    if isinstance(v, dict):
+        return {key: jsonable(x) for key, x in v.items()}
     if isinstance(v, np.ndarray):
         return [[jsonable(float(x)) for x in row] for row in np.atleast_2d(v)]
     if isinstance(v, (np.floating, np.integer)):
@@ -139,13 +142,23 @@ def write_json(path: str, obj) -> None:
 
 
 def read_json(path: str):
+    """Parse a JSON file; an object that repeats a key is refused, not read as its last value."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            counts = collections.Counter(key for key, _ in pairs)
+            repeated = sorted(key for key, count in counts.items() if count > 1)
+            raise ConfigError(f"{path}: repeated JSON keys {repeated}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 

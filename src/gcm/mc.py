@@ -234,44 +234,6 @@ class McConfig:
         )
 
 
-@dataclass
-class McCell:
-    """Summaries for one sample-size cell; ``stats`` holds those of the run kind."""
-
-    r: int
-    n: int
-    replications: int
-    successes: int
-    failures: int
-    mean_gamma: np.ndarray
-    bias: np.ndarray
-    se: np.ndarray
-    stats: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The fields and the kind's ``stats``, merged into one flat mapping."""
-        out = {key: value for key, value in self.__dict__.items() if key != "stats"}
-        out.update(self.stats)
-        return {key: fileio.jsonable(value) for key, value in out.items()}
-
-
-@dataclass
-class McReport:
-    """Full harness output: per-cell summaries plus the per-replicate records."""
-
-    kind: str
-    config: McConfig
-    cells: list
-    records: list = field(repr=False, default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config.to_dict(),
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-
-
 def gamma_columns(s: int, t: int) -> list:
     return [f"gamma_{i}_{j}" for i in range(s) for j in range(t)]
 
@@ -353,8 +315,8 @@ def _coord_moments(x: np.ndarray) -> tuple:
     return mu, variance, skewness, ex_kurtosis
 
 
-def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> McCell:
-    """Build the per-cell summary from per-replicate records.
+def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> dict:
+    """The report cell of one sample size, the shared keys and the kind's, from its records.
 
     Pure function of the recorded values, so reloading a persisted dump and
     re-summarizing reproduces the report exactly.
@@ -370,18 +332,18 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> McCe
         se = (gam.std(axis=0, ddof=1) / np.sqrt(successes)).reshape(s, t)
     else:
         se = np.full((s, t), np.nan)
-    cell = McCell(
-        r=r,
-        n=r * scenario.m,
-        replications=n_rep,
-        successes=successes,
-        failures=n_rep - successes,
-        mean_gamma=mean_gamma,
-        bias=mean_gamma - scenario.gamma_true,
-        se=se,
-    )
+    cell = {
+        "r": r,
+        "n": r * scenario.m,
+        "replications": n_rep,
+        "successes": successes,
+        "failures": n_rep - successes,
+        "mean_gamma": mean_gamma,
+        "bias": mean_gamma - scenario.gamma_true,
+        "se": se,
+    }
     if successes >= spec.min_successes:
-        cell.stats = spec.summarize(cell, records, ok, gam, scenario)
+        cell.update(spec.summarize(cell, records, ok, gam, scenario))
     return cell
 
 
@@ -401,8 +363,8 @@ def _validate_config(cfg: McConfig, kind: str) -> list:
     return designs
 
 
-def run(kind: str, cfg: McConfig) -> McReport:
-    """Run one of ``KINDS`` over every sample-size cell of ``cfg``."""
+def run(kind: str, cfg: McConfig) -> tuple:
+    """Run one of ``KINDS`` over the sizes of ``cfg``; returns the cells and each one's records."""
     designs = _validate_config(cfg, kind)
     prep = KINDS[kind].prepare(cfg)
     cells, records = [], []
@@ -410,7 +372,7 @@ def run(kind: str, cfg: McConfig) -> McReport:
         rec = _run_cell(kind, cfg, prep, j, design)
         cells.append(summarize_cell(kind, rec, cfg.scenario, r))
         records.append(rec)
-    return McReport(kind=kind, config=cfg, cells=cells, records=records)
+    return cells, records
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +387,9 @@ class Kind:
     per-run value each replicate reads. ``replicate(cfg, prep, design, data,
     key)`` fits one dataset, ``key`` being its ``replicate_seed`` arguments,
     and returns gamma_hat and the values of the record ``columns``.
-    ``summarize(cell, records, ok, gam, scenario)`` gives the cell's
-    ``stats`` once it has ``min_successes`` successes. ``tables`` maps each
-    file under tables/ to its header and a (cfg, cell) -> rows function.
+    ``summarize(cell, records, ok, gam, scenario)`` gives the keys the kind
+    adds to the cell once it has ``min_successes`` successes. ``tables`` maps
+    each file under tables/ to its header and a (cfg, cell) -> rows function.
     """
 
     columns: tuple
@@ -487,7 +449,7 @@ def _consistency_summary(cell, records, ok, gam, scenario) -> dict:
 
 
 def _unbiasedness_summary(cell, records, ok, gam, scenario) -> dict:
-    ratio = np.abs(cell.bias) / cell.se
+    ratio = np.abs(cell["bias"]) / cell["se"]
     return {"max_abs_bias_in_se": float(ratio.max()), "bias_flagged": bool((ratio > 4.0).any())}
 
 
@@ -497,9 +459,9 @@ _MOMENTS = ("coord_mean", "coord_variance", "coord_skewness", "coord_ex_kurtosis
 def _normality_summary(cell, records, ok, gam, scenario) -> dict:
     law = scenario.law()
     theory = law.full()
-    v = np.sqrt(cell.n) * (gam - scenario.gamma_true.reshape(-1))
+    v = np.sqrt(cell["n"]) * (gam - scenario.gamma_true.reshape(-1))
     centered = v - v.mean(axis=0)
-    emp = centered.T @ centered / (cell.successes - 1)
+    emp = centered.T @ centered / (cell["successes"] - 1)
     whitener = np.kron(linalg.inv_sqrt_spd(law.left), linalg.inv_sqrt_spd(law.right))
     coords = (v @ whitener.T).T
     return {
@@ -513,10 +475,10 @@ def _normality_summary(cell, records, ok, gam, scenario) -> dict:
 
 def _normality_rows(cfg, cell) -> list:
     """One row per whitened coordinate; none for a cell with fewer than 2 successes."""
-    if "ks_distance" not in cell.stats:
+    if "ks_distance" not in cell:
         return []
-    ks = cell.stats["ks_distance"]
-    return list(zip(range(ks.size), ks, *(cell.stats[name] for name in _MOMENTS)))
+    ks = cell["ks_distance"]
+    return list(zip(range(ks.size), ks, *(cell[name] for name in _MOMENTS)))
 
 
 def _level_prepare(cfg: McConfig) -> np.ndarray:
@@ -564,7 +526,7 @@ KINDS = {
         _ERRORS, _consistency_prepare, _consistency_replicate, _consistency_summary, 1,
         {"consistency.csv": (
             ["n", "median_sigma_err", "median_gamma_err", "h_gap"],
-            lambda cfg, cell: [(cell.n, *(cell.stats.get(f"median_{e}") for e in _ERRORS))],
+            lambda cfg, cell: [(cell["n"], *(cell.get(f"median_{e}") for e in _ERRORS))],
         )},
     ),
     "unbiasedness": Kind((), lambda cfg: None, _gamma_replicate, _unbiasedness_summary, 2, {}),
@@ -572,7 +534,7 @@ KINDS = {
         (), _check_full_row_rank, _gamma_replicate, _normality_summary, 2,
         {
             "covariance_match.csv": (
-                ["relative_frobenius"], lambda cfg, cell: [(cell.stats.get("rel_frobenius"),)]
+                ["relative_frobenius"], lambda cfg, cell: [(cell.get("rel_frobenius"),)]
             ),
             "normality.csv": (
                 ["coordinate", "ks_distance", "mean", "variance", "skewness", "ex_kurtosis"],
@@ -585,7 +547,7 @@ KINDS = {
         _level_prepare, _level_replicate, _level_summary, 1,
         {"level.csv": (
             ["alpha", "rejection_rate", "n_replicates"],
-            lambda cfg, cell: [(cfg.alpha, cell.stats.get("rejection_rate"), cell.replications)],
+            lambda cfg, cell: [(cfg.alpha, cell.get("rejection_rate"), cell["replications"])],
         )},
     ),
 }

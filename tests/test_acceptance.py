@@ -165,10 +165,10 @@ def test_criterion_05_unbiasedness(family, df):
         contrast=contrast,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(20,), replications=10_000, seed=501)
-    cell = mc.run("unbiasedness", cfg).cells[0]
-    ok = cell.failures == 0 and not cell.stats["bias_flagged"]
+    (cell,), _ = mc.run("unbiasedness", cfg)
+    ok = cell["failures"] == 0 and not cell["bias_flagged"]
     _check(5, f"gamma_hat unbiased within 4 SE ({family})", ok,
-           f"max |bias|/SE = {cell.stats['max_abs_bias_in_se']:.2f}")
+           f"max |bias|/SE = {cell['max_abs_bias_in_se']:.2f}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +187,15 @@ def test_criterion_06_consistency_trends(family):
         contrast=contrast,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(16, 64, 256), replications=500, seed=601)
-    report = mc.run("consistency", cfg)
-    sig = [cell.stats["median_sigma_err"] for cell in report.cells]
-    gam = [cell.stats["median_gamma_err"] for cell in report.cells]
-    hgap = [cell.stats["median_h_gap"] for cell in report.cells]
+    cells, _ = mc.run("consistency", cfg)
+    sig = [cell["median_sigma_err"] for cell in cells]
+    gam = [cell["median_gamma_err"] for cell in cells]
+    hgap = [cell["median_h_gap"] for cell in cells]
     ok = (
         sig[0] > sig[1] > sig[2]
         and gam[0] > gam[1] > gam[2]
         and hgap[0] > hgap[1] > hgap[2]
-        and all(cell.failures == 0 for cell in report.cells)
+        and all(cell["failures"] == 0 for cell in cells)
     )
     detail = (
         f"sigma {sig[0]:.3f}>{sig[1]:.3f}>{sig[2]:.3f}, "
@@ -221,28 +221,28 @@ def normality_cells():
             noise=NoiseSpec(family=family, sigma=_ar_sigma(4)),
         )
         cfg = McConfig(scenario=scenario, sample_sizes=(250,), replications=5000, seed=701)
-        cells[family] = mc.run("normality", cfg).cells[0]
+        (cells[family],), _ = mc.run("normality", cfg)
     return cells
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_criterion_07_covariance_match(normality_cells, family):
     cell = normality_cells[family]
-    ok = cell.failures == 0 and cell.stats["rel_frobenius"] < 0.10
+    ok = cell["failures"] == 0 and cell["rel_frobenius"] < 0.10
     _check(7, f"scaled-error covariance matches the limit ({family})", ok,
-           f"relative Frobenius discrepancy {cell.stats['rel_frobenius']:.3f}")
+           f"relative Frobenius discrepancy {cell['rel_frobenius']:.3f}")
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_criterion_08_coordinate_normality(normality_cells, family):
     cell = normality_cells[family]
-    ks_ok = np.all(cell.stats["ks_distance"] < 0.0231)
-    skew_ok = np.all(np.abs(cell.stats["coord_skewness"]) < 0.15)
-    kurt_ok = np.all(np.abs(cell.stats["coord_ex_kurtosis"]) < 0.3)
+    ks_ok = np.all(cell["ks_distance"] < 0.0231)
+    skew_ok = np.all(np.abs(cell["coord_skewness"]) < 0.15)
+    kurt_ok = np.all(np.abs(cell["coord_ex_kurtosis"]) < 0.3)
     detail = (
-        f"max KS {cell.stats['ks_distance'].max():.4f}, "
-        f"max |skew| {np.abs(cell.stats['coord_skewness']).max():.3f}, "
-        f"max |ex kurt| {np.abs(cell.stats['coord_ex_kurtosis']).max():.3f}"
+        f"max KS {cell['ks_distance'].max():.4f}, "
+        f"max |skew| {np.abs(cell['coord_skewness']).max():.3f}, "
+        f"max |ex kurt| {np.abs(cell['coord_ex_kurtosis']).max():.3f}"
     )
     _check(8, f"whitened coordinates look standard normal ({family})",
            ks_ok and skew_ok and kurt_ok, detail)
@@ -269,11 +269,11 @@ def test_criterion_09_test_level(family, df, band):
     cfg = McConfig(
         scenario=scenario, sample_sizes=(250,), replications=5000, seed=901, alpha=0.05
     )
-    cell = mc.run("level", cfg).cells[0]
-    ok = cell.failures == 0 and band[0] <= cell.stats["rejection_rate"] <= band[1]
+    (cell,), _ = mc.run("level", cfg)
+    ok = cell["failures"] == 0 and band[0] <= cell["rejection_rate"] <= band[1]
     _check(9, f"rejection rate near the nominal level ({family})", ok,
-           f"rate {cell.stats['rejection_rate']:.4f} in [{band[0]}, {band[1]}], "
-           f"power at fixed alternative {cell.stats['alt_rejection_rate']:.3f}")
+           f"rate {cell['rejection_rate']:.4f} in [{band[0]}, {band[1]}], "
+           f"power at fixed alternative {cell['alt_rejection_rate']:.3f}")
 
 
 # ---------------------------------------------------------------------------

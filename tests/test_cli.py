@@ -320,7 +320,7 @@ def test_mc_dump_resummarizes_to_the_same_report(tmp_path):
         )
         records = {c: dump[:, 1 + i] for i, c in enumerate(cols)}
         redone = mc.summarize_cell("consistency", records, config.scenario, cell_doc["r"])
-        assert redone.to_dict() == cell_doc
+        assert fileio.jsonable(redone) == cell_doc
 
 
 def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
@@ -328,7 +328,7 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
     # named-column table writer: int replicate index, %.17g floats, nan as nan
     calls = {"n": 0}
     sigma_hat, run = estimators.sigma_hat, mc.run
-    reports = []
+    runs = []
 
     def flaky(data):
         # every fifth first stage fails, so the dump holds ok = 0 rows of nan
@@ -338,8 +338,8 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
         return sigma_hat(data)
 
     def keep(kind, cfg):
-        reports.append(run(kind, cfg))
-        return reports[-1]
+        runs.append((cfg, *run(kind, cfg)))
+        return runs[-1][1:]
 
     monkeypatch.setenv("GCM_THREADS", "1")
     monkeypatch.setattr(estimators, "sigma_hat", flaky)
@@ -350,15 +350,15 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
         ["mc-consistency", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
     )
     assert code == 0
-    (report,) = reports
-    contrast = report.config.scenario.contrast
+    ((config, cells, records),) = runs
+    contrast = config.scenario.contrast
     cols = mc.record_columns("consistency", contrast.s, contrast.t)
-    for cell, records in zip(report.cells, report.records):
-        assert 0 < cell.failures < cell.replications
-        rows = [[i] + [records[c][i] for c in cols] for i in range(cell.replications)]
-        expected = tmp_path / f"expected_r{cell.r}.csv"
+    for cell, rec in zip(cells, records):
+        assert 0 < cell["failures"] < cell["replications"]
+        rows = [[i] + [rec[c][i] for c in cols] for i in range(cell["replications"])]
+        expected = tmp_path / f"expected_r{cell['r']}.csv"
         fileio.write_table_csv(str(expected), ["replicate"] + cols, rows)
-        dump = out / "tables" / f"replicates_r{cell.r}.csv"
+        dump = out / "tables" / f"replicates_r{cell['r']}.csv"
         assert dump.read_bytes() == expected.read_bytes()
 
 
@@ -404,6 +404,20 @@ def test_usage_errors_follow_the_error_contract(tmp_path, monkeypatch, capsys, a
     assert cli.main(argv) == 2
     assert words in _usage_error(capsys)["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", mc.KINDS)
+def test_mc_report_holds_the_config_once(tmp_path, kind):
+    # the config is echoed under inputs; results hold the kind and the cells only
+    cfg = _mc_config(tmp_path, kind=kind, replications=4)
+    out = tmp_path / "mc"
+    assert cli.main([f"mc-{kind}", "--config", str(cfg), "--out", str(out)]) == 0
+    report = fileio.read_report(str(out / "report.json"))
+    assert set(report["results"]) == {"kind", "cells"}
+    assert report["results"]["kind"] == kind
+    inputs = report["inputs"]
+    assert inputs.pop("dump_replicates") is False
+    assert inputs == mc.McConfig.from_dict(json.loads(cfg.read_text())).to_dict()
 
 
 def test_mc_single_replicate_report_is_strict_json(tmp_path):
@@ -547,6 +561,19 @@ def test_exit_2_on_unknown_config_key(tmp_path):
     assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_exit_2_on_repeated_config_key(tmp_path, capsys):
+    # json keeps the last of two equal keys; a config that repeats one is refused
+    cfg = _mc_config(tmp_path, kind="level")
+    text = cfg.read_text().replace('"replications": 40', '"replications": 5000, "replications": 20')
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(cfg) in error["message"] and "'replications'" in error["message"]
+    assert not (out / "tables").exists()
+
+
 @pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
 def test_exit_2_on_unknown_noise_key(tmp_path, capsys, command):
     scenario = _scenario_dict(family="uniform")
@@ -601,6 +628,19 @@ def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, capsys, key, value,
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert str(path) in error["message"] and key in error["message"]
+
+
+def test_exit_2_on_repeated_truth_key(sim_files, tmp_path, capsys):
+    text = (sim_files / "truth.json").read_text()
+    path = tmp_path / "truth.json"
+    path.write_text(text.replace('"seed":', '"theta": [[0.0, 0.0], [0.0, 0.0]], "seed":', 1))
+    code = cli.main(
+        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(path) in error["message"] and "'theta'" in error["message"]
 
 
 def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path, capsys):

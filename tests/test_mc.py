@@ -136,13 +136,13 @@ def test_level_rejects_alternative_equal_to_null():
 def test_report_is_byte_identical_across_worker_counts(monkeypatch):
     cfg = _cfg(reps=40)
     monkeypatch.setenv("GCM_THREADS", "1")
-    serial = mc.run("consistency", cfg)
+    serial_cells, serial_records = mc.run("consistency", cfg)
     monkeypatch.setenv("GCM_THREADS", "3")
-    parallel = mc.run("consistency", cfg)
-    assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-        parallel.to_dict(), sort_keys=True
+    parallel_cells, parallel_records = mc.run("consistency", cfg)
+    assert json.dumps([fileio.jsonable(c) for c in serial_cells], sort_keys=True) == json.dumps(
+        [fileio.jsonable(c) for c in parallel_cells], sort_keys=True
     )
-    for rec_a, rec_b in zip(serial.records, parallel.records):
+    for rec_a, rec_b in zip(serial_records, parallel_records):
         for key in rec_a:
             assert np.array_equal(rec_a[key], rec_b[key], equal_nan=True)
 
@@ -186,11 +186,11 @@ def test_worker_count_rejects_malformed_values(monkeypatch, raw):
 def test_auto_worker_count_matches_serial_results(monkeypatch):
     cfg = _cfg(sizes=(10,), reps=24)
     monkeypatch.delenv("GCM_THREADS", raising=False)
-    serial = mc.run("unbiasedness", cfg)
+    serial, _ = mc.run("unbiasedness", cfg)
     monkeypatch.setenv("GCM_THREADS", "0")  # auto
-    auto = mc.run("unbiasedness", cfg)
-    assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-        auto.to_dict(), sort_keys=True
+    auto, _ = mc.run("unbiasedness", cfg)
+    assert json.dumps([fileio.jsonable(c) for c in serial], sort_keys=True) == json.dumps(
+        [fileio.jsonable(c) for c in auto], sort_keys=True
     )
 
 
@@ -202,7 +202,7 @@ def test_cell_without_successes_serializes_as_null():
     cols = mc.record_columns("consistency", 2, 2)
     records = {c: np.full(3, np.nan) for c in cols}
     records["ok"][:] = 0.0
-    cell = mc.summarize_cell("consistency", records, _scenario(), 10).to_dict()
+    cell = fileio.jsonable(mc.summarize_cell("consistency", records, _scenario(), 10))
     assert cell["failures"] == 3
     for key in ("mean_gamma", "bias", "se"):
         assert cell[key] == [[None, None], [None, None]]
@@ -220,13 +220,12 @@ def test_failed_replicates_are_counted_not_dropped(monkeypatch):
         return original(data)
 
     monkeypatch.setattr(estimators, "sigma_hat", flaky)
-    report = mc.run("unbiasedness", _cfg(sizes=(10,), reps=20))
-    cell = report.cells[0]
-    assert cell.failures == 4
-    assert cell.successes == 16
-    assert cell.failures + cell.successes == cell.replications
-    ok = report.records[0]["ok"]
-    assert np.isnan(report.records[0]["gamma_0_0"][ok == 0.0]).all()
+    (cell,), (records,) = mc.run("unbiasedness", _cfg(sizes=(10,), reps=20))
+    assert cell["failures"] == 4
+    assert cell["successes"] == 16
+    assert cell["failures"] + cell["successes"] == cell["replications"]
+    ok = records["ok"]
+    assert np.isnan(records["gamma_0_0"][ok == 0.0]).all()
 
 
 def test_failed_replicates_match_across_worker_counts(monkeypatch):
@@ -245,7 +244,7 @@ def test_failed_replicates_match_across_worker_counts(monkeypatch):
     runs = {}
     for workers in ("1", "2"):
         monkeypatch.setenv("GCM_THREADS", workers)
-        runs[workers] = mc.run("consistency", cfg).records
+        runs[workers] = mc.run("consistency", cfg)[1]
     for serial, pooled in zip(runs["1"], runs["2"]):
         assert serial.keys() == pooled.keys()
         for key in serial:
@@ -270,9 +269,9 @@ def test_run_builds_no_model_objects_after_the_scenario(monkeypatch, kind):
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     monkeypatch.setenv("GCM_THREADS", "1")
-    report = mc.run(kind, cfg)
+    cells, _ = mc.run(kind, cfg)
     assert built == []
-    assert sum(cell.successes for cell in report.cells) == 12
+    assert sum(cell["successes"] for cell in cells) == 12
 
 
 def test_run_builds_each_cell_design_once(monkeypatch):
@@ -293,10 +292,10 @@ def test_run_builds_each_cell_design_once(monkeypatch):
 
 def test_summaries_recompute_exactly_from_records():
     cfg = _cfg(reps=50)
-    report = mc.run("consistency", cfg)
-    for cell, records in zip(report.cells, report.records):
-        redone = mc.summarize_cell("consistency", records, cfg.scenario, cell.r)
-        assert redone.to_dict() == cell.to_dict()
+    cells, records = mc.run("consistency", cfg)
+    for cell, rec in zip(cells, records):
+        redone = mc.summarize_cell("consistency", rec, cfg.scenario, cell["r"])
+        assert fileio.jsonable(redone) == fileio.jsonable(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -304,27 +303,25 @@ def test_summaries_recompute_exactly_from_records():
 
 
 def test_consistency_cell_fields():
-    report = mc.run("consistency", _cfg(reps=80, seed=21))
-    assert report.kind == "consistency"
-    assert len(report.cells) == 2
-    for cell in report.cells:
-        assert cell.failures == 0
+    cells, _ = mc.run("consistency", _cfg(reps=80, seed=21))
+    assert len(cells) == 2
+    for cell in cells:
+        assert cell["failures"] == 0
         for field in ("median_sigma_err", "median_gamma_err", "median_h_gap"):
-            assert cell.stats[field] > 0.0
+            assert cell[field] > 0.0
     # a 2x sample-size jump at these sizes should already show shrinkage
-    assert report.cells[1].stats["median_sigma_err"] < report.cells[0].stats["median_sigma_err"]
+    assert cells[1]["median_sigma_err"] < cells[0]["median_sigma_err"]
 
 
 def test_unbiasedness_cell_fields_heavy_tails():
     # symmetric student-t errors at n = 80: the replicate mean must stay
     # inside the 4 SE band entry by entry
     scen = _scenario(family="student_t", df=6.0)
-    report = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(40,), reps=600, seed=9))
-    cell = report.cells[0]
-    assert cell.n == 80
-    assert cell.stats["max_abs_bias_in_se"] >= 0.0
-    assert cell.stats["bias_flagged"] is False
-    assert cell.bias.shape == (2, 2)
+    (cell,), _ = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(40,), reps=600, seed=9))
+    assert cell["n"] == 80
+    assert cell["max_abs_bias_in_se"] >= 0.0
+    assert cell["bias_flagged"] is False
+    assert cell["bias"].shape == (2, 2)
 
 
 def test_unbiasedness_zero_theta():
@@ -335,44 +332,41 @@ def test_unbiasedness_zero_theta():
         theta=np.zeros((2, 2)),
         noise=model.NoiseSpec(family="uniform", sigma=_ar_sigma(4)),
     )
-    report = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(25,), reps=400, seed=10))
-    cell = report.cells[0]
-    assert np.array_equal(cell.bias, cell.mean_gamma)  # gamma_true is zero
-    assert cell.stats["bias_flagged"] is False
+    (cell,), _ = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(25,), reps=400, seed=10))
+    assert np.array_equal(cell["bias"], cell["mean_gamma"])  # gamma_true is zero
+    assert cell["bias_flagged"] is False
 
 
 def test_normality_cell_fields():
     scen = _scenario()
     cfg = _cfg(scenario=scen, sizes=(50,), reps=400, seed=6)
-    report = mc.run("normality", cfg)
-    cell = report.cells[0]
+    (cell,), _ = mc.run("normality", cfg)
     st_dim = 4
-    assert cell.stats["emp_cov"].shape == (st_dim, st_dim)
-    assert np.array_equal(cell.stats["theory_cov"], scen.law().full())
-    assert 0.0 < cell.stats["rel_frobenius"] < 1.0
-    assert cell.stats["ks_distance"].shape == (st_dim,)
-    ks = cell.stats["ks_distance"]
+    assert cell["emp_cov"].shape == (st_dim, st_dim)
+    assert np.array_equal(cell["theory_cov"], scen.law().full())
+    assert 0.0 < cell["rel_frobenius"] < 1.0
+    assert cell["ks_distance"].shape == (st_dim,)
+    ks = cell["ks_distance"]
     assert np.all((ks > 0.0) & (ks < 1.0))
-    assert np.all(np.abs(cell.stats["coord_mean"]) < 0.5)
-    variance = cell.stats["coord_variance"]
+    assert np.all(np.abs(cell["coord_mean"]) < 0.5)
+    variance = cell["coord_variance"]
     assert np.all((variance > 0.5) & (variance < 1.5))
 
 
 def test_level_cell_fields():
     scen = _scenario(equal_curves=True, contrast="equality")
-    report = mc.run("level", _cfg(scenario=scen, sizes=(30,), reps=200, seed=5))
-    cell = report.cells[0]
-    assert 0.0 <= cell.stats["rejection_rate"] <= 0.2
-    assert cell.stats["alt_rejection_rate"] > 0.5
-    assert cell.failures == 0
+    (cell,), _ = mc.run("level", _cfg(scenario=scen, sizes=(30,), reps=200, seed=5))
+    assert 0.0 <= cell["rejection_rate"] <= 0.2
+    assert cell["alt_rejection_rate"] > 0.5
+    assert cell["failures"] == 0
 
 
 def test_uniform_and_student_t_families_run():
     for family, df in (("uniform", None), ("student_t", 6.0)):
-        report = mc.run(
+        (cell,), _ = mc.run(
             "unbiasedness", _cfg(scenario=_scenario(family=family, df=df), sizes=(15,), reps=50)
         )
-        assert report.cells[0].successes == 50
+        assert cell["successes"] == 50
 
 
 # ---------------------------------------------------------------------------
