@@ -37,6 +37,7 @@ from .estimators import (
     h_matrix,
     sigma_hat,
     theta_hat_known,
+    two_stage,
     two_stage_gamma,
     two_stage_gamma_pinv,
     two_stage_theta,
@@ -79,6 +80,7 @@ __all__ = [
     "theta_hat_known",
     "gamma_hat_known",
     "h_matrix",
+    "two_stage",
     "two_stage_theta",
     "two_stage_gamma",
     "two_stage_gamma_pinv",

@@ -37,7 +37,7 @@ def cmd_simulate(args) -> int:
     config = fileio.read_json(args.config)
     fileio.check_keys(config, "simulate config", ("scenario", "r"), ("seed",))
     scenario = mc.Scenario.from_dict(config["scenario"])
-    r = mc.check_int(config["r"], "r")
+    r = scenario.check_size(config["r"], "r")
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the config")
@@ -70,7 +70,7 @@ def _load_estimation_inputs(args):
     model.validate(design)
     data = model.Dataset(Y=y, design=design)
     contrast = model.Contrast(C=c, D=d)
-    estimators._check_contrast(contrast, design)
+    contrast.check(design)
     return data, contrast
 
 

@@ -16,17 +16,6 @@ from . import linalg, model
 from .errors import DimensionMismatch, TooFewSamples
 
 
-def _check_contrast(contrast: model.Contrast, design: model.Design) -> None:
-    if contrast.C.shape[1] != design.m:
-        raise DimensionMismatch(
-            f"C has {contrast.C.shape[1]} columns but X has {design.m}"
-        )
-    if contrast.D.shape[1] != design.q:
-        raise DimensionMismatch(
-            f"D has {contrast.D.shape[1]} columns but Z has {design.q}"
-        )
-
-
 def _gls_theta(design: model.Design, y: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Solve the normal equations X'X theta Z' sigma^{-1} Z = X'Y sigma^{-1} Z.
 
@@ -79,7 +68,7 @@ def gamma_hat_known(
     data: model.Dataset, sigma0: np.ndarray, contrast: model.Contrast
 ) -> np.ndarray:
     """Known-covariance BLUE of gamma = C theta D'."""
-    _check_contrast(contrast, data.design)
+    contrast.check(data.design)
     return contrast.apply(theta_hat_known(data, sigma0))
 
 
@@ -98,9 +87,15 @@ def h_matrix(sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
     return s_inv @ linalg.moore_penrose(p_z @ s_inv @ p_z)
 
 
+def two_stage(data: model.Dataset) -> tuple:
+    """First-stage sigma_hat and the two-stage estimator of theta: GLS with it plugged in."""
+    sig = sigma_hat(data)
+    return sig, _gls_theta(data.design, data.Y, sig)
+
+
 def two_stage_theta(data: model.Dataset) -> np.ndarray:
     """Two-stage estimator of theta: GLS with sigma_hat plugged in."""
-    return _gls_theta(data.design, data.Y, sigma_hat(data))
+    return two_stage(data)[1]
 
 
 def two_stage_gamma(data: model.Dataset, contrast: model.Contrast) -> np.ndarray:
@@ -109,7 +104,7 @@ def two_stage_gamma(data: model.Dataset, contrast: model.Contrast) -> np.ndarray
     Production path: two SPD solves against sigma_hat. Equals
     C @ two_stage_theta(data) @ D' by construction.
     """
-    _check_contrast(contrast, data.design)
+    contrast.check(data.design)
     return contrast.apply(two_stage_theta(data))
 
 
@@ -120,7 +115,7 @@ def two_stage_gamma_pinv(data: model.Dataset, contrast: model.Contrast) -> np.nd
     pseudo-inverse identity Z (Z' S^{-1} Z)^{-1} Z' = (P_Z S^{-1} P_Z)^+ and
     must agree with :func:`two_stage_gamma` to tight tolerance.
     """
-    _check_contrast(contrast, data.design)
+    contrast.check(data.design)
     design = data.design
     h = h_matrix(sigma_hat(data), design.Z)
     x, z, y = design.X, design.Z, data.Y

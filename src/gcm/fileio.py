@@ -11,7 +11,6 @@ from __future__ import annotations
 import collections
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -23,20 +22,16 @@ META_KEYS = ("version", "seed")
 
 _FLOAT_FMT = "%.17g"
 
-# mkstemp makes 0600 files; a written file gets the mode open() would give it
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and rename in one step."""
+    """Write ``text`` to ``path`` via a new temp file (mode per the current umask) and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    handle = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with handle:
             handle.write(text)
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

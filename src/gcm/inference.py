@@ -33,6 +33,10 @@ class AsymptoticLaw:
     def full(self) -> np.ndarray:
         return np.kron(self.left, self.right)
 
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """left^{-1/2} x right^{-1/2} for one s x t matrix or a stack of them."""
+        return linalg.inv_sqrt_spd(self.left) @ x @ linalg.inv_sqrt_spd(self.right)
+
 
 @dataclass(frozen=True, eq=False)
 class TestResult:
@@ -69,7 +73,7 @@ def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:
     products are the approximate standard errors of the entries of
     gamma_hat.
     """
-    estimators._check_contrast(contrast, data.design)
+    contrast.check(data.design)
     return cov_factors(data.design.xtx, estimators.sigma_hat(data), data.design.Z, contrast)
 
 
@@ -85,14 +89,11 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     NotSpd when either standardizer is singular (C or D without full row
     rank).
     """
-    estimators._check_contrast(contrast, data.design)
+    contrast.check(data.design)
     n = data.design.n
-    sig = estimators.sigma_hat(data)
-    gamma = contrast.apply(estimators._gls_theta(data.design, data.Y, sig))
+    sig, theta = estimators.two_stage(data)
     law = cov_factors(data.design.xtx, sig, data.design.Z, contrast)
-    w_left = linalg.inv_sqrt_spd(n * law.left)
-    w_right = linalg.inv_sqrt_spd(law.right)
-    return w_left @ (np.sqrt(n) * gamma) @ w_right
+    return AsymptoticLaw(n * law.left, law.right).whiten(np.sqrt(n) * contrast.apply(theta))
 
 
 def chi_sq_p_value(chi_sq: float, dof: int) -> float:

@@ -20,7 +20,6 @@ import math
 import numbers
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -29,9 +28,12 @@ import numpy as np
 from . import estimators, fileio, inference, linalg, model
 from .errors import ConfigError, NotSpd, TooFewSamples
 
-# Offset added to one entry of theta to form the default fixed alternative
-# reported by level runs (power is context, never an asserted bound).
-_DEFAULT_ALT_BUMP = 0.5
+# Offset to one theta entry that gives level runs their alternative (power is context only).
+_ALT_BUMP = 0.5
+
+# Bounds on the work a config may ask for: replicates per cell, entries per data matrix.
+MAX_REPLICATIONS = 10**6
+MAX_MATRIX_ELEMENTS = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +87,13 @@ class Scenario:
         }
         for name, value in built.items():
             object.__setattr__(self, name, value)
+
+    def check_size(self, r, key: str) -> int:
+        """Group size ``key``, refused if Y (n x p) or X (n x m) exceeds MAX_MATRIX_ELEMENTS."""
+        r = check_int(r, key)
+        if r * self.m * max(self.m, len(self.times)) > MAX_MATRIX_ELEMENTS:
+            raise ConfigError(f"{key} {r} needs more than {MAX_MATRIX_ELEMENTS} entries in Y or X")
+        return r
 
     def design(self, r: int) -> model.Design:
         return model.potthoff_roy_design(self.m, r, self.times, self.q)
@@ -173,39 +182,30 @@ def _contrast(entry, m, q) -> model.Contrast | None:
 class McConfig:
     """One harness run: a scenario, the group sizes to sweep, replication count and seed.
 
-    Checks the values every run kind shares: distinct sizes, alpha, theta_alt's shape."""
+    Checks the values every run kind shares: bounded distinct sizes and replications, alpha."""
 
     scenario: Scenario
     sample_sizes: tuple
     replications: int
     seed: int
     alpha: float = 0.05
-    theta_alt: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.sample_sizes, (list, tuple)) or not self.sample_sizes:
             raise ConfigError(
                 f"sample_sizes must be a non-empty list of integers, got {self.sample_sizes!r}"
             )
-        sizes = tuple(check_int(r, "sample_sizes entry") for r in self.sample_sizes)
+        sizes = tuple(self.scenario.check_size(r, "sample_sizes entry") for r in self.sample_sizes)
         if len(set(sizes)) != len(sizes):
             raise ConfigError(f"sample_sizes must not repeat a size, got {list(sizes)}")
         alpha = check_floats(self.alpha, "alpha", 0)
         if not 0.0 < alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        theta_alt = self.theta_alt
-        if theta_alt is not None:
-            theta_alt = check_floats(theta_alt, "theta_alt", 2)
-            if theta_alt.shape != self.scenario.theta.shape:
-                raise ConfigError(
-                    f"theta_alt must be {self.scenario.theta.shape}, got {theta_alt.shape}"
-                )
         checked = {
             "sample_sizes": sizes,
-            "replications": check_int(self.replications, "replications"),
+            "replications": check_int(self.replications, "replications", 1, MAX_REPLICATIONS + 1),
             "seed": check_int(self.seed, "seed", 0, 2**64),
             "alpha": alpha,
-            "theta_alt": theta_alt,
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -217,20 +217,18 @@ class McConfig:
             "replications": self.replications,
             "seed": self.seed,
             "alpha": self.alpha,
-            "theta_alt": fileio.jsonable(self.theta_alt),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "McConfig":
         required = ("scenario", "sample_sizes", "replications", "seed")
-        fileio.check_keys(d, "config", required, ("alpha", "theta_alt"))
+        fileio.check_keys(d, "config", required, ("alpha",))
         return cls(
             scenario=Scenario.from_dict(d["scenario"]),
             sample_sizes=d["sample_sizes"],
             replications=d["replications"],
             seed=d["seed"],
             alpha=d.get("alpha", 0.05),
-            theta_alt=d.get("theta_alt"),
         )
 
 
@@ -273,7 +271,7 @@ def _replicate(kind: str, cfg: McConfig, prep, cell_index: int, design, i: int) 
     key = (cfg.seed, cell_index, i)
     data = model.simulate(design, scenario.theta, scenario.noise, replicate_seed(*key))
     try:
-        gam, extra = spec.replicate(cfg, prep, design, data, key)
+        gam, extra = spec.replicate(cfg, prep, data, key)
     except (TooFewSamples, NotSpd):
         width = len(record_columns(kind, scenario.contrast.s, scenario.contrast.t))
         return (0.0,) + (math.nan,) * (width - 1)
@@ -287,6 +285,8 @@ def _run_cell(kind: str, cfg: McConfig, prep, cell_index: int, design: model.Des
     if workers <= 1 or n_rep < 2 * workers:
         rows = list(map(one, range(n_rep)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only runs that use the pool load it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, range(n_rep), chunksize=math.ceil(n_rep / (4 * workers))))
     contrast = cfg.scenario.contrast
@@ -384,8 +384,8 @@ class Kind:
     """What one run kind adds to the shared replicate loop and cell summary.
 
     ``prepare(cfg)`` runs the kind's own config checks and returns the
-    per-run value each replicate reads. ``replicate(cfg, prep, design, data,
-    key)`` fits one dataset, ``key`` being its ``replicate_seed`` arguments,
+    per-run value each replicate reads. ``replicate(cfg, prep, data, key)``
+    fits one dataset, ``key`` being its ``replicate_seed`` arguments,
     and returns gamma_hat and the values of the record ``columns``.
     ``summarize(cell, records, ok, gam, scenario)`` gives the keys the kind
     adds to the cell once it has ``min_successes`` successes. ``tables`` maps
@@ -410,14 +410,8 @@ def _check_full_row_rank(cfg: McConfig) -> None:
             raise ConfigError(f"the contrast must have full row rank: {exc}") from exc
 
 
-def _two_stage(cfg: McConfig, design: model.Design, data: model.Dataset) -> tuple:
-    """First-stage sigma_hat and the two-stage gamma_hat of one dataset."""
-    sig = estimators.sigma_hat(data)
-    return sig, cfg.scenario.contrast.apply(estimators._gls_theta(design, data.Y, sig))
-
-
-def _gamma_replicate(cfg, prep, design, data, key) -> tuple:
-    return _two_stage(cfg, design, data)[1], ()
+def _gamma_replicate(cfg, prep, data, key) -> tuple:
+    return estimators.two_stage_gamma(data, cfg.scenario.contrast), ()
 
 
 _ERRORS = ("sigma_err", "gamma_err", "h_gap")
@@ -430,12 +424,13 @@ def _consistency_prepare(cfg: McConfig) -> np.ndarray:
     return estimators.h_matrix(cfg.scenario.noise.sigma, cfg.scenario.z)
 
 
-def _consistency_replicate(cfg, h_true, design, data, key) -> tuple:
-    sig, gam = _two_stage(cfg, design, data)
+def _consistency_replicate(cfg, h_true, data, key) -> tuple:
+    sig, theta = estimators.two_stage(data)
+    gam = cfg.scenario.contrast.apply(theta)
     return gam, (
         np.linalg.norm(sig - cfg.scenario.noise.sigma),
         np.linalg.norm(gam - cfg.scenario.gamma_true),
-        np.abs(estimators.h_matrix(sig, design.Z) - h_true).max(),
+        np.abs(estimators.h_matrix(sig, data.design.Z) - h_true).max(),
     )
 
 
@@ -462,8 +457,7 @@ def _normality_summary(cell, records, ok, gam, scenario) -> dict:
     v = np.sqrt(cell["n"]) * (gam - scenario.gamma_true.reshape(-1))
     centered = v - v.mean(axis=0)
     emp = centered.T @ centered / (cell["successes"] - 1)
-    whitener = np.kron(linalg.inv_sqrt_spd(law.left), linalg.inv_sqrt_spd(law.right))
-    coords = (v @ whitener.T).T
+    coords = law.whiten(v.reshape(-1, *scenario.gamma_true.shape)).reshape(v.shape).T
     return {
         "emp_cov": emp,
         "theory_cov": theory,
@@ -484,7 +478,8 @@ def _normality_rows(cfg, cell) -> list:
 def _level_prepare(cfg: McConfig) -> np.ndarray:
     """Needs gamma = 0 and a full-row-rank contrast; returns the fixed alternative.
 
-    That is ``theta_alt``, else theta with one entry bumped.
+    That is theta with entry (i, j) bumped, i the first column C uses and j the
+    last column D uses, so gamma moves by the bump times C[:, i] D[:, j]' != 0.
     """
     scenario = cfg.scenario
     if np.abs(scenario.gamma_true).max() > 1e-12:
@@ -493,23 +488,18 @@ def _level_prepare(cfg: McConfig) -> np.ndarray:
             f"got max |gamma| = {np.abs(scenario.gamma_true).max():.3e}"
         )
     _check_full_row_rank(cfg)
-    alt = cfg.theta_alt
-    if alt is None:
-        alt = scenario.theta.copy()
-        alt[0, -1] += _DEFAULT_ALT_BUMP
-    if np.abs(scenario.contrast.apply(alt)).max() == 0.0:
-        raise ConfigError(
-            "the alternative theta maps to gamma = 0 under this contrast; "
-            "supply an explicit theta_alt"
-        )
+    alt = scenario.theta.copy()
+    c, d = scenario.contrast.C, scenario.contrast.D
+    alt[np.flatnonzero(c.any(axis=0))[0], np.flatnonzero(d.any(axis=0))[-1]] += _ALT_BUMP
     return alt
 
 
-def _level_replicate(cfg, theta_alt, design, data, key) -> tuple:
+def _level_replicate(cfg, theta_alt, data, key) -> tuple:
     contrast = cfg.scenario.contrast
     gam = estimators.two_stage_gamma(data, contrast)
     res = inference.test_gamma_zero(data, contrast, cfg.alpha)
-    data_alt = model.simulate(design, theta_alt, cfg.scenario.noise, replicate_seed(*key, stream=1))
+    alt_seed = replicate_seed(*key, stream=1)
+    data_alt = model.simulate(data.design, theta_alt, cfg.scenario.noise, alt_seed)
     res_alt = inference.test_gamma_zero(data_alt, contrast, cfg.alpha)
     return gam, (res.chi_sq, float(res.reject), res_alt.chi_sq, float(res_alt.reject))
 

@@ -111,6 +111,13 @@ class Contrast:
     def apply(self, theta: np.ndarray) -> np.ndarray:
         return self.C @ theta @ self.D.T
 
+    def check(self, design: Design) -> None:
+        """Refuse C or D whose column count is not X's or Z's."""
+        if self.C.shape[1] != design.m:
+            raise DimensionMismatch(f"C has {self.C.shape[1]} columns but X has {design.m}")
+        if self.D.shape[1] != design.q:
+            raise DimensionMismatch(f"D has {self.D.shape[1]} columns but Z has {design.q}")
+
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:

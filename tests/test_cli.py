@@ -301,6 +301,17 @@ def test_mc_level_table_columns(tmp_path):
     assert int(reps) == 40
 
 
+def test_mc_level_runs_a_contrast_that_reads_one_theta_column(tmp_path):
+    # C theta D' = theta[0, 0] - theta[1, 0]: the alternative bumps theta[0, 0]
+    scenario = _scenario_dict(equal_curves=True, contrast={"c": [[1.0, -1.0]], "d": [[1.0, 0.0]]})
+    cfg = _mc_config(tmp_path, kind="level", scenario=scenario)
+    out = tmp_path / "mc"
+    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 0
+    cell = fileio.read_report(str(out / "report.json"))["results"]["cells"][0]
+    assert cell["successes"] == 40
+    assert 0.0 <= cell["alt_rejection_rate"] <= 1.0
+
+
 def test_mc_dump_resummarizes_to_the_same_report(tmp_path):
     cfg = _mc_config(tmp_path)
     out = tmp_path / "mc"
@@ -509,6 +520,27 @@ def test_exit_2_before_any_replicate_on_contrast_without_full_row_rank(
     assert seeds == []
 
 
+@pytest.mark.parametrize(
+    "fault, kind, words",
+    [("sigma0", "NotSpd", "sigma0"), ("d", "DimensionMismatch", "D has 3 columns")],
+)
+def test_exit_2_on_estimate_input_that_does_not_fit(
+    sim_files, tmp_path, capsys, fault, kind, words
+):
+    extra = []
+    if fault == "sigma0":
+        fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.diag([1.0, -1.0, 1.0, 1.0]))
+        extra = ["--sigma0", str(sim_files / "S0.csv")]
+    else:
+        fileio.write_matrix_csv(str(sim_files / "D.csv"), np.array([[0.0, 1.0, 0.0]]))
+    out = tmp_path / "o"
+    assert cli.main(["estimate", *_estimation_argv(sim_files, extra), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == kind
+    assert words in error["message"]
+    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+
+
 def test_exit_2_on_malformed_csv(sim_files, tmp_path, capsys):
     (sim_files / "Y.csv").write_text("1.0,2.0\n3.0,not_a_number\n")
     code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
@@ -699,7 +731,7 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-consistency", ("scenario", "theta"), _RAGGED, "theta"),
         ("mc-consistency", ("scenario", "m"), "two", "m"),
         ("mc-consistency", ("scenario", "contrast", "c"), _RAGGED, "contrast c"),
-        ("mc-level", ("theta_alt",), _RAGGED, "theta_alt"),
+        ("mc-consistency", ("scenario", "theta"), [[1.0, 0.5, 0.0], [2.0, 0.25, 0.0]], "theta"),
         ("mc-level", ("alpha",), "0.05", "alpha"),
         ("mc-level", ("alpha",), True, "alpha"),
         ("mc-consistency", ("scenario", "times"), ["1", "2", "3", "4"], "times"),
@@ -707,6 +739,11 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-consistency", ("scenario", "noise", "df"), "6", "df"),
         ("simulate", ("scenario", "noise", "df"), float("inf"), "df"),
         ("mc-unbiasedness", ("scenario", "contrast"), None, "contrast"),
+        ("mc-consistency", ("scenario", "sigma"), np.eye(3).tolist(), "sigma"),
+        ("mc-consistency", ("scenario", "contrast", "c"), [[1.0, -1.0, 0.0]], "contrast"),
+        ("mc-level", ("sample_sizes",), [2**40], "sample_sizes"),
+        ("simulate", ("r",), 2**40, "r"),
+        ("mc-consistency", ("replications",), 10**6 + 1, "replications"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):
@@ -740,6 +777,7 @@ def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value
         ("mc-consistency", "dump_replicates", 1),
         ("mc-level", "dump_replicates", None),
         ("mc-consistency", "out_dir", "elsewhere"),
+        ("mc-level", "theta_alt", [[1.0, 0.5], [1.0, 0.75]]),
     ],
 )
 def test_exit_2_on_run_option_in_config(tmp_path, capsys, command, key, value):
@@ -819,6 +857,20 @@ def test_key_checked_objects_refuse_malformed_input(tmp_path, name, fault):
         load(doc)
     if fault != "non-object":
         assert repr(required if fault == "missing" else "bogus") in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, words", [("[1, 2]", "JSON object"), ('{"seed": 1,', "invalid JSON")]
+)
+def test_exit_2_on_config_that_is_not_a_json_object(tmp_path, capsys, text, words):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(cfg) in error["message"] and words in error["message"]
+    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
 
 
 def test_exit_2_on_non_utf8_config(tmp_path, capsys):
@@ -952,6 +1004,14 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_import_loads_no_process_pool():
+    # concurrent.futures.process is imported only by a run that starts the pool
+    code = "import sys, gcm, gcm.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_import_loads_no_scipy():

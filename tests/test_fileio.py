@@ -150,12 +150,17 @@ def test_table_writer_keeps_the_per_value_bytes(tmp_path):
     assert path.read_text() == "coordinate\n"
 
 
-@pytest.mark.parametrize("mask", [0o022, 0o077])
-def test_written_files_honour_the_umask(tmp_path, mask):
-    # the umask is read when fileio is imported, so each mask gets a fresh process
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's gcm."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_written_files_honour_the_umask(tmp_path, mask):
+    # each mask gets a fresh process, which starts under it
     code = (
         "import sys; from gcm import fileio; "
         "fileio.write_json(sys.argv[1], {}); fileio.write_matrix_csv(sys.argv[2], [[1.0]])"
@@ -163,9 +168,28 @@ def test_written_files_honour_the_umask(tmp_path, mask):
     paths = [tmp_path / "report.json", tmp_path / "sub" / "Y.csv"]
     old = os.umask(mask)
     try:
-        argv = [sys.executable, "-c", code, *map(str, paths)]
-        subprocess.run(argv, env=env, check=True, timeout=120)
+        _run_python(code, *paths)
     finally:
         os.umask(old)
     for path in paths:
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask, path
+
+
+def test_written_files_take_the_umask_in_force_when_written(tmp_path):
+    # a program that imports gcm under 022 and then sets 077 gets what open() gives it
+    code = (
+        "import os, sys; os.umask(0o022); from gcm import fileio; os.umask(0o077); "
+        "fileio.write_json(sys.argv[1], {})"
+    )
+    _run_python(code, tmp_path / "report.json")
+    assert stat.S_IMODE((tmp_path / "report.json").stat().st_mode) == 0o600
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # a text that cannot be encoded fails inside the write; a failed rename fails after it
+    with pytest.raises(UnicodeEncodeError):
+        fileio.atomic_write_text(str(tmp_path / "a.txt"), "\ud800")
+    with mock.patch.object(fileio.os, "replace", side_effect=OSError("rename failed")):
+        with pytest.raises(OSError, match="rename failed"):
+            fileio.atomic_write_text(str(tmp_path / "b.txt"), "x")
+    assert list(tmp_path.iterdir()) == []

@@ -245,6 +245,19 @@ def test_whitening_construction_is_exact():
     assert_allclose(whitened, np.eye(6), atol=1e-9)
 
 
+def test_whiten_matches_the_kronecker_whitener_on_one_matrix_and_a_stack():
+    # whitening each s x t matrix is kron(left^{-1/2}, right^{-1/2}) applied to
+    # its row-stacked form; only the order of the sums differs
+    rng = np.random.default_rng(16)
+    law = inference.AsymptoticLaw(left=_spd(rng, 2), right=_spd(rng, 3))
+    stack = rng.standard_normal((5, 2, 3))
+    kron = np.kron(linalg.inv_sqrt_spd(law.left), linalg.inv_sqrt_spd(law.right))
+    expected = (stack.reshape(5, -1) @ kron.T).reshape(5, 2, 3)
+    tol = 64 * np.finfo(np.float64).eps * np.abs(expected).max()
+    assert_allclose(law.whiten(stack), expected, rtol=0, atol=tol)
+    assert_allclose(law.whiten(stack[0]), expected[0], rtol=0, atol=tol)
+
+
 def test_statistic_invariant_to_left_contrast_scaling():
     data, _, _ = _pr_data(14, m=3)
     rng = np.random.default_rng(15)

@@ -34,14 +34,13 @@ def _scenario(family="gaussian", df=None, equal_curves=False, contrast="identity
     )
 
 
-def _cfg(scenario=None, sizes=(10, 20), reps=60, seed=314, alpha=0.05, theta_alt=None):
+def _cfg(scenario=None, sizes=(10, 20), reps=60, seed=314, alpha=0.05):
     return mc.McConfig(
         scenario=scenario or _scenario(),
         sample_sizes=sizes,
         replications=reps,
         seed=seed,
         alpha=alpha,
-        theta_alt=theta_alt,
     )
 
 
@@ -81,7 +80,7 @@ def test_scenario_contrast_shorthand():
     "path, value",
     [
         (("scenario", "times"), "1234"),
-        (("theta_alt",), np.zeros((3, 3))),
+        (("scenario", "theta"), np.zeros((3, 3))),
         (("sample_sizes",), ()),
         (("alpha",), 2.0),
     ],
@@ -122,11 +121,39 @@ def test_level_requires_null_theta():
         mc.run("level", _cfg(scenario=_scenario(contrast="equality"), sizes=(20,), reps=5))
 
 
-def test_level_rejects_alternative_equal_to_null():
-    scen = _scenario(equal_curves=True, contrast="equality")
-    cfg = _cfg(scenario=scen, sizes=(20,), reps=5, theta_alt=scen.theta)
-    with pytest.raises(ConfigError):
-        mc.run("level", cfg)
+@pytest.mark.parametrize(
+    "c, d, entry",
+    [
+        (np.eye(2), np.eye(2), (0, 1)),
+        ([[1.0, -1.0]], [[0.0, 1.0]], (0, 1)),
+        ([[1.0, -1.0]], [[1.0, 0.0]], (0, 0)),
+        ([[0.0, 1.0]], [[1.0, 1.0]], (1, 1)),
+    ],
+)
+def test_level_alternative_bumps_an_entry_the_contrast_reads(c, d, entry):
+    # theta[i, j] with i the first column C uses and j the last column D uses;
+    # for the identity and equality contrasts that is (0, q - 1)
+    contrast = model.Contrast(C=c, D=d)
+    scen = mc.Scenario(
+        m=2, q=2, times=(1.0, 2.0, 3.0, 4.0), theta=np.zeros((2, 2)),
+        noise=model.NoiseSpec(family="gaussian", sigma=_ar_sigma(4)), contrast=contrast,
+    )
+    alt = mc.KINDS["level"].prepare(_cfg(scenario=scen, sizes=(20,), reps=5))
+    expected = np.zeros((2, 2))
+    expected[entry] = 0.5
+    assert np.array_equal(alt, expected)
+    assert np.abs(contrast.apply(alt)).max() > 0.0
+
+
+def test_sizes_and_replications_are_bounded_before_anything_is_built():
+    scen = _scenario()  # m = 2, p = 4: Y is the larger matrix, 8 r entries
+    largest = mc.MAX_MATRIX_ELEMENTS // 8
+    assert scen.check_size(largest, "r") == largest
+    with pytest.raises(ConfigError, match="^r "):
+        scen.check_size(largest + 1, "r")
+    assert _cfg(reps=mc.MAX_REPLICATIONS).replications == mc.MAX_REPLICATIONS
+    with pytest.raises(ConfigError, match="^replications"):
+        _cfg(reps=mc.MAX_REPLICATIONS + 1)
 
 
 # ---------------------------------------------------------------------------
