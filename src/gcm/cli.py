@@ -175,10 +175,10 @@ def cmd_mc(args, kind: str) -> int:
         raise ConfigError(f"{args.config}: config must be a JSON object")
     if args.seed is not None:
         conf["seed"] = args.seed
-    cfg = mc.McConfig.from_dict(conf)
+    cfg = mc.McConfig.from_dict(conf, kind)
     cells, records = mc.run(kind, cfg)
-    inputs = cfg.to_dict()
-    inputs["dump_replicates"] = args.dump_replicates
+    # from_dict checked every key and value, so the config echoes as read
+    inputs = {**conf, "dump_replicates": args.dump_replicates}
     results = {"kind": kind, "cells": [fileio.jsonable(cell) for cell in cells]}
     doc = fileio.make_report(cfg.seed, inputs, results)
     fileio.write_json(os.path.join(args.out, "report.json"), doc)
@@ -186,17 +186,17 @@ def cmd_mc(args, kind: str) -> int:
         body = [row for cell in cells for row in rows(cfg, cell)]
         fileio.write_table_csv(os.path.join(args.out, "tables", name), header, body)
     if args.dump_replicates:
-        contrast = cfg.scenario.contrast
-        _write_dumps(args.out, cells, records, mc.record_columns(kind, contrast.s, contrast.t))
+        _write_dumps(args.out, cells, records)
     return EXIT_OK
 
 
-def _write_dumps(out: str, cells: list, records: list, cols: list) -> None:
+def _write_dumps(out: str, cells: list, records: list) -> None:
+    """One CSV per cell: the replicate index, then each record column in the record's order."""
     for cell, rec in zip(cells, records):
         # %.17g prints the replicate index as str(int) does
-        table = np.column_stack([np.arange(cell["replications"]), *(rec[c] for c in cols)])
+        table = np.column_stack([np.arange(cell["replications"]), *rec.values()])
         path = os.path.join(out, "tables", f"replicates_r{cell['r']}.csv")
-        fileio.write_matrix_csv(path, table, ["replicate"] + cols)
+        fileio.write_matrix_csv(path, table, ["replicate", *rec])
 
 
 def _emit_error(args, kind: str, message: str, code: int) -> None:

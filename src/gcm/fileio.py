@@ -17,9 +17,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, MatrixParseError
 
-REPORT_KEYS = ("meta", "inputs", "results", "errors")
-META_KEYS = ("version", "seed")
-
 _FLOAT_FMT = "%.17g"
 
 
@@ -178,11 +175,3 @@ def check_keys(d, where: str, required, optional=()) -> None:
     for key in required:
         if key not in d:
             raise ConfigError(f"{where} is missing required key {key!r}")
-
-
-def read_report(path: str) -> dict:
-    """Load a report file, rejecting unknown or missing top-level keys and unknown meta keys."""
-    doc = read_json(path)
-    check_keys(doc, f"report {path}", REPORT_KEYS)
-    check_keys(doc["meta"], f"report {path} meta", (), META_KEYS)
-    return doc

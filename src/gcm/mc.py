@@ -103,18 +103,6 @@ class Scenario:
         r_limit = np.eye(self.m) / self.m
         return inference.cov_factors(r_limit, self.noise.sigma, self.z, self.contrast)
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "q": self.q,
-            "times": list(self.times),
-            "theta": fileio.jsonable(self.theta),
-            "sigma": fileio.jsonable(self.noise.sigma),
-            "noise": {"family": self.noise.family, "df": self.noise.df},
-            "contrast": {"c": fileio.jsonable(self.contrast.C),
-                         "d": fileio.jsonable(self.contrast.D)},
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         required = ("m", "q", "times", "theta", "sigma")
@@ -182,7 +170,8 @@ def _contrast(entry, m, q) -> model.Contrast | None:
 class McConfig:
     """One harness run: a scenario, the group sizes to sweep, replication count and seed.
 
-    Checks the values every run kind shares: bounded distinct sizes and replications, alpha."""
+    Checks the values every run kind shares, bounded distinct sizes and replications, and
+    the test level ``alpha``, which level runs read."""
 
     scenario: Scenario
     sample_sizes: tuple
@@ -210,19 +199,11 @@ class McConfig:
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "sample_sizes": list(self.sample_sizes),
-            "replications": self.replications,
-            "seed": self.seed,
-            "alpha": self.alpha,
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "McConfig":
+    def from_dict(cls, d: dict, kind: str) -> "McConfig":
+        """The config of a ``kind`` run: a key that the kind does not read is refused."""
         required = ("scenario", "sample_sizes", "replications", "seed")
-        fileio.check_keys(d, "config", required, ("alpha",))
+        fileio.check_keys(d, "config", required, _spec(kind).config_keys)
         return cls(
             scenario=Scenario.from_dict(d["scenario"]),
             sample_sizes=d["sample_sizes"],
@@ -347,10 +328,14 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> dict
     return cell
 
 
-def _validate_config(cfg: McConfig, kind: str) -> list:
-    """Refuse an unknown kind; returns each cell's validated design."""
+def _spec(kind: str) -> Kind:
     if kind not in KINDS:
         raise ConfigError(f"unknown run kind {kind!r}")
+    return KINDS[kind]
+
+
+def _validate_config(cfg: McConfig) -> list:
+    """Each cell's validated design."""
     designs = []
     for r in cfg.sample_sizes:
         design = cfg.scenario.design(r)
@@ -365,8 +350,9 @@ def _validate_config(cfg: McConfig, kind: str) -> list:
 
 def run(kind: str, cfg: McConfig) -> tuple:
     """Run one of ``KINDS`` over the sizes of ``cfg``; returns the cells and each one's records."""
-    designs = _validate_config(cfg, kind)
-    prep = KINDS[kind].prepare(cfg)
+    spec = _spec(kind)
+    designs = _validate_config(cfg)
+    prep = spec.prepare(cfg)
     cells, records = [], []
     for j, (r, design) in enumerate(zip(cfg.sample_sizes, designs)):
         rec = _run_cell(kind, cfg, prep, j, design)
@@ -390,6 +376,8 @@ class Kind:
     ``summarize(cell, records, ok, gam, scenario)`` gives the keys the kind
     adds to the cell once it has ``min_successes`` successes. ``tables`` maps
     each file under tables/ to its header and a (cfg, cell) -> rows function.
+    ``config_keys`` lists the optional config keys the kind reads, beyond those
+    every kind requires.
     """
 
     columns: tuple
@@ -398,6 +386,7 @@ class Kind:
     summarize: Callable
     min_successes: int
     tables: dict
+    config_keys: tuple = ()
 
 
 def _check_full_row_rank(cfg: McConfig) -> None:
@@ -539,5 +528,6 @@ KINDS = {
             ["alpha", "rejection_rate", "n_replicates"],
             lambda cfg, cell: [(cfg.alpha, cell.get("rejection_rate"), cell["replications"])],
         )},
+        ("alpha",),
     ),
 }

@@ -111,7 +111,7 @@ def test_estimate_report_matches_library_exactly(sim_files, tmp_path):
          "--truth", str(sim_files / "truth.json"), "--out", str(out)]
     )
     assert code == 0
-    report = fileio.read_report(str(out / "report.json"))
+    report = fileio.read_json(str(out / "report.json"))
     results = report["results"]
 
     y = fileio.read_matrix_csv(str(sim_files / "Y.csv"))
@@ -154,7 +154,7 @@ def test_estimate_with_known_sigma_matches_ols(tmp_path):
         ["estimate", *_estimation_argv(d), "--sigma0", str(d / "S0.csv"), "--out", str(out)]
     )
     assert code == 0
-    report = fileio.read_report(str(out / "report.json"))
+    report = fileio.read_json(str(out / "report.json"))
     assert report["results"]["estimator"] == "known_sigma"
     ols = np.linalg.lstsq(x, y[:, :q], rcond=None)[0]
     assert np.allclose(np.asarray(report["results"]["gamma"]), ols, atol=1e-10)
@@ -164,7 +164,7 @@ def test_estimate_zero_contrast_gives_zero_gamma(sim_files, tmp_path):
     fileio.write_matrix_csv(str(sim_files / "C.csv"), np.zeros((1, 2)))
     out = tmp_path / "est"
     assert cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(out)]) == 0
-    report = fileio.read_report(str(out / "report.json"))
+    report = fileio.read_json(str(out / "report.json"))
     assert np.array_equal(np.asarray(report["results"]["gamma"]), np.zeros((1, 1)))
 
 
@@ -191,7 +191,7 @@ def test_test_command_fields_are_consistent(sim_files, tmp_path):
         ["test", *_estimation_argv(sim_files), "--alpha", "0.05", "--out", str(out)]
     )
     assert code == 0
-    results = fileio.read_report(str(out / "report.json"))["results"]
+    results = fileio.read_json(str(out / "report.json"))["results"]
     # the p-value must be recomputable from chi_sq and dof by an external table
     reference = stats.chi2.sf(results["chi_sq"], results["dof"])
     assert results["p_value"] == pytest.approx(reference, abs=1e-12)
@@ -211,7 +211,7 @@ def test_test_command_null_data_accepts(tmp_path):
     fileio.write_matrix_csv(str(out / "D.csv"), np.array([[0.0, 1.0]]))
     tst = tmp_path / "tst"
     assert cli.main(["test", *_estimation_argv(out), "--out", str(tst)]) == 0
-    results = fileio.read_report(str(tst / "report.json"))["results"]
+    results = fileio.read_json(str(tst / "report.json"))["results"]
 
     y = fileio.read_matrix_csv(str(out / "Y.csv"))
     x = fileio.read_matrix_csv(str(out / "X.csv"))
@@ -228,7 +228,7 @@ def test_test_command_alpha_one_always_rejects(sim_files, tmp_path):
     out = tmp_path / "tst"
     code = cli.main(["test", *_estimation_argv(sim_files), "--alpha", "1.0", "--out", str(out)])
     assert code == 0
-    results = fileio.read_report(str(out / "report.json"))["results"]
+    results = fileio.read_json(str(out / "report.json"))["results"]
     assert results["p_value"] < 1.0
     assert results["reject"] is True
 
@@ -280,7 +280,7 @@ def test_mc_normality_table_matches_report(tmp_path):
     cfg = _mc_config(tmp_path, kind="normality")
     out = tmp_path / "mc"
     assert cli.main(["mc-normality", "--config", str(cfg), "--out", str(out)]) == 0
-    report = fileio.read_report(str(out / "report.json"))
+    report = fileio.read_json(str(out / "report.json"))
     lines = (out / "tables" / "covariance_match.csv").read_text().splitlines()
     assert lines[0] == "relative_frobenius"
     assert float(lines[1]) == report["results"]["cells"][0]["rel_frobenius"]
@@ -307,7 +307,7 @@ def test_mc_level_runs_a_contrast_that_reads_one_theta_column(tmp_path):
     cfg = _mc_config(tmp_path, kind="level", scenario=scenario)
     out = tmp_path / "mc"
     assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 0
-    cell = fileio.read_report(str(out / "report.json"))["results"]["cells"][0]
+    cell = fileio.read_json(str(out / "report.json"))["results"]["cells"][0]
     assert cell["successes"] == 40
     assert 0.0 <= cell["alt_rejection_rate"] <= 1.0
 
@@ -319,9 +319,9 @@ def test_mc_dump_resummarizes_to_the_same_report(tmp_path):
         ["mc-consistency", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
     )
     assert code == 0
-    report = fileio.read_report(str(out / "report.json"))
+    report = fileio.read_json(str(out / "report.json"))
     config = mc.McConfig.from_dict(
-        {k: v for k, v in report["inputs"].items() if k != "dump_replicates"}
+        {k: v for k, v in report["inputs"].items() if k != "dump_replicates"}, "consistency"
     )
     contrast = config.scenario.contrast
     cols = mc.record_columns("consistency", contrast.s, contrast.t)
@@ -387,7 +387,7 @@ def test_mc_seed_and_alpha_flags_override_config(tmp_path, capsys):
     out = tmp_path / "mc"
     code = cli.main(["mc-level", "--config", str(cfg), "--seed", "5", "--out", str(out)])
     assert code == 0
-    report = fileio.read_report(str(out / "report.json"))
+    report = fileio.read_json(str(out / "report.json"))
     assert report["meta"]["seed"] == 5
     assert report["inputs"]["alpha"] == 0.1
     capsys.readouterr()
@@ -395,7 +395,7 @@ def test_mc_seed_and_alpha_flags_override_config(tmp_path, capsys):
     assert code == 2
     assert "--alpha" in _usage_error(capsys)["message"]
     # the arguments never parsed, so --out is unknown and the report stays as it was
-    assert fileio.read_report(str(out / "report.json")) == report
+    assert fileio.read_json(str(out / "report.json")) == report
 
 
 @pytest.mark.parametrize(
@@ -417,18 +417,32 @@ def test_usage_errors_follow_the_error_contract(tmp_path, monkeypatch, capsys, a
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("kind", mc.KINDS)
-def test_mc_report_holds_the_config_once(tmp_path, kind):
-    # the config is echoed under inputs; results hold the kind and the cells only
+@pytest.mark.parametrize(
+    "kind, as_written",
+    [*(pytest.param(kind, False, id=kind) for kind in mc.KINDS),
+     pytest.param("level", True, id="level-as-written")],
+)
+def test_mc_report_holds_the_config_once(tmp_path, kind, as_written):
+    # the config is echoed as read under inputs, with --seed applied; results
+    # hold the kind and the cells only
     cfg = _mc_config(tmp_path, kind=kind, replications=4)
-    out = tmp_path / "mc"
-    assert cli.main([f"mc-{kind}", "--config", str(cfg), "--out", str(out)]) == 0
-    report = fileio.read_report(str(out / "report.json"))
+    argv = [f"mc-{kind}", "--config", str(cfg), "--out", str(tmp_path / "mc")]
+    expected = json.loads(cfg.read_text())
+    if as_written:
+        # shorthand contrast, defaulted noise and integer times stay as written
+        del expected["scenario"]["noise"]
+        expected["scenario"].update(contrast="equality", times=[1, 2, 3, 4])
+        cfg.write_text(json.dumps(expected))
+        argv += ["--seed", "5"]
+        expected["seed"] = 5
+    assert cli.main(argv) == 0
+    report = fileio.read_json(str(tmp_path / "mc" / "report.json"))
     assert set(report["results"]) == {"kind", "cells"}
     assert report["results"]["kind"] == kind
     inputs = report["inputs"]
     assert inputs.pop("dump_replicates") is False
-    assert inputs == mc.McConfig.from_dict(json.loads(cfg.read_text())).to_dict()
+    # compared as JSON text, so an integer echoed as a float is a difference
+    assert json.dumps(inputs, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_mc_single_replicate_report_is_strict_json(tmp_path):
@@ -490,7 +504,7 @@ def test_mc_writes_the_tables_and_dump_columns_of_its_kind(tmp_path, kind):
     dumps = [f"replicates_r{r}.csv" for r in sizes]
     written = sorted(p.name for p in (out / "tables").iterdir())
     assert written == sorted([*mc.KINDS[kind].tables, *dumps])
-    contrast = mc.McConfig.from_dict(json.loads(cfg.read_text())).scenario.contrast
+    contrast = mc.McConfig.from_dict(json.loads(cfg.read_text()), kind).scenario.contrast
     for name in dumps:
         header = (out / "tables" / name).read_text().splitlines()[0].split(",")
         assert header == ["replicate"] + mc.record_columns(kind, contrast.s, contrast.t)
@@ -538,7 +552,7 @@ def test_exit_2_on_estimate_input_that_does_not_fit(
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == kind
     assert words in error["message"]
-    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 def test_exit_2_on_malformed_csv(sim_files, tmp_path, capsys):
@@ -574,7 +588,7 @@ def test_exit_2_on_non_utf8_csv(sim_files, tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "MatrixParseError"
     assert str(sim_files / "Y.csv") in error["message"]
-    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 def test_exit_2_on_invalid_design(tmp_path):
@@ -744,6 +758,7 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-level", ("sample_sizes",), [2**40], "sample_sizes"),
         ("simulate", ("r",), 2**40, "r"),
         ("mc-consistency", ("replications",), 10**6 + 1, "replications"),
+        ("mc-level", ("alpha",), float("nan"), "alpha"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):
@@ -766,7 +781,7 @@ def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(name)
-    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 @pytest.mark.parametrize(
@@ -778,17 +793,21 @@ def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value
         ("mc-level", "dump_replicates", None),
         ("mc-consistency", "out_dir", "elsewhere"),
         ("mc-level", "theta_alt", [[1.0, 0.5], [1.0, 0.75]]),
+        ("mc-consistency", "alpha", 0.05),
+        ("mc-normality", "alpha", 0.05),
+        ("mc-unbiasedness", "alpha", 0.05),
     ],
 )
 def test_exit_2_on_run_option_in_config(tmp_path, capsys, command, key, value):
-    # --out and --dump-replicates are the only way to set these run options
+    # --out and --dump-replicates are the only way to set these run options,
+    # and a kind refuses a key it does not read: only level runs test at alpha
     cfg = _mc_config(tmp_path, kind=command.removeprefix("mc-"), **{key: value})
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert repr(key) in error["message"]
-    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
     assert not (out / "tables").exists()
 
 
@@ -812,20 +831,13 @@ def _key_checked(tmp_path, name):
         path.write_text(json.dumps(doc))
         cli.cmd_simulate(argparse.Namespace(config=str(path), seed=None, out=str(tmp_path / "o")))
 
-    def report(doc):
-        path = tmp_path / "report.json"
-        fileio.write_json(str(path), doc)
-        fileio.read_report(str(path))
-
     scenario = _scenario_dict(family="uniform")
     config = json.loads(_mc_config(tmp_path).read_text())
     return {
         "scenario": (mc.Scenario.from_dict, scenario, None, "m"),
         "scenario noise": (mc.Scenario.from_dict, scenario, "noise", "family"),
-        "config": (mc.McConfig.from_dict, config, None, "seed"),
+        "config": (lambda doc: mc.McConfig.from_dict(doc, "consistency"), config, None, "seed"),
         "simulate config": (simulate, {"scenario": scenario, "r": 8, "seed": 1}, None, "r"),
-        "report": (report, fileio.make_report(1, {}, None), None, "errors"),
-        "report meta": (report, fileio.make_report(1, {}, None), "meta", None),
     }[name]
 
 
@@ -833,10 +845,8 @@ def _key_checked(tmp_path, name):
     "name, fault",
     [
         (name, fault)
-        for name in ("scenario", "scenario noise", "config", "simulate config", "report",
-                     "report meta")
+        for name in ("scenario", "scenario noise", "config", "simulate config")
         for fault in ("non-object", "missing", "unknown")
-        if not (name == "report meta" and fault == "missing")  # meta has no required key
     ],
 )
 def test_key_checked_objects_refuse_malformed_input(tmp_path, name, fault):
@@ -870,7 +880,7 @@ def test_exit_2_on_config_that_is_not_a_json_object(tmp_path, capsys, text, word
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert str(cfg) in error["message"] and words in error["message"]
-    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 def test_exit_2_on_non_utf8_config(tmp_path, capsys):
@@ -881,7 +891,7 @@ def test_exit_2_on_non_utf8_config(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "ConfigError"
     assert str(cfg) in error["message"]
-    assert fileio.read_report(str(out / "report.json"))["errors"] == [error]
+    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 def test_unexpected_value_error_is_not_exit_2(tmp_path, monkeypatch):
@@ -935,7 +945,7 @@ def test_exit_4_on_noise_free_data(tmp_path):
     code = cli.main(["estimate", *_estimation_argv(d), "--out", str(d / "o")])
     assert code == 4
     # the error report still lands, machine readable
-    report = fileio.read_report(str(d / "o" / "report.json"))
+    report = fileio.read_json(str(d / "o" / "report.json"))
     assert report["errors"][0]["type"] == "NotSpd"
     assert report["results"] is None
 
@@ -966,20 +976,23 @@ def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
     assert back.tobytes() == tricky.tobytes()  # -0.0 round-trips too
 
 
-def test_report_schema_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "report.json"
-    doc = fileio.make_report(1, {}, {"ok": True})
-    fileio.write_json(str(path), doc)
-    assert fileio.read_report(str(path))["meta"]["seed"] == 1
-    doc["surprise"] = 1
-    fileio.write_json(str(path), doc)
-    with pytest.raises(ConfigError):
-        fileio.read_report(str(path))
-    doc = fileio.make_report(1, {}, None)
-    doc["meta"]["extra"] = 1
-    fileio.write_json(str(path), doc)
-    with pytest.raises(ConfigError):
-        fileio.read_report(str(path))
+def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
+    # estimate, test, each mc-* kind and an error report share one top-level schema
+    missing_truth = ["--truth", str(tmp_path / "nope.json")]
+    runs = {
+        "estimate": (["estimate", *_estimation_argv(sim_files)], 0),
+        "test": (["test", *_estimation_argv(sim_files)], 0),
+        "error": (["estimate", *_estimation_argv(sim_files, missing_truth)], 3),
+    }
+    for kind in mc.KINDS:
+        cfg = _mc_config(tmp_path, kind=kind, replications=2)
+        runs[f"mc-{kind}"] = ([f"mc-{kind}", "--config", str(cfg)], 0)
+    for name, (argv, code) in runs.items():
+        out = tmp_path / name
+        assert cli.main([*argv, "--out", str(out)]) == code, name
+        doc = fileio.read_json(str(out / "report.json"))
+        assert set(doc) == {"meta", "inputs", "results", "errors"}, name
+        assert set(doc["meta"]) == {"version", "seed"}, name
 
 
 def test_json_writer_refuses_non_finite_values(tmp_path):

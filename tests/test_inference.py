@@ -165,7 +165,7 @@ def test_cov_factors_on_unbalanced_designs(problem):
             fileio.write_matrix_csv(str(tmp / f"{name}.csv"), mat)
             argv += [f"--{name}", str(tmp / f"{name}.csv")]
         assert cli.main(argv) == 0
-        results = fileio.read_report(str(tmp / "out" / "report.json"))["results"]
+        results = fileio.read_json(str(tmp / "out" / "report.json"))["results"]
     assert np.array_equal(np.asarray(results["cov_left"]), plugin.left)
     assert np.array_equal(np.asarray(results["cov_right"]), plugin.right)
     assert np.array_equal(

@@ -44,35 +44,45 @@ def _cfg(scenario=None, sizes=(10, 20), reps=60, seed=314, alpha=0.05):
     )
 
 
+def _doc():
+    """The config file of ``_cfg()``."""
+    return {
+        "scenario": {
+            "m": 2,
+            "q": 2,
+            "times": [1.0, 2.0, 3.0, 4.0],
+            "theta": [[1.0, 0.5], [2.0, 0.25]],
+            "sigma": _ar_sigma(4).tolist(),
+        },
+        "sample_sizes": [10, 20],
+        "replications": 60,
+        "seed": 314,
+    }
+
+
 # ---------------------------------------------------------------------------
 # configuration handling
 
 
-def test_config_round_trips_through_dict():
-    cfg = _cfg()
-    rebuilt = mc.McConfig.from_dict(cfg.to_dict())
-    assert rebuilt.to_dict() == cfg.to_dict()
-
-
 def test_config_rejects_unknown_keys():
-    doc = _cfg().to_dict()
+    doc = _doc()
     doc["extra"] = 1
     with pytest.raises(ConfigError):
-        mc.McConfig.from_dict(doc)
-    doc = _cfg().to_dict()
+        mc.McConfig.from_dict(doc, "consistency")
+    doc = _doc()
     doc["scenario"]["bogus"] = 1
     with pytest.raises(ConfigError):
-        mc.McConfig.from_dict(doc)
+        mc.McConfig.from_dict(doc, "consistency")
 
 
 def test_scenario_contrast_shorthand():
-    doc = _cfg(scenario=_scenario()).to_dict()
+    doc = _doc()
     doc["scenario"]["contrast"] = "equality"
-    cfg = mc.McConfig.from_dict(doc)
+    cfg = mc.McConfig.from_dict(doc, "unbiasedness")
     assert np.array_equal(cfg.scenario.contrast.C, np.array([[1.0, -1.0]]))
     assert np.array_equal(cfg.scenario.contrast.D, np.array([[0.0, 1.0]]))
     doc["scenario"]["contrast"] = "identity"
-    cfg = mc.McConfig.from_dict(doc)
+    cfg = mc.McConfig.from_dict(doc, "unbiasedness")
     assert np.array_equal(cfg.scenario.contrast.C, np.eye(2))
 
 
@@ -99,10 +109,10 @@ def test_constructor_and_from_dict_refuse_the_same_values(path, value):
     (scenario if path[0] == "scenario" else config)[path[-1]] = value
     with pytest.raises(ConfigError, match=f"^{path[-1]}"):
         mc.McConfig(scenario=mc.Scenario(**scenario), **config)
-    doc = _cfg().to_dict()
+    doc = _doc()
     (doc["scenario"] if path[0] == "scenario" else doc)[path[-1]] = fileio.jsonable(value)
     with pytest.raises(ConfigError, match=f"^{path[-1]}"):
-        mc.McConfig.from_dict(doc)
+        mc.McConfig.from_dict(doc, "level")
 
 
 def test_consistency_requires_increasing_sizes():

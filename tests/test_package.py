@@ -43,3 +43,23 @@ def test_no_module_reads_a_private_name_of_another():
             and n.value.id in bound & modules and _private(n.attr)
         ]
     assert offenders == []
+
+
+def test_every_module_level_definition_has_a_caller_in_src_or_is_exported():
+    # a function or class that only tests call is dead weight in the package
+    package = pathlib.Path(gcm.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    used = set(gcm.__all__) | {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    uncalled = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert uncalled == []

@@ -1,7 +1,8 @@
-"""The README's library quick tour runs as written, and its command block
-matches the parser."""
+"""The README's library quick tour and config example run as written, and its
+command block matches the parser."""
 
 import argparse
+import json
 import pathlib
 import re
 
@@ -50,3 +51,14 @@ def test_readme_command_block_matches_the_parser():
     documented = set(FLAG.findall(" ".join(lines.values())))
     for name, opts in options.items():
         assert opts <= documented, (name, opts - documented)
+
+
+def test_readme_config_example_runs(tmp_path):
+    # the example is a complete consistency config; run it at two replicates
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Experiment config format", 1)[1].split("\n### ", 1)[0]
+    (block,) = re.findall(r"```json\n(.*?)```", section, flags=re.DOTALL)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(block), "replications": 2}))
+    argv = ["mc-consistency", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
