@@ -33,30 +33,28 @@ class CommandError(Exception):
         super().__init__(message)
 
 
-def cmd_simulate(args) -> int:
-    config = fileio.read_json(args.config)
+def _simulate_config(config, seed=None) -> tuple:
+    """Check a simulate config, ``seed`` (when given) replacing its own; returns its
+    scenario, r and seed. A truth file is the simulate config of its data."""
     fileio.check_keys(config, "simulate config", ("scenario", "r"), ("seed",))
+    if seed is not None:
+        config["seed"] = seed
     scenario = mc.Scenario.from_dict(config["scenario"])
     r = scenario.check_size(config["r"], "r")
-    seed = args.seed if args.seed is not None else config.get("seed")
-    if seed is None:
+    if "seed" not in config:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the config")
-    seed = mc.check_int(seed, "seed", 0, 2**64)
+    return scenario, r, mc.check_int(config["seed"], "seed", 0, 2**64)
+
+
+def cmd_simulate(args) -> int:
+    config = fileio.read_json(args.config)
+    scenario, r, seed = _simulate_config(config, args.seed)
     design = scenario.design(r)
-    noise = scenario.noise
-    data = model.simulate(design, scenario.theta, noise, seed)
-    out = args.out
-    fileio.write_matrix_csv(os.path.join(out, "Y.csv"), data.Y)
-    fileio.write_matrix_csv(os.path.join(out, "X.csv"), design.X)
-    fileio.write_matrix_csv(os.path.join(out, "Z.csv"), design.Z)
-    truth = {
-        "theta": fileio.jsonable(scenario.theta),
-        "sigma": fileio.jsonable(noise.sigma),
-        "sigma_cholesky": fileio.jsonable(noise.chol),
-        "noise": {"family": noise.family, "df": noise.df},
-        "seed": seed,
-    }
-    fileio.write_json(os.path.join(out, "truth.json"), truth)
+    data = model.simulate(design, scenario.theta, scenario.noise, seed)
+    for name, a in (("Y.csv", data.Y), ("X.csv", design.X), ("Z.csv", design.Z)):
+        fileio.write_matrix_csv(os.path.join(args.out, name), a)
+    # every value was checked above, so the config echoes as read
+    fileio.write_json(os.path.join(args.out, "truth.json"), config)
     return EXIT_OK
 
 
@@ -77,28 +75,26 @@ def _load_estimation_inputs(args):
 def _truth_errors(path, design, contrast, theta, sigma_value):
     """Frobenius errors of theta, gamma and (two-stage runs) sigma_hat against a truth file.
 
-    The file holds the keys ``simulate`` writes; theta and, when present,
-    sigma are checked as config matrices are, then against the data's shapes.
+    The file is the simulate config that made the data, checked as ``simulate``
+    checks it; its theta and sigma must then match the data's shapes.
     """
     truth = fileio.read_json(path)
-    where = f"truth file {path}"
-    fileio.check_keys(truth, where, ("theta",), ("sigma", "sigma_cholesky", "noise", "seed"))
-    true = {}
-    for key, shape in (("theta", theta.shape), ("sigma", (design.p, design.p))):
-        if key in truth:
-            true[key] = mc.check_floats(truth[key], f"{where} {key}", 2)
-            if true[key].shape != shape:
-                raise ConfigError(
-                    f"{where}: {key} must be {shape[0]} x {shape[1]}, got {true[key].shape}"
-                )
-    gamma_error = contrast.apply(theta) - contrast.apply(true["theta"])
+    try:
+        true = _simulate_config(truth)[0]
+        for key, value, shape in (("theta", true.theta, theta.shape),
+                                  ("sigma", true.noise.sigma, (design.p, design.p))):
+            if value.shape != shape:
+                raise ConfigError(f"{key} must be {shape[0]} x {shape[1]}, got {value.shape}")
+    except ValidationError as exc:
+        raise ConfigError(f"truth file {path}: {exc}") from exc
+    gamma_error = contrast.apply(theta) - contrast.apply(true.theta)
     errors = {
-        "theta_err_fro": float(np.linalg.norm(theta - true["theta"])),
+        "theta_err_fro": float(np.linalg.norm(theta - true.theta)),
         "gamma_err_fro": float(np.linalg.norm(gamma_error)),
     }
-    if sigma_value is not None and "sigma" in true:
-        errors["sigma_err_fro"] = float(np.linalg.norm(sigma_value - true["sigma"]))
-    return errors
+    if sigma_value is not None:
+        errors["sigma_err_fro"] = float(np.linalg.norm(sigma_value - true.noise.sigma))
+    return fileio.jsonable(errors)  # an error past the float range is written as null
 
 
 def _estimate_results(args, sigma0=None):
@@ -176,11 +172,11 @@ def cmd_mc(args, kind: str) -> int:
     if args.seed is not None:
         conf["seed"] = args.seed
     cfg = mc.McConfig.from_dict(conf, kind)
+    # from_dict checked every value, so a report from here on, error or not, echoes it as read
+    args.echo = (cfg.seed, {**conf, "dump_replicates": args.dump_replicates})
     cells, records = mc.run(kind, cfg)
-    # from_dict checked every key and value, so the config echoes as read
-    inputs = {**conf, "dump_replicates": args.dump_replicates}
     results = {"kind": kind, "cells": [fileio.jsonable(cell) for cell in cells]}
-    doc = fileio.make_report(cfg.seed, inputs, results)
+    doc = fileio.make_report(*args.echo, results)
     fileio.write_json(os.path.join(args.out, "report.json"), doc)
     for name, (header, rows) in mc.KINDS[kind].tables.items():
         body = [row for cell in cells for row in rows(cfg, cell)]
@@ -205,9 +201,8 @@ def _emit_error(args, kind: str, message: str, code: int) -> None:
     out = getattr(args, "out", None)
     if out:
         try:
-            report = fileio.make_report(
-                getattr(args, "seed", None), {}, None, [payload["error"]]
-            )
+            seed, inputs = getattr(args, "echo", (getattr(args, "seed", None), {}))
+            report = fileio.make_report(seed, inputs, None, [payload["error"]])
             fileio.write_json(os.path.join(out, "report.json"), report)
         except OSError:
             pass

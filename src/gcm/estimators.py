@@ -19,9 +19,9 @@ from .errors import DimensionMismatch, TooFewSamples
 def _gls_theta(design: model.Design, y: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Solve the normal equations X'X theta Z' sigma^{-1} Z = X'Y sigma^{-1} Z.
 
-    Both coefficient matrices are symmetric positive definite, so the
-    estimator (X'X)^{-1} X' Y sigma^{-1} Z (Z' sigma^{-1} Z)^{-1} is
-    evaluated with two Cholesky solves and no explicit inverse.
+    X'X, sigma and Z' sigma^{-1} Z are symmetric positive definite, so the
+    estimator (X'X)^{-1} X' Y sigma^{-1} Z (Z' sigma^{-1} Z)^{-1} takes three
+    ``solve_spd`` calls (each a Cholesky check, then an LU solve), no inverse.
     """
     x, z = design.X, design.Z
     a = linalg.solve_spd(design.xtx, x.T @ y, "X'X")
@@ -101,7 +101,7 @@ def two_stage_theta(data: model.Dataset) -> np.ndarray:
 def two_stage_gamma(data: model.Dataset, contrast: model.Contrast) -> np.ndarray:
     """Two-stage generalized least-squares estimator of gamma = C theta D'.
 
-    Production path: two SPD solves against sigma_hat. Equals
+    Production path: GLS by three ``solve_spd`` calls with sigma_hat plugged in. Equals
     C @ two_stage_theta(data) @ D' by construction.
     """
     contrast.check(data.design)

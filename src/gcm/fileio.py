@@ -57,7 +57,8 @@ def read_matrix_csv(path: str, skip_header: bool = False) -> np.ndarray:
 
     numpy's C reader parses the common case. Anything it refuses, and any
     body with an empty line (which it would skip silently), goes to the
-    line-numbered parser, which gives the same array or the error.
+    line-numbered parser, which reads each line by the same grammar and
+    gives the same array or the error.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -67,31 +68,31 @@ def read_matrix_csv(path: str, skip_header: bool = False) -> np.ndarray:
     body = raw_lines[1:] if skip_header else raw_lines
     if body and "" not in body:
         try:
-            return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+            return _parse_numbers(body)
         except ValueError:
             pass
     return _parse_matrix_lines(raw_lines, path, skip_header)
 
 
+def _parse_numbers(lines: list) -> np.ndarray:
+    """Comma-separated rows of numbers by numpy's C parser: the one grammar of matrix CSVs."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
 def _parse_matrix_lines(raw_lines: list, path: str, skip_header: bool) -> np.ndarray:
     """Parse the lines of a matrix CSV one by one, naming the line of any fault."""
     rows = []
-    width = None
     start = 1 if skip_header else 0
     if skip_header and not raw_lines:
         raise MatrixParseError("expected a header row in an empty file", path, 1)
     for lineno, line in enumerate(raw_lines[start:], start=start + 1):
         if line.strip() == "":
             raise MatrixParseError("blank line inside matrix", path, lineno)
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise MatrixParseError(
-                f"expected {width} fields, found {len(fields)}", path, lineno
-            )
+        width = line.count(",") + 1
+        if rows and width != rows[0].size:
+            raise MatrixParseError(f"expected {rows[0].size} fields, found {width}", path, lineno)
         try:
-            rows.append([float(f) for f in fields])
+            rows.append(_parse_numbers([line])[0])
         except ValueError:
             raise MatrixParseError(f"non-numeric field in row: {line!r}", path, lineno)
     if not rows:

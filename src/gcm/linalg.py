@@ -2,7 +2,9 @@
 
 Orthogonal projectors, the Moore-Penrose inverse and symmetric positive
 definite checks, solves and roots. All functions are pure and operate on
-float64 arrays; NaN/Inf entries are rejected at entry.
+float64 arrays. ``as_matrix``, and through it ``check_spd``, ``inv_sqrt_spd``,
+``orth_projector`` and ``moore_penrose``, reject NaN/Inf entries;
+``solve_spd`` and ``inv_spd`` do not check them (a NaN entry gives NaNs).
 """
 
 from __future__ import annotations

@@ -118,8 +118,9 @@ class Scenario:
             )
         except NotSpd as exc:
             raise ConfigError(f"scenario key 'sigma': {exc}") from exc
-        contrast = _contrast(d.get("contrast", "identity"), d["m"], d["q"])
-        return cls(d["m"], d["q"], d["times"], d["theta"], noise=spec, contrast=contrast)
+        theta = check_floats(d["theta"], "theta", 2)
+        contrast = _contrast(d.get("contrast", "identity"), *theta.shape)
+        return cls(d["m"], d["q"], d["times"], theta, noise=spec, contrast=contrast)
 
 
 def check_int(value, key: str, low: int = 1, high: float = math.inf) -> int:
@@ -154,11 +155,12 @@ def _real_leaves(value) -> bool:
 
 
 def _contrast(entry, m, q) -> model.Contrast | None:
-    """The contrast of a config entry: 'identity' (None), 'equality' or explicit c/d."""
+    """The contrast of a config entry for an m x q theta: 'identity' (None), 'equality' or
+    explicit c/d. The caller passes theta's shape, so a huge m or q builds no matrix."""
     if entry == "identity":
         return None
     if entry == "equality":
-        return model.equality_contrast(check_int(m, "m"), check_int(q, "q"))
+        return model.equality_contrast(m, q)
     if isinstance(entry, dict) and set(entry) == {"c", "d"}:
         return model.Contrast(
             C=check_floats(entry["c"], "contrast c", 2), D=check_floats(entry["d"], "contrast d", 2)
@@ -287,9 +289,8 @@ def ks_distance_normal(x: np.ndarray) -> float:
 def _coord_moments(x: np.ndarray) -> tuple:
     mu = float(x.mean())
     centered = x - mu
-    m2 = float((centered**2).mean())
-    m3 = float((centered**3).mean())
-    m4 = float((centered**4).mean())
+    # numpy scalars, so a moment past the float range gives inf or nan, not an OverflowError
+    m2, m3, m4 = ((centered**k).mean() for k in (2, 3, 4))
     variance = float(x.var(ddof=1))
     skewness = m3 / m2**1.5
     ex_kurtosis = m4 / m2**2 - 3.0

@@ -1,18 +1,37 @@
 """Command-line contract: files, exit codes, determinism and round trips."""
 
 import argparse
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, mc, model
 from gcm.errors import ConfigError, MatrixParseError, NotSpd
 
 TIMES4 = [1.0, 2.0, 3.0, 4.0]
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+
+def _strict_json(text: str):
+    """Parse ``text`` as JSON, refusing the non-JSON constants NaN and Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _ar_sigma(p, rho=0.3):
@@ -33,17 +52,21 @@ def _scenario_dict(equal_curves=False, contrast="equality", family="gaussian", d
     }
 
 
-@pytest.fixture
-def sim_files(tmp_path):
+def _write_sim_files(root):
     """Simulated dataset on disk plus contrast files, ready for estimate/test."""
     config = {"scenario": _scenario_dict(), "r": 8, "seed": 42}
-    cfg_path = tmp_path / "sim.json"
+    cfg_path = root / "sim.json"
     cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "data"
+    out = root / "data"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     fileio.write_matrix_csv(str(out / "C.csv"), np.array([[1.0, -1.0]]))
     fileio.write_matrix_csv(str(out / "D.csv"), np.array([[0.0, 1.0]]))
     return out
+
+
+@pytest.fixture
+def sim_files(tmp_path):
+    return _write_sim_files(tmp_path)
 
 
 def _estimation_argv(out, extra=()):
@@ -68,9 +91,9 @@ def test_simulate_writes_expected_shapes(sim_files):
     assert y.shape == (16, 4)
     assert x.shape == (16, 2)
     assert z.shape == (4, 2)
+    # the truth file is the simulate config as read
     truth = fileio.read_json(str(sim_files / "truth.json"))
-    assert truth["seed"] == 42
-    assert np.asarray(truth["sigma_cholesky"]).shape == (4, 4)
+    assert truth == {"scenario": _scenario_dict(), "r": 8, "seed": 42}
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -91,6 +114,20 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
                      "--out", str(tmp_path / "o")]) == 0
     truth = fileio.read_json(str(tmp_path / "o" / "truth.json"))
     assert truth["seed"] == 8
+
+
+def test_simulate_on_its_truth_file_rewrites_the_same_files(tmp_path):
+    # a truth file is the simulate config that made the data, --seed applied
+    scenario = _scenario_dict(family="student_t", df=6.0)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({"scenario": scenario, "r": 5, "seed": 7}))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--seed", "8",
+                     "--out", str(first)]) == 0
+    assert cli.main(["simulate", "--config", str(first / "truth.json"),
+                     "--out", str(second)]) == 0
+    for name in ("Y.csv", "X.csv", "Z.csv", "truth.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_simulate_requires_seed(tmp_path):
@@ -128,10 +165,12 @@ def test_estimate_report_matches_library_exactly(sim_files, tmp_path):
         np.asarray(results["std_errors"]), inference.standard_errors(law)
     )
 
-    truth = fileio.read_json(str(sim_files / "truth.json"))
-    theta_true = np.asarray(truth["theta"])
+    scenario = fileio.read_json(str(sim_files / "truth.json"))["scenario"]
+    theta_true, sigma_true = np.asarray(scenario["theta"]), np.asarray(scenario["sigma"])
     expected_gamma_err = float(np.linalg.norm(gamma - contrast.apply(theta_true)))
     assert results["truth_errors"]["gamma_err_fro"] == expected_gamma_err
+    expected_sigma_err = float(np.linalg.norm(estimators.sigma_hat(data) - sigma_true))
+    assert results["truth_errors"]["sigma_err_fro"] == expected_sigma_err
 
 
 def test_estimate_with_known_sigma_matches_ols(tmp_path):
@@ -451,14 +490,63 @@ def test_mc_single_replicate_report_is_strict_json(tmp_path):
     cfg = _mc_config(tmp_path, replications=1)
     out = tmp_path / "mc"
     assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(out)]) == 0
-
-    def reject(token):
-        raise ValueError(f"report.json holds the non-JSON constant {token}")
-
-    doc = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    doc = _strict_json((out / "report.json").read_text())
     for cell in doc["results"]["cells"]:
         assert cell["successes"] == 1
         assert cell["se"] == [[None, None], [None, None]]
+
+
+@pytest.mark.parametrize(
+    "fault, kind, code",
+    [("design", "ShapeViolation", 2), ("GCM_THREADS", "ConfigError", 2),
+     ("table write", "FileExistsError", 3)],
+)
+def test_mc_error_report_after_the_config_is_checked_echoes_it(
+    tmp_path, monkeypatch, capsys, fault, kind, code
+):
+    # once McConfig.from_dict accepts the config, a failure writes the inputs
+    # and seed that a success would
+    conf = json.loads((EXPERIMENTS / "level_gaussian.json").read_text())
+    conf.update(replications=2, sample_sizes=[1] if fault == "design" else [8])
+    cfg = tmp_path / "level.json"
+    cfg.write_text(json.dumps(conf))
+    out = tmp_path / "o"
+    if fault == "GCM_THREADS":
+        monkeypatch.setenv("GCM_THREADS", "two")
+    elif fault == "table write":
+        out.mkdir()
+        (out / "tables").write_text("a file where the tables directory goes\n")
+    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == code
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == kind
+    report = _strict_json((out / "report.json").read_text())
+    assert report["meta"]["seed"] == 901
+    assert report["inputs"] == {**conf, "dump_replicates": False}
+    assert report["results"] is None and report["errors"] == [error]
+
+
+def test_mc_error_report_on_a_refused_config_echoes_nothing(tmp_path, capsys):
+    # read_json takes the NaN token, so a config from_dict refuses is not echoed
+    cfg = _mc_config(tmp_path, kind="level", alpha=float("nan"))
+    out = tmp_path / "o"
+    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    report = _strict_json((out / "report.json").read_text())
+    assert report["inputs"] == {} and report["meta"]["seed"] is None
+    assert report["errors"] == [error]
+
+
+def test_mc_normality_moments_past_the_float_range_are_null(tmp_path):
+    # a huge theta leaves rounding error in gamma_hat whose cube and fourth
+    # power overflow: the moments are null, not an OverflowError
+    doc = json.loads(_mc_config(tmp_path, kind="normality", replications=4).read_text())
+    doc["scenario"]["theta"][0][0] = 1.5e154
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "mc"
+    assert cli.main(["mc-normality", "--config", str(cfg), "--out", str(out)]) == 0
+    (cell,) = _strict_json((out / "report.json").read_text())["results"]["cells"]
+    assert None in cell["coord_skewness"][0] + cell["coord_ex_kurtosis"][0]
 
 
 def test_mc_normality_single_replicate_writes_both_tables(tmp_path):
@@ -640,7 +728,7 @@ def test_exit_2_on_unknown_noise_key(tmp_path, capsys, command):
 @pytest.mark.parametrize("sigma", [[[float("nan")] * 4] * 4, [[1.0, 0.0], [0.0, 1.0]]])
 def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, sigma):
     truth = fileio.read_json(str(sim_files / "truth.json"))
-    truth["sigma"] = sigma
+    truth["scenario"]["sigma"] = sigma
     path = tmp_path / "truth.json"
     # json.dumps writes the NaN token, which read_json accepts
     path.write_text(json.dumps(truth))
@@ -659,9 +747,10 @@ def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, s
 )
 @pytest.mark.parametrize("known_sigma", [False, True])
 def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, capsys, key, value, known_sigma):
-    # a truth file is checked as a config is: no coercion, no unknown keys, on either route
+    # a truth file is checked as a simulate config is: no coercion, no unknown
+    # keys, on either route
     truth = fileio.read_json(str(sim_files / "truth.json"))
-    truth[key] = value
+    truth["scenario"][key] = value
     path = tmp_path / "truth.json"
     path.write_text(json.dumps(truth))
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
@@ -679,7 +768,54 @@ def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, capsys, key, value,
 def test_exit_2_on_repeated_truth_key(sim_files, tmp_path, capsys):
     text = (sim_files / "truth.json").read_text()
     path = tmp_path / "truth.json"
-    path.write_text(text.replace('"seed":', '"theta": [[0.0, 0.0], [0.0, 0.0]], "seed":', 1))
+    path.write_text(text.replace('"seed":', '"seed": 1, "seed":', 1))
+    code = cli.main(
+        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert str(path) in error["message"] and "repeated JSON keys ['seed']" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [({"m": 3, "theta": [[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]}, "theta"),
+     ({"times": TIMES4[:3], "sigma": _ar_sigma(3)}, "sigma")],
+)
+def test_exit_2_on_truth_that_does_not_fit_the_data(sim_files, tmp_path, capsys, change, key):
+    # a valid simulate config of another shape is not the truth of this data
+    truth = fileio.read_json(str(sim_files / "truth.json"))
+    truth["scenario"].update(change)
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    code = cli.main(
+        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"truth file {path}: {key} must be ")
+
+
+def test_truth_error_past_the_float_range_is_null(sim_files, tmp_path):
+    # the squared error overflows; the report stays strict JSON
+    truth = fileio.read_json(str(sim_files / "truth.json"))
+    truth["scenario"]["theta"][0][0] = 1.5e154
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    out = tmp_path / "o"
+    assert cli.main(["estimate", *_estimation_argv(sim_files), "--truth", str(path),
+                     "--out", str(out)]) == 0
+    errors = _strict_json((out / "report.json").read_text())["results"]["truth_errors"]
+    assert errors["theta_err_fro"] is None and errors["sigma_err_fro"] is not None
+
+
+def test_exit_2_on_theta_only_truth_file(sim_files, tmp_path, capsys):
+    # a truth file is a whole simulate config; theta alone is not one
+    truth = fileio.read_json(str(sim_files / "truth.json"))
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({"theta": truth["scenario"]["theta"]}))
     code = cli.main(
         ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
     )
@@ -782,6 +918,20 @@ def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(name)
     assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
+
+
+@pytest.mark.parametrize("key", ["m", "q"])
+def test_exit_2_on_equality_contrast_with_a_huge_m_or_q(tmp_path, capsys, key):
+    # the equality contrast is sized by theta, so a size theta does not have
+    # is refused before any matrix is built
+    scenario = _scenario_dict(contrast="equality")
+    scenario[key] = 2**64
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "r": 8, "seed": 1}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("theta must be ")
 
 
 @pytest.mark.parametrize(
@@ -956,6 +1106,84 @@ def test_exit_5_on_singular_standardizer(sim_files, tmp_path):
     )
     code = cli.main(["test", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
     assert code == 5
+
+
+def _leaves(doc, path=()):
+    """The path to every leaf (a value that is not an object or a list) of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+    return [path]
+
+
+def _small_documents() -> dict:
+    """A small valid config per command; "truth" is the truth file of ``_write_sim_files``."""
+    docs = {"simulate": {"scenario": _scenario_dict(), "r": 6, "seed": 5},
+            "truth": {"scenario": _scenario_dict(), "r": 8, "seed": 42}}
+    for kind in mc.KINDS:
+        docs[f"mc-{kind}"] = {
+            "scenario": _scenario_dict(equal_curves=kind == "level"),
+            "sample_sizes": [6, 8] if kind == "consistency" else [6],
+            "replications": 3,
+            "seed": 5,
+        }
+    docs["mc-level"]["alpha"] = 0.05
+    return docs
+
+
+_DOCUMENTS = _small_documents()
+# replacement leaves: small sizes, so a run that is accepted stays cheap, and
+# values each check must refuse
+_LEAF_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=40),
+    st.sampled_from([2**64, 2**70, 10**7]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.sampled_from(["gaussian", "uniform", "student_t", "identity", "equality"]),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+    st.dictionaries(st.sampled_from(["c", "d", "family"]), st.integers(0, 2), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def shared_sim_files(tmp_path_factory):
+    return _write_sim_files(tmp_path_factory.mktemp("shared"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_files, data):
+    # a config of each mc-* kind, a simulate config and a truth file, one leaf
+    # changed: success with strict JSON, or exit 2 with one JSON line and the
+    # error in report.json, never a traceback
+    name = data.draw(st.sampled_from(sorted(_DOCUMENTS)), label="document")
+    doc = copy.deepcopy(_DOCUMENTS[name])
+    *parents, key = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = data.draw(_LEAF_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(doc))
+        if name == "truth":
+            argv = ["estimate", *_estimation_argv(shared_sim_files), "--truth", str(cfg)]
+        else:
+            argv = [name, "--config", str(cfg)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), mock.patch.dict(os.environ, {"GCM_THREADS": "1"}):
+            code = cli.main([*argv, "--out", str(out)])
+        written = out / ("truth.json" if name == "simulate" and code == 0 else "report.json")
+        report = _strict_json(written.read_text())
+        if code == 0:
+            assert stderr.getvalue() == ""
+            assert name == "simulate" or report["errors"] == []
+        else:
+            assert code == 2, stderr.getvalue()
+            (line,) = stderr.getvalue().splitlines()
+            assert report["errors"] == [json.loads(line)["error"]]
 
 
 # ---------------------------------------------------------------------------

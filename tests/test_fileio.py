@@ -1,5 +1,6 @@
 """Matrix CSV reader and formatter against their line-by-line references."""
 
+import json
 import os
 import stat
 import subprocess
@@ -13,15 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gcm import fileio
+from gcm import cli, fileio
 from gcm.errors import MatrixParseError
 
 # fields the two parsers must agree on: plain, signed zero, the smallest
-# subnormal (2**-1074), overflow to inf, underscores (float() only), padding,
-# non-finite names, empty and non-numeric fields
+# subnormal (2**-1074), overflow to inf, underscores and non-ASCII digits
+# (which float() reads and numpy refuses), padding, non-finite names, empty
+# and non-numeric fields
 _FIELDS = [
     "1", "-2.5", "0.1", "-0.0", "4.9406564584124654e-324", "1e400", "-1e400",
-    "1_0", " 3 ", "\t4", "nan", "-nan", "inf", "-Infinity", "", "x", "1e", "+7",
+    "1_0", "\u0661", " 3 ", "\t4", "nan", "-nan", "inf", "-Infinity", "", "x", "1e", "+7",
 ]
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0c"]
 
@@ -78,6 +80,23 @@ def test_reader_matches_the_line_numbered_parser(tmp_path_factory, case):
     fast = _outcome(lambda: fileio.read_matrix_csv(str(path), header))
     slow = _outcome(lambda: fileio._parse_matrix_lines(lines, str(path), header))
     assert fast == slow
+
+
+@pytest.mark.parametrize("row", ["1_0,3", "\u0661,3"], ids=["underscore", "arabic-indic-digit"])
+def test_fields_numpy_refuses_are_refused_at_their_line(tmp_path, capsys, row):
+    # float() reads 1_0 as 10.0 and an Arabic-Indic digit one as 1.0; the
+    # reader has numpy's grammar only, so the CLI names the line
+    path = tmp_path / "Y.csv"
+    path.write_text(f"1,2\n{row}\n", encoding="utf-8")
+    with pytest.raises(MatrixParseError) as excinfo:
+        fileio.read_matrix_csv(str(path))
+    assert excinfo.value.line == 2
+    argv = ["estimate", "--y", str(path), "--x", "X.csv", "--z", "Z.csv", "--c", "C.csv",
+            "--d", "D.csv", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "MatrixParseError"
+    assert error["message"].startswith(f"{path}:2: ")
 
 
 def test_reader_takes_the_c_parser_for_written_matrices(tmp_path):
