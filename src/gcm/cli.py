@@ -72,6 +72,8 @@ def _load_estimation_inputs(args):
     return data, contrast
 
 
+# an error past the float range is inf, written as null, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _truth_errors(path, design, contrast, theta, sigma_value):
     """Frobenius errors of theta, gamma and (two-stage runs) sigma_hat against a truth file.
 
@@ -112,7 +114,7 @@ def _estimate_results(args, sigma0=None):
         sigma = sigma_value = estimators.sigma_hat(data)
         estimator_name = "two_stage"
     theta = estimators.theta_hat_known(data, sigma)
-    law = inference.cov_factors(data.design.xtx, sigma, data.design.Z, contrast)
+    law = inference.cov_factors(data.design.xtx_factor, sigma, data.design.Z, contrast)
     gamma = contrast.apply(theta)
     results = {
         "estimator": estimator_name,
@@ -132,19 +134,23 @@ def _estimate_results(args, sigma0=None):
 
 
 def _estimation_inputs_echo(args) -> dict:
-    """Every parsed estimation input, so the parser is the one list of them."""
+    """Every parsed estimation input, so the parser is the one list of them; a
+    non-finite ``--alpha`` is written as null, so the report stays strict JSON."""
     skip = ("command", "func", "out")
-    return {key: value for key, value in vars(args).items() if key not in skip}
+    return fileio.jsonable({key: value for key, value in vars(args).items() if key not in skip})
 
 
 def cmd_estimate(args) -> int:
+    # a report from here on, error or not, echoes the parsed inputs
+    args.echo = (None, _estimation_inputs_echo(args))
     _, _, results = _estimate_results(args, args.sigma0)
-    report = fileio.make_report(None, _estimation_inputs_echo(args), results)
+    report = fileio.make_report(*args.echo, results)
     fileio.write_json(os.path.join(args.out, "report.json"), report)
     return EXIT_OK
 
 
 def cmd_test(args) -> int:
+    args.echo = (None, _estimation_inputs_echo(args))
     data, contrast, results = _estimate_results(args)
     try:
         outcome = inference.test_gamma_zero(data, contrast, args.alpha)
@@ -160,7 +166,7 @@ def cmd_test(args) -> int:
             "reject": outcome.reject,
         }
     )
-    report = fileio.make_report(None, _estimation_inputs_echo(args), results)
+    report = fileio.make_report(*args.echo, results)
     fileio.write_json(os.path.join(args.out, "report.json"), report)
     return EXIT_OK
 

@@ -16,15 +16,16 @@ from . import linalg, model
 from .errors import DimensionMismatch, TooFewSamples
 
 
-def _gls_theta(design: model.Design, y: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _gls_theta(design: model.Design, y: np.ndarray, sigma: linalg.SpdFactor) -> np.ndarray:
     """Solve the normal equations X'X theta Z' sigma^{-1} Z = X'Y sigma^{-1} Z.
 
     X'X, sigma and Z' sigma^{-1} Z are symmetric positive definite, so the
     estimator (X'X)^{-1} X' Y sigma^{-1} Z (Z' sigma^{-1} Z)^{-1} takes three
-    ``solve_spd`` calls (each a Cholesky check, then an LU solve), no inverse.
+    ``solve_spd`` calls: matrix products with the design's X'X factor and the
+    fit's ``sigma`` factor, then a Cholesky check and an LU solve on Z' sigma^{-1} Z.
     """
     x, z = design.X, design.Z
-    a = linalg.solve_spd(design.xtx, x.T @ y, "X'X")
+    a = linalg.solve_spd(design.xtx_factor, x.T @ y, "X'X")
     b = linalg.solve_spd(sigma, z, "sigma")
     g = z.T @ b
     return linalg.solve_spd(g, (a @ b).T, "Z' sigma^{-1} Z").T
@@ -46,7 +47,7 @@ def sigma_hat(data: model.Dataset) -> np.ndarray:
             f"need n - m >= p for an invertible first stage, got n={n}, m={m}, p={p}"
         )
     x, y = design.X, data.Y
-    resid = y - x @ linalg.solve_spd(design.xtx, x.T @ y, "X'X")
+    resid = y - x @ linalg.solve_spd(design.xtx_factor, x.T @ y, "X'X")
     s = resid.T @ resid / (n - m)
     s = (s + s.T) / 2.0
     linalg.check_spd(s, "first-stage covariance estimate")
@@ -61,7 +62,7 @@ def theta_hat_known(data: model.Dataset, sigma0: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"sigma0 is {sigma0.shape[0]} x {sigma0.shape[0]} but Z has {data.design.p} rows"
         )
-    return _gls_theta(data.design, data.Y, sigma0)
+    return _gls_theta(data.design, data.Y, linalg.SpdFactor(sigma0, "sigma"))
 
 
 def gamma_hat_known(
@@ -88,8 +89,12 @@ def h_matrix(sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def two_stage(data: model.Dataset) -> tuple:
-    """First-stage sigma_hat and the two-stage estimator of theta: GLS with it plugged in."""
-    sig = sigma_hat(data)
+    """The fit of ``data``: (sigma_hat as an SpdFactor, the two-stage estimator of theta).
+
+    sigma_hat is factored once, so the GLS solves with it, and those of a caller
+    that passes the factor on (``inference.standardized_stat``), are matrix products.
+    """
+    sig = linalg.SpdFactor(sigma_hat(data), "sigma")
     return sig, _gls_theta(data.design, data.Y, sig)
 
 
@@ -120,5 +125,5 @@ def two_stage_gamma_pinv(data: model.Dataset, contrast: model.Contrast) -> np.nd
     h = h_matrix(sigma_hat(data), design.Z)
     x, z, y = design.X, design.Z, data.Y
     k = linalg.solve_spd(z.T @ z, z.T, "Z'Z").T
-    a = linalg.solve_spd(design.xtx, x.T @ y, "X'X")
+    a = linalg.solve_spd(design.xtx_factor, x.T @ y, "X'X")
     return contrast.apply(a @ h @ k)

@@ -51,7 +51,10 @@ class TestResult:
 
 
 def cov_factors(
-    a: np.ndarray, sigma: np.ndarray, z: np.ndarray, contrast: model.Contrast
+    a: np.ndarray | linalg.SpdFactor,
+    sigma: np.ndarray | linalg.SpdFactor,
+    z: np.ndarray,
+    contrast: model.Contrast,
 ) -> AsymptoticLaw:
     """Symmetrized covariance factors C a^{-1} C' and D (Z' sigma^{-1} Z)^{-1} D'.
 
@@ -74,7 +77,7 @@ def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:
     gamma_hat.
     """
     contrast.check(data.design)
-    return cov_factors(data.design.xtx, estimators.sigma_hat(data), data.design.Z, contrast)
+    return cov_factors(data.design.xtx_factor, estimators.sigma_hat(data), data.design.Z, contrast)
 
 
 def standard_errors(law: AsymptoticLaw) -> np.ndarray:
@@ -92,7 +95,7 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     contrast.check(data.design)
     n = data.design.n
     sig, theta = estimators.two_stage(data)
-    law = cov_factors(data.design.xtx, sig, data.design.Z, contrast)
+    law = cov_factors(data.design.xtx_factor, sig, data.design.Z, contrast)
     return AsymptoticLaw(n * law.left, law.right).whiten(np.sqrt(n) * contrast.apply(theta))
 
 

@@ -1,13 +1,18 @@
 """Dense real matrix primitives used by the estimators.
 
 Orthogonal projectors, the Moore-Penrose inverse and symmetric positive
-definite checks, solves and roots. All functions are pure and operate on
-float64 arrays. ``as_matrix``, and through it ``check_spd``, ``inv_sqrt_spd``,
-``orth_projector`` and ``moore_penrose``, reject NaN/Inf entries;
-``solve_spd`` and ``inv_spd`` do not check them (a NaN entry gives NaNs).
+definite checks, factors, solves and roots. All functions are pure and
+operate on float64 arrays. ``as_matrix``, and through it ``check_spd``,
+``inv_sqrt_spd``, ``orth_projector`` and ``moore_penrose``, reject NaN/Inf
+entries; ``solve_spd``, ``inv_spd`` and ``SpdFactor`` do not check them (a NaN
+entry gives NaNs). An ``SpdFactor`` is built once for a matrix that several
+solves share (X'X of a design, sigma within a fit), so ``solve_spd`` on it is
+a matrix product instead of a factorization.
 """
 
 from __future__ import annotations
+
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,7 +33,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InvalidValue(f"{name} must be 2-dimensional, got ndim={out.ndim}")
     if out.size == 0:
         raise InvalidValue(f"{name} must be non-empty")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise InvalidValue(f"{name} contains NaN or Inf entries")
     return out
 
@@ -65,16 +70,47 @@ def check_spd(a, name: str = "matrix") -> np.ndarray:
     return _spd_spectrum(a, name, vectors=False)[0]
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``.
-
-    The Cholesky factorization is the positive definiteness check; the solve
-    itself is LAPACK's ``gesv``, since numpy has no triangular solve.
-    """
+def _cholesky_check(a: np.ndarray, name: str) -> None:
+    """Raise NotSpd unless ``a`` has a Cholesky factorization."""
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotSpd(f"{name} has no Cholesky factorization: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
+class SpdFactor:
+    """Symmetric positive definite ``a`` with its symmetrized inverse ``inv`` (read-only).
+
+    Construction runs ``solve_spd``'s Cholesky check, so it refuses what
+    ``solve_spd`` refuses with the same NotSpd message, then inverts ``a`` once.
+    """
+
+    a: np.ndarray
+    name: InitVar[str] = "matrix"
+    inv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, name):
+        _cholesky_check(self.a, name)
+        inv = np.linalg.inv(self.a)
+        inv = (inv + inv.T) / 2.0
+        inv.flags.writeable = False
+        object.__setattr__(self, "inv", inv)
+
+
+def solve_spd(a: np.ndarray | SpdFactor, b: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Solve ``a @ x = b`` for symmetric positive definite ``a``, an array or an SpdFactor.
+
+    On a factor the solve is ``a.inv @ b``, the check having run when the factor
+    was built. On an array the Cholesky factorization is the positive
+    definiteness check and the solve itself is LAPACK's ``gesv``, since numpy
+    has no triangular solve; a product with the inverse would not stay within
+    1e-12 of ``np.linalg.solve`` on ill-conditioned arrays (cond 1e8), which
+    this path does.
+    """
+    if isinstance(a, SpdFactor):
+        return a.inv @ b
+    _cholesky_check(a, name)
     return np.linalg.solve(a, b)
 
 

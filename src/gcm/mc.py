@@ -418,9 +418,9 @@ def _consistency_replicate(cfg, h_true, data, key) -> tuple:
     sig, theta = estimators.two_stage(data)
     gam = cfg.scenario.contrast.apply(theta)
     return gam, (
-        np.linalg.norm(sig - cfg.scenario.noise.sigma),
+        np.linalg.norm(sig.a - cfg.scenario.noise.sigma),
         np.linalg.norm(gam - cfg.scenario.gamma_true),
-        np.abs(estimators.h_matrix(sig, data.design.Z) - h_true).max(),
+        np.abs(estimators.h_matrix(sig.a, data.design.Z) - h_true).max(),
     )
 
 
@@ -441,6 +441,8 @@ def _unbiasedness_summary(cell, records, ok, gam, scenario) -> dict:
 _MOMENTS = ("coord_mean", "coord_variance", "coord_skewness", "coord_ex_kurtosis")
 
 
+# a moment past the float range is inf or nan, reported as null, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _normality_summary(cell, records, ok, gam, scenario) -> dict:
     law = scenario.law()
     theory = law.full()

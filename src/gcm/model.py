@@ -64,6 +64,11 @@ class Design:
         return _read_only(self.X.T @ self.X)
 
     @functools.cached_property
+    def xtx_factor(self) -> linalg.SpdFactor:
+        """X'X as the SpdFactor that every solve with it shares."""
+        return linalg.SpdFactor(self.xtx, "X'X")
+
+    @functools.cached_property
     def rank_deficient(self) -> str | None:
         """Name of the first of X and Z without full column rank at ``RANK_RTOL``, else None."""
         for mat, name in ((self.X, "X"), (self.Z, "Z")):

@@ -536,9 +536,35 @@ def test_mc_error_report_on_a_refused_config_echoes_nothing(tmp_path, capsys):
     assert report["errors"] == [error]
 
 
+@pytest.mark.parametrize(
+    "command, fault, code",
+    [("estimate", "missing y", 3), ("test", "missing y", 3), ("test", "alpha nan", 2)],
+)
+def test_estimation_error_report_echoes_the_parsed_inputs(
+    sim_files, tmp_path, capsys, command, fault, code
+):
+    # a failed estimate or test writes the inputs that a success would, as strict JSON
+    assert cli.main([command, *_estimation_argv(sim_files), "--out", str(tmp_path / "ok")]) == 0
+    inputs = _strict_json((tmp_path / "ok" / "report.json").read_text())["inputs"]
+    argv = _estimation_argv(sim_files)
+    if fault == "missing y":
+        argv[1] = inputs["y"] = str(tmp_path / "nope.csv")
+    else:
+        argv += ["--alpha", "nan"]
+        inputs["alpha"] = None
+    capsys.readouterr()
+    assert cli.main([command, *argv, "--out", str(tmp_path / "o")]) == code
+    error = json.loads(capsys.readouterr().err)["error"]
+    report = _strict_json((tmp_path / "o" / "report.json").read_text())
+    assert report["inputs"] == inputs and report["meta"]["seed"] is None
+    assert report["results"] is None and report["errors"] == [error]
+
+
+@pytest.mark.filterwarnings("error")
 def test_mc_normality_moments_past_the_float_range_are_null(tmp_path):
     # a huge theta leaves rounding error in gamma_hat whose cube and fourth
-    # power overflow: the moments are null, not an OverflowError
+    # power overflow: the moments are null, not an OverflowError, and no
+    # numpy warning reaches stderr of a run that succeeds
     doc = json.loads(_mc_config(tmp_path, kind="normality", replications=4).read_text())
     doc["scenario"]["theta"][0][0] = 1.5e154
     cfg = tmp_path / "config.json"
@@ -798,8 +824,10 @@ def test_exit_2_on_truth_that_does_not_fit_the_data(sim_files, tmp_path, capsys,
     assert error["message"].startswith(f"truth file {path}: {key} must be ")
 
 
+@pytest.mark.filterwarnings("error")
 def test_truth_error_past_the_float_range_is_null(sim_files, tmp_path):
-    # the squared error overflows; the report stays strict JSON
+    # the squared error overflows; the report stays strict JSON and no numpy
+    # warning reaches stderr
     truth = fileio.read_json(str(sim_files / "truth.json"))
     truth["scenario"]["theta"][0][0] = 1.5e154
     path = tmp_path / "truth.json"

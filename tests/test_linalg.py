@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gcm import linalg
+from gcm import linalg, model
 from gcm.errors import NotSpd, RankDeficient
 
 
@@ -19,6 +19,13 @@ def _spd(rng, p, jitter=0.5):
 # solve_spd
 
 
+def _spd_of_cond(rng, p, log_cond):
+    """Random orthogonal basis with eigenvalues spread over 10**log_cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = (q * np.logspace(0.0, -log_cond, p)) @ q.T
+    return (a + a.T) / 2.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.integers(min_value=1, max_value=6),
@@ -27,11 +34,8 @@ def _spd(rng, p, jitter=0.5):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_solve_spd_matches_general_solve(p, k, log_cond, seed):
-    # random orthogonal basis with eigenvalues spread over 10**log_cond
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    a = (q * np.logspace(0.0, -log_cond, p)) @ q.T
-    a = (a + a.T) / 2.0
+    a = _spd_of_cond(rng, p, log_cond)
     b = rng.standard_normal((p, k))
     x = linalg.solve_spd(a, b)
     assert x.shape == (p, k)
@@ -39,9 +43,85 @@ def test_solve_spd_matches_general_solve(p, k, log_cond, seed):
     assert_allclose(a @ x, b, atol=1e-7 * np.abs(b).max())
 
 
+def _unbalanced_xtx(rng, p, log_cond):
+    """X'X (p >= 2) of unequal groups plus a covariate column scaled by 10**(log_cond / 2)."""
+    groups = np.repeat(np.eye(p - 1), rng.integers(2, 9, p - 1), axis=0)
+    covariate = 10.0 ** (log_cond / 2.0) * rng.standard_normal(groups.shape[0])
+    return model.Design(X=np.column_stack([groups, covariate]), Z=np.ones((2, 1))).xtx_factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=1, max_value=4),
+    log_cond=st.floats(min_value=0.0, max_value=8.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    unbalanced=st.booleans(),
+)
+def test_factor_solves_match_the_array_path(p, k, log_cond, seed, unbalanced):
+    # a solve through the inverse of an SpdFactor is a matrix product; it agrees
+    # with the Cholesky-checked LU solve to a tolerance that scales with cond(a)
+    rng = np.random.default_rng(seed)
+    if unbalanced:
+        p = max(p, 2)
+        factor = _unbalanced_xtx(rng, p, log_cond)
+        a = factor.a
+        assert np.abs(a - np.diag(np.diag(a))).max() > 0.0
+    else:
+        a = _spd_of_cond(rng, p, log_cond)
+        factor = linalg.SpdFactor(a)
+    assert np.array_equal(factor.inv, factor.inv.T) and not factor.inv.flags.writeable
+    b = rng.standard_normal((p, k))
+    x = linalg.solve_spd(a, b)
+    rtol = 16 * p * np.finfo(float).eps * np.linalg.cond(a)
+    assert np.abs(linalg.solve_spd(factor, b) - x).max() <= rtol * np.abs(x).max()
+    assert np.abs(linalg.inv_spd(a) - factor.inv).max() <= rtol * np.abs(factor.inv).max()
+
+
 def test_solve_spd_rejects_indefinite():
     with pytest.raises(NotSpd, match="sigma has no Cholesky factorization"):
         linalg.solve_spd(np.diag([1.0, -1.0, 1.0]), np.ones(3), "sigma")
+
+
+def _refusal(build):
+    """The type and text of the error ``build()`` raises, else None."""
+    try:
+        build()
+    except (NotSpd, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=5),
+    low=st.sampled_from([-1.0, -1e-3, -1e-17, 0.0, 1e-17, 1e-3, 1.0]),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_factor_refuses_exactly_what_solve_spd_refuses(p, low, scale, seed):
+    # eigenvalues {low} + U(1, 10): indefinite, singular, near-singular or SPD,
+    # scaled; a matrix whose Cholesky factor exists but whose LU has a zero
+    # pivot raises numpy's LinAlgError from the solve and from the inverse alike
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    w = rng.uniform(1.0, 10.0, p)
+    w[0] = low
+    a = scale * (q * w) @ q.T
+    a = (a + a.T) / 2.0
+    refused = _refusal(lambda: linalg.solve_spd(a, np.ones(p), "sigma"))
+    assert _refusal(lambda: linalg.SpdFactor(a, "sigma")) == refused
+    if refused is not None and refused[0] == "NotSpd":
+        assert refused[1].startswith("sigma has no Cholesky factorization: ")
+
+
+def test_design_xtx_factor_is_one_object_per_design():
+    design = model.potthoff_roy_design(3, 4, (1.0, 2.0, 3.0), 2)
+    factor = design.xtx_factor
+    assert design.xtx_factor is factor and factor.a is design.xtx
+    other = model.potthoff_roy_design(3, 4, (1.0, 2.0, 3.0), 2)
+    assert other.xtx_factor is not factor
+    assert_allclose(factor.inv, np.eye(3) / 4.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,33 @@ def test_run_builds_each_cell_design_once(monkeypatch):
     assert sizes == [10, 20]
 
 
+@pytest.mark.parametrize("kind, most", [("level", 23), ("consistency", 12)])
+def test_factorizations_per_replicate_stay_at_their_counts(monkeypatch, kind, most):
+    # X'X is factored once per design and sigma_hat once per fit, so a level
+    # replicate makes at most 23 numpy factorizations and a consistency one 12
+    calls = []
+    # numpy's dense factorizations; gcm calls each as an np.linalg attribute
+    for name in ("cholesky", "solve", "inv", "eigh", "eigvalsh", "svd"):
+        def counted(*args, original=getattr(np.linalg, name), **kwargs):
+            calls.append(original)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setenv("GCM_THREADS", "1")
+    level = kind == "level"
+    scenario = _scenario(equal_curves=level, contrast="equality" if level else "identity")
+
+    def count(reps):
+        calls.clear()
+        cells, _ = mc.run(kind, _cfg(scenario, sizes=(20,), reps=reps))
+        assert cells[0]["successes"] == reps
+        return len(calls)
+
+    count(1)  # builds the scenario's cached Cholesky factor of sigma
+    # the set-up of each run cancels in the difference
+    assert (count(10) - count(2)) / 8 <= most
+
+
 def test_summaries_recompute_exactly_from_records():
     cfg = _cfg(reps=50)
     cells, records = mc.run("consistency", cfg)

@@ -166,7 +166,7 @@ def test_design_and_noise_hold_read_only_copies():
     sigma = _ar_sigma(4)
     design = model.Design(X=x, Z=z)
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
-    for held in (design.X, design.Z, design.xtx, noise.sigma, noise.chol):
+    for held in (design.X, design.Z, design.xtx, design.xtx_factor.inv, noise.sigma, noise.chol):
         assert not held.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             held[0, 0] = 5.0
