@@ -73,17 +73,20 @@ def gamma_hat_known(
     return contrast.apply(theta_hat_known(data, sigma0))
 
 
-def h_matrix(sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+def h_matrix(sigma: np.ndarray | linalg.SpdFactor, z: np.ndarray) -> np.ndarray:
     """The p x p matrix sigma^{-1} (P_Z sigma^{-1} P_Z)^+ for an SPD sigma.
 
     Satisfies H Z (Z'Z)^{-1} = sigma^{-1} Z (Z' sigma^{-1} Z)^{-1}, which is
-    what makes the pseudo-inverse route agree with the solve route.
+    what makes the pseudo-inverse route agree with the solve route. ``sigma``
+    is an array or a fit's SpdFactor; either is refused unless it passes
+    ``check_spd``, and a factor's inverse is a matrix product.
     """
-    s = linalg.check_spd(sigma, "sigma")
+    factor = isinstance(sigma, linalg.SpdFactor)
+    s = linalg.check_spd(sigma.a if factor else sigma, "sigma")
     z = linalg.as_matrix(z, "Z")
     if z.shape[0] != s.shape[0]:
         raise DimensionMismatch(f"Z has {z.shape[0]} rows but sigma is {s.shape[0]} x {s.shape[0]}")
-    s_inv = linalg.inv_spd(s, "sigma")
+    s_inv = linalg.inv_spd(sigma if factor else s, "sigma")
     p_z = linalg.orth_projector(z)
     return s_inv @ linalg.moore_penrose(p_z @ s_inv @ p_z)
 

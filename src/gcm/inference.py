@@ -33,9 +33,14 @@ class AsymptoticLaw:
     def full(self) -> np.ndarray:
         return np.kron(self.left, self.right)
 
-    def whiten(self, x: np.ndarray) -> np.ndarray:
-        """left^{-1/2} x right^{-1/2} for one s x t matrix or a stack of them."""
-        return linalg.inv_sqrt_spd(self.left) @ x @ linalg.inv_sqrt_spd(self.right)
+    def whiten(self, x: np.ndarray, left_root: np.ndarray | None = None) -> np.ndarray:
+        """left^{-1/2} x right^{-1/2} for one s x t matrix or a stack of them.
+
+        ``left_root`` is ``inv_sqrt_spd(left)`` when the caller already has it.
+        """
+        if left_root is None:
+            left_root = linalg.inv_sqrt_spd(self.left)
+        return left_root @ x @ linalg.inv_sqrt_spd(self.right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +95,22 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
 
     Entries are asymptotically iid standard normal under gamma = 0. Raises
     NotSpd when either standardizer is singular (C or D without full row
-    rank).
+    rank). The left root depends on the design and C only, so it is taken
+    once per design and C and kept in ``design.left_roots``; a singular one
+    is not kept, and raises on every call.
     """
-    contrast.check(data.design)
-    n = data.design.n
+    design = data.design
+    contrast.check(design)
+    n = design.n
     sig, theta = estimators.two_stage(data)
-    law = cov_factors(data.design.xtx_factor, sig, data.design.Z, contrast)
-    return AsymptoticLaw(n * law.left, law.right).whiten(np.sqrt(n) * contrast.apply(theta))
+    law = cov_factors(design.xtx_factor, sig, design.Z, contrast)
+    law = AsymptoticLaw(n * law.left, law.right)
+    # C's bytes fix C: its column count is X's, checked above
+    key = contrast.C.tobytes()
+    root = design.left_roots.get(key)
+    if root is None:
+        root = design.left_roots[key] = linalg.inv_sqrt_spd(law.left)
+    return law.whiten(np.sqrt(n) * contrast.apply(theta), root)
 
 
 def chi_sq_p_value(chi_sq: float, dof: int) -> float:

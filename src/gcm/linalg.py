@@ -6,8 +6,10 @@ operate on float64 arrays. ``as_matrix``, and through it ``check_spd``,
 ``inv_sqrt_spd``, ``orth_projector`` and ``moore_penrose``, reject NaN/Inf
 entries; ``solve_spd``, ``inv_spd`` and ``SpdFactor`` do not check them (a NaN
 entry gives NaNs). An ``SpdFactor`` is built once for a matrix that several
-solves share (X'X of a design, sigma within a fit), so ``solve_spd`` on it is
-a matrix product instead of a factorization.
+solves share (X'X of a design, sigma within a fit), so ``solve_spd`` and
+``inv_spd`` on it are matrix products instead of factorizations. Every failed
+factorization is a ``NotSpd`` naming the matrix; no numpy ``LinAlgError``
+leaves this module.
 """
 
 from __future__ import annotations
@@ -70,20 +72,29 @@ def check_spd(a, name: str = "matrix") -> np.ndarray:
     return _spd_spectrum(a, name, vectors=False)[0]
 
 
-def _cholesky_check(a: np.ndarray, name: str) -> None:
-    """Raise NotSpd unless ``a`` has a Cholesky factorization."""
+def _checked_lu(lu, a: np.ndarray, name: str, *args) -> np.ndarray:
+    """``lu(a, *args)`` (numpy's LU solve or inverse) after a Cholesky check of ``a``.
+
+    Raises NotSpd when ``a`` has no Cholesky factorization, or when it has one
+    but LU elimination meets an exact zero pivot (an X'X whose smallest
+    eigenvalue rounds to zero can pass the Cholesky step).
+    """
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotSpd(f"{name} has no Cholesky factorization: {exc}") from exc
+    try:
+        return lu(a, *args)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpd(f"{name} is singular at working precision: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
     """Symmetric positive definite ``a`` with its symmetrized inverse ``inv`` (read-only).
 
-    Construction runs ``solve_spd``'s Cholesky check, so it refuses what
-    ``solve_spd`` refuses with the same NotSpd message, then inverts ``a`` once.
+    Construction runs ``solve_spd``'s checks, so it refuses what ``solve_spd``
+    refuses with the same NotSpd message, and inverts ``a`` once.
     """
 
     a: np.ndarray
@@ -91,8 +102,7 @@ class SpdFactor:
     inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, name):
-        _cholesky_check(self.a, name)
-        inv = np.linalg.inv(self.a)
+        inv = _checked_lu(np.linalg.inv, self.a, name)
         inv = (inv + inv.T) / 2.0
         inv.flags.writeable = False
         object.__setattr__(self, "inv", inv)
@@ -106,17 +116,21 @@ def solve_spd(a: np.ndarray | SpdFactor, b: np.ndarray, name: str = "matrix") ->
     definiteness check and the solve itself is LAPACK's ``gesv``, since numpy
     has no triangular solve; a product with the inverse would not stay within
     1e-12 of ``np.linalg.solve`` on ill-conditioned arrays (cond 1e8), which
-    this path does.
+    this path does. A zero pivot in ``gesv`` is NotSpd, as in ``SpdFactor``.
     """
     if isinstance(a, SpdFactor):
         return a.inv @ b
-    _cholesky_check(a, name)
-    return np.linalg.solve(a, b)
+    return _checked_lu(np.linalg.solve, a, name, b)
 
 
-def inv_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Explicit inverse of a symmetric positive definite matrix, symmetrized."""
-    inv = solve_spd(a, np.eye(a.shape[0]), name)
+def inv_spd(a: np.ndarray | SpdFactor, name: str = "matrix") -> np.ndarray:
+    """Explicit inverse of a symmetric positive definite matrix, symmetrized.
+
+    ``solve_spd(a, I)``: an LU solve for an array, a matrix product (equal to
+    ``a.inv``) for an SpdFactor.
+    """
+    p = (a.a if isinstance(a, SpdFactor) else a).shape[0]
+    inv = solve_spd(a, np.eye(p), name)
     return (inv + inv.T) / 2.0
 
 

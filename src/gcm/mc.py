@@ -420,7 +420,7 @@ def _consistency_replicate(cfg, h_true, data, key) -> tuple:
     return gam, (
         np.linalg.norm(sig.a - cfg.scenario.noise.sigma),
         np.linalg.norm(gam - cfg.scenario.gamma_true),
-        np.abs(estimators.h_matrix(sig.a, data.design.Z) - h_true).max(),
+        np.abs(estimators.h_matrix(sig, data.design.Z) - h_true).max(),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     DegenerateTimes,
     DimensionMismatch,
     InvalidNoise,
+    NotSpd,
     RankDeficient,
     ShapeViolation,
 )
@@ -48,11 +49,14 @@ class Design:
     X is n x m (between-individual design, rows accumulate with sample
     size), Z is p x q (within-individual design, fixed as n grows). Both
     are held as read-only copies, so the quantities derived from them are
-    computed once per design and stay valid.
+    computed once per design and stay valid. ``left_roots`` maps the bytes of
+    a contrast's C to the whitening root (n C (X'X)^{-1} C')^{-1/2}, which
+    ``inference.standardized_stat`` fills on its first fit of the design.
     """
 
     X: np.ndarray
     Z: np.ndarray
+    left_roots: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "X", _read_only(linalg.as_matrix(self.X, "X")))
@@ -70,11 +74,20 @@ class Design:
 
     @functools.cached_property
     def rank_deficient(self) -> str | None:
-        """Name of the first of X and Z without full column rank at ``RANK_RTOL``, else None."""
+        """Why X or Z lacks full column rank, else None.
+
+        X and Z are checked at ``RANK_RTOL`` on their singular values, then
+        ``xtx_factor`` is built: an X that passes the first check can still
+        have an X'X that no factorization survives, and the reason names X'X.
+        """
         for mat, name in ((self.X, "X"), (self.Z, "Z")):
             s = np.linalg.svd(mat, compute_uv=False)
             if s[-1] <= linalg.RANK_RTOL * s[0]:
-                return name
+                return f"{name} is rank deficient at tolerance {linalg.RANK_RTOL:g}"
+        try:
+            self.xtx_factor
+        except NotSpd as exc:
+            return str(exc)
         return None
 
     @property
@@ -189,16 +202,17 @@ def validate(design: Design) -> None:
     """Check the model shape constraints n > m, p > q and full column rank.
 
     Raises ShapeViolation or RankDeficient; all estimation entry points call
-    this before touching the data. The rank verdict is cached on the design,
-    so the SVDs run once per design while a bad design raises on every call.
+    this before touching the data. The rank verdict, which builds the X'X
+    factor, is cached on the design, so the SVDs and the factorization run
+    once per design while a bad design raises on every call.
     """
     if design.n <= design.m:
         raise ShapeViolation(f"need n > m, got n={design.n}, m={design.m}")
     if design.p <= design.q:
         raise ShapeViolation(f"need p > q, got p={design.p}, q={design.q}")
-    name = design.rank_deficient
-    if name is not None:
-        raise RankDeficient(f"{name} is rank deficient at tolerance {linalg.RANK_RTOL:g}")
+    reason = design.rank_deficient
+    if reason is not None:
+        raise RankDeficient(reason)
 
 
 def potthoff_roy_design(m: int, r: int, times, q: int) -> Design:

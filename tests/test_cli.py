@@ -716,6 +716,26 @@ def test_exit_2_on_invalid_design(tmp_path):
     assert cli.main(["estimate", *_estimation_argv(d), "--out", str(d / "o")]) == 2
 
 
+def test_exit_2_on_an_x_whose_gram_matrix_does_not_factor(tmp_path, capsys):
+    # X = [1, b, b + 3e-9 e] passes the rank check on its singular values
+    # (ratio 1.3e-9), but X'X does not factor: a refused design, not a crash
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(40)
+    e = rng.standard_normal(40)
+    d = tmp_path
+    fileio.write_matrix_csv(str(d / "X.csv"), np.column_stack([np.ones(40), b, b + 3e-9 * e]))
+    fileio.write_matrix_csv(str(d / "Y.csv"), rng.standard_normal((40, 4)))
+    fileio.write_matrix_csv(str(d / "Z.csv"), np.vander(TIMES4, 2, increasing=True))
+    fileio.write_matrix_csv(str(d / "C.csv"), np.array([[0.0, 1.0, -1.0]]))
+    fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
+    out = d / "o"
+    assert cli.main(["estimate", *_estimation_argv(d), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = _strict_json(line)["error"]
+    assert error["type"] == "RankDeficient" and error["message"].startswith("X'X ")
+    assert _strict_json((out / "report.json").read_text())["errors"] == [error]
+
+
 def test_exit_2_on_unknown_config_key(tmp_path):
     cfg = _mc_config(tmp_path, bogus=1)
     assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

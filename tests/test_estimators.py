@@ -187,6 +187,32 @@ def test_h_matrix_rejects_mismatched_z():
         estimators.h_matrix(np.eye(4), np.ones((5, 1)))
 
 
+def _h_refusal(sigma, z):
+    """The type and text of the error h_matrix(sigma, z) raises, else None."""
+    try:
+        estimators.h_matrix(sigma, z)
+    except (NotSpd, DimensionMismatch) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_h_matrix_of_a_factor_equals_the_array_path_and_refuses_the_same():
+    rng = np.random.default_rng(17)
+    z = np.vander(TIMES4, 2, increasing=True)
+    sig = _spd(rng, 4)
+    factor = linalg.SpdFactor(sig, "sigma")
+    assert np.array_equal(estimators.h_matrix(factor, z), estimators.h_matrix(sig, z))
+    # each has a Cholesky factor, so each builds an SpdFactor: too ill conditioned
+    # for check_spd, not symmetric at SYM_RTOL, or a mismatched Z
+    tilted = sig.copy()
+    tilted[0, 1] += 1e-6
+    cases = [(np.diag([1.0, 1.0, 1.0, 1e-12]), z), (tilted, z), (sig, np.ones((5, 1)))]
+    for a, zz in cases:
+        refused = _h_refusal(a, zz)
+        assert refused is not None
+        assert _h_refusal(linalg.SpdFactor(a, "sigma"), zz) == refused
+
+
 # ---------------------------------------------------------------------------
 # two-stage estimators
 

@@ -1,6 +1,8 @@
 """Asymptotic law, plug-in covariance, whitened statistic and the chi-square test."""
 
+import gc
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -227,8 +229,53 @@ def test_standardized_stat_rejects_singular_standardizer():
     data, _, _ = _pr_data(12, m=3)
     c = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])  # duplicated row
     contrast = model.Contrast(C=c, D=np.array([[0.0, 1.0]]))
-    with pytest.raises(NotSpd):
-        inference.standardized_stat(data, contrast)
+    # a singular left root is not kept, so every call refuses
+    for _ in range(2):
+        with pytest.raises(NotSpd):
+            inference.standardized_stat(data, contrast)
+    assert data.design.left_roots == {}
+
+
+def test_standardized_stat_takes_one_left_root_per_design_and_c():
+    # unequal groups plus a covariate; three contrasts, two of them sharing C
+    rng = np.random.default_rng(23)
+    groups = np.repeat(np.eye(3), (5, 7, 9), axis=0)
+    x = np.column_stack([groups, rng.standard_normal(groups.shape[0])])
+    design = model.Design(X=x, Z=np.vander((1.0, 2.0, 3.0, 4.0, 5.0), 3, increasing=True))
+    noise = model.NoiseSpec(family="gaussian", sigma=_spd(rng, 5))
+    theta = rng.standard_normal((4, 3))
+    c2 = rng.standard_normal((2, 4))
+    contrasts = [
+        model.Contrast(C=c2, D=rng.standard_normal((2, 3))),
+        model.Contrast(C=rng.standard_normal((1, 4)), D=np.eye(3)),
+        model.Contrast(C=c2.copy(), D=rng.standard_normal((1, 3))),
+    ]
+    n = design.n
+    for seed in range(3):
+        data = model.simulate(design, theta, noise, seed=seed)
+        sig, theta_hat = estimators.two_stage(data)
+        for contrast in contrasts:
+            law = inference.cov_factors(design.xtx_factor, sig, design.Z, contrast)
+            whitened = inference.AsymptoticLaw(n * law.left, law.right).whiten(
+                np.sqrt(n) * contrast.apply(theta_hat)
+            )
+            with mock.patch.object(linalg, "inv_sqrt_spd", wraps=linalg.inv_sqrt_spd) as spy:
+                t_stat = inference.standardized_stat(data, contrast)
+            assert np.array_equal(t_stat, whitened)
+            # the right root on every call, the left one on the first fit of each C
+            first = seed == 0 and contrast is not contrasts[2]
+            assert spy.call_count == 1 + first
+    assert len(design.left_roots) == 2
+
+
+def test_left_roots_die_with_their_design():
+    data, _, _ = _pr_data(13)
+    inference.standardized_stat(data, model.equality_contrast(2, 2))
+    assert len(data.design.left_roots) == 1
+    ref = weakref.ref(data.design)
+    del data
+    gc.collect()
+    assert ref() is None
 
 
 def test_whitening_construction_is_exact():

@@ -87,7 +87,7 @@ def _refusal(build):
     """The type and text of the error ``build()`` raises, else None."""
     try:
         build()
-    except (NotSpd, np.linalg.LinAlgError) as exc:
+    except NotSpd as exc:
         return type(exc).__name__, str(exc)
     return None
 
@@ -102,7 +102,8 @@ def _refusal(build):
 def test_factor_refuses_exactly_what_solve_spd_refuses(p, low, scale, seed):
     # eigenvalues {low} + U(1, 10): indefinite, singular, near-singular or SPD,
     # scaled; a matrix whose Cholesky factor exists but whose LU has a zero
-    # pivot raises numpy's LinAlgError from the solve and from the inverse alike
+    # pivot is NotSpd from the solve and from the inverse alike, never numpy's
+    # LinAlgError
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     w = rng.uniform(1.0, 10.0, p)
@@ -111,8 +112,35 @@ def test_factor_refuses_exactly_what_solve_spd_refuses(p, low, scale, seed):
     a = (a + a.T) / 2.0
     refused = _refusal(lambda: linalg.solve_spd(a, np.ones(p), "sigma"))
     assert _refusal(lambda: linalg.SpdFactor(a, "sigma")) == refused
-    if refused is not None and refused[0] == "NotSpd":
-        assert refused[1].startswith("sigma has no Cholesky factorization: ")
+    if refused is not None:
+        assert refused[1].startswith(
+            ("sigma has no Cholesky factorization: ", "sigma is singular at working precision: ")
+        )
+
+
+def test_a_zero_lu_pivot_after_a_passing_cholesky_is_not_spd():
+    # X = [1, b, b + 3e-9 e] has full column rank at RANK_RTOL (singular value
+    # ratio 1.3e-9), yet X'X has a Cholesky factor and a zero LU pivot
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(40)
+    e = rng.standard_normal(40)
+    x = np.column_stack([np.ones(40), b, b + 3e-9 * e])
+    xtx = x.T @ x
+    np.linalg.cholesky(xtx)  # succeeds; the LU that follows meets a zero pivot
+    for build in (
+        lambda: linalg.SpdFactor(xtx, "X'X"),
+        lambda: linalg.solve_spd(xtx, np.ones(3), "X'X"),
+        lambda: linalg.inv_spd(xtx, "X'X"),
+    ):
+        with pytest.raises(NotSpd, match="^X'X is singular at working precision: "):
+            build()
+
+
+def test_inv_spd_of_a_factor_is_its_inverse():
+    a = _spd(np.random.default_rng(5), 4)
+    factor = linalg.SpdFactor(a)
+    assert np.array_equal(linalg.inv_spd(factor), factor.inv)
+    assert np.array_equal(linalg.inv_spd(factor), linalg.inv_spd(a))
 
 
 def test_design_xtx_factor_is_one_object_per_design():

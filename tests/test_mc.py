@@ -327,10 +327,11 @@ def test_run_builds_each_cell_design_once(monkeypatch):
     assert sizes == [10, 20]
 
 
-@pytest.mark.parametrize("kind, most", [("level", 23), ("consistency", 12)])
+@pytest.mark.parametrize("kind, most", [("level", 21), ("consistency", 10)])
 def test_factorizations_per_replicate_stay_at_their_counts(monkeypatch, kind, most):
-    # X'X is factored once per design and sigma_hat once per fit, so a level
-    # replicate makes at most 23 numpy factorizations and a consistency one 12
+    # X'X is factored once per design, sigma_hat once per fit, and the left
+    # whitening root once per design and C, so a level replicate makes at most
+    # 21 numpy factorizations and a consistency one 10
     calls = []
     # numpy's dense factorizations; gcm calls each as an np.linalg attribute
     for name in ("cholesky", "solve", "inv", "eigh", "eigvalsh", "svd"):

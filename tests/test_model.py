@@ -121,6 +121,18 @@ def test_validate_rejects_duplicate_column():
         model.validate(model.Design(X=x, Z=z))
 
 
+def test_validate_rejects_an_x_whose_gram_matrix_does_not_factor():
+    # the singular values of X pass RANK_RTOL (ratio 1.3e-9), X'X does not factor
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(40)
+    e = rng.standard_normal(40)
+    x = np.column_stack([np.ones(40), b, b + 3e-9 * e])
+    design = model.Design(X=x, Z=np.vander(TIMES4, 2, increasing=True))
+    for _ in range(2):
+        with pytest.raises(RankDeficient, match="^X'X "):
+            model.validate(design)
+
+
 def test_validate_rejects_square_z():
     x = np.vstack([np.eye(2), np.eye(2)])
     z = np.vander((1.0, 2.0), 2, increasing=True)
