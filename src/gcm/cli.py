@@ -105,13 +105,14 @@ def _estimate_results(args, sigma0=None):
     data, contrast = _load_estimation_inputs(args)
     if sigma0:
         try:
-            sigma = linalg.check_spd(fileio.read_matrix_csv(sigma0, args.header), "sigma0")
+            sigma = linalg.SpdFactor(fileio.read_matrix_csv(sigma0, args.header), "sigma0")
         except NotSpd as exc:
             raise CommandError(EXIT_VALIDATION, "NotSpd", str(exc)) from exc
         sigma_value = None
         estimator_name = "known_sigma"
     else:
-        sigma = sigma_value = estimators.sigma_hat(data)
+        sigma = estimators.sigma_hat(data)
+        sigma_value = sigma.a
         estimator_name = "two_stage"
     theta = estimators.theta_hat_known(data, sigma)
     law = inference.cov_factors(data.design.xtx_factor, sigma, data.design.Z, contrast)

@@ -31,11 +31,12 @@ def _gls_theta(design: model.Design, y: np.ndarray, sigma: linalg.SpdFactor) -> 
     return linalg.solve_spd(g, (a @ b).T, "Z' sigma^{-1} Z").T
 
 
-def sigma_hat(data: model.Dataset) -> np.ndarray:
-    """Invariant quadratic covariance estimator Y'WY, W = (I - P_X)/(n - m).
+def sigma_hat(data: model.Dataset) -> linalg.SpdFactor:
+    """Invariant quadratic covariance estimator Y'WY, W = (I - P_X)/(n - m), as an SpdFactor.
 
     Computed through the residuals (I - P_X) Y rather than the explicit
-    projector, symmetrized, and checked for positive definiteness. Raises
+    projector and symmetrized; the matrix is ``.a``, its inverse ``.inv``.
+    Building the factor is the positive definiteness check. Raises
     TooFewSamples when n - m < p (the estimate would be singular) and
     NotSpd on degenerate data such as noise-free observations.
     """
@@ -49,24 +50,22 @@ def sigma_hat(data: model.Dataset) -> np.ndarray:
     x, y = design.X, data.Y
     resid = y - x @ linalg.solve_spd(design.xtx_factor, x.T @ y, "X'X")
     s = resid.T @ resid / (n - m)
-    s = (s + s.T) / 2.0
-    linalg.check_spd(s, "first-stage covariance estimate")
-    return s
+    return linalg.SpdFactor((s + s.T) / 2.0, "first-stage covariance estimate")
 
 
-def theta_hat_known(data: model.Dataset, sigma0: np.ndarray) -> np.ndarray:
-    """Least-squares estimator of theta when the row covariance is known."""
+def theta_hat_known(data: model.Dataset, sigma0: np.ndarray | linalg.SpdFactor) -> np.ndarray:
+    """Least-squares estimator of theta for a known row covariance (array or SpdFactor)."""
     model.validate(data.design)
-    sigma0 = linalg.check_spd(sigma0, "sigma0")
-    if sigma0.shape[0] != data.design.p:
-        raise DimensionMismatch(
-            f"sigma0 is {sigma0.shape[0]} x {sigma0.shape[0]} but Z has {data.design.p} rows"
-        )
-    return _gls_theta(data.design, data.Y, linalg.SpdFactor(sigma0, "sigma"))
+    if not isinstance(sigma0, linalg.SpdFactor):
+        sigma0 = linalg.SpdFactor(sigma0, "sigma0")
+    p = sigma0.a.shape[0]
+    if p != data.design.p:
+        raise DimensionMismatch(f"sigma0 is {p} x {p} but Z has {data.design.p} rows")
+    return _gls_theta(data.design, data.Y, sigma0)
 
 
 def gamma_hat_known(
-    data: model.Dataset, sigma0: np.ndarray, contrast: model.Contrast
+    data: model.Dataset, sigma0: np.ndarray | linalg.SpdFactor, contrast: model.Contrast
 ) -> np.ndarray:
     """Known-covariance BLUE of gamma = C theta D'."""
     contrast.check(data.design)
@@ -78,26 +77,26 @@ def h_matrix(sigma: np.ndarray | linalg.SpdFactor, z: np.ndarray) -> np.ndarray:
 
     Satisfies H Z (Z'Z)^{-1} = sigma^{-1} Z (Z' sigma^{-1} Z)^{-1}, which is
     what makes the pseudo-inverse route agree with the solve route. ``sigma``
-    is an array or a fit's SpdFactor; either is refused unless it passes
-    ``check_spd``, and a factor's inverse is a matrix product.
+    is a fit's SpdFactor, used as it is, or an array, which is factored here.
     """
-    factor = isinstance(sigma, linalg.SpdFactor)
-    s = linalg.check_spd(sigma.a if factor else sigma, "sigma")
+    if not isinstance(sigma, linalg.SpdFactor):
+        sigma = linalg.SpdFactor(sigma, "sigma")
+    p = sigma.a.shape[0]
     z = linalg.as_matrix(z, "Z")
-    if z.shape[0] != s.shape[0]:
-        raise DimensionMismatch(f"Z has {z.shape[0]} rows but sigma is {s.shape[0]} x {s.shape[0]}")
-    s_inv = linalg.inv_spd(sigma if factor else s, "sigma")
+    if z.shape[0] != p:
+        raise DimensionMismatch(f"Z has {z.shape[0]} rows but sigma is {p} x {p}")
+    s_inv = linalg.solve_spd(sigma, np.eye(p), "sigma")
     p_z = linalg.orth_projector(z)
     return s_inv @ linalg.moore_penrose(p_z @ s_inv @ p_z)
 
 
 def two_stage(data: model.Dataset) -> tuple:
-    """The fit of ``data``: (sigma_hat as an SpdFactor, the two-stage estimator of theta).
+    """The fit of ``data``: (sigma_hat's SpdFactor, the two-stage estimator of theta).
 
-    sigma_hat is factored once, so the GLS solves with it, and those of a caller
-    that passes the factor on (``inference.standardized_stat``), are matrix products.
+    The GLS solves with sigma_hat, and those of a caller that passes the factor
+    on (``inference.standardized_stat``), are matrix products.
     """
-    sig = linalg.SpdFactor(sigma_hat(data), "sigma")
+    sig = sigma_hat(data)
     return sig, _gls_theta(data.design, data.Y, sig)
 
 

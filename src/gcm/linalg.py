@@ -1,15 +1,14 @@
 """Dense real matrix primitives used by the estimators.
 
 Orthogonal projectors, the Moore-Penrose inverse and symmetric positive
-definite checks, factors, solves and roots. All functions are pure and
-operate on float64 arrays. ``as_matrix``, and through it ``check_spd``,
-``inv_sqrt_spd``, ``orth_projector`` and ``moore_penrose``, reject NaN/Inf
-entries; ``solve_spd``, ``inv_spd`` and ``SpdFactor`` do not check them (a NaN
-entry gives NaNs). An ``SpdFactor`` is built once for a matrix that several
-solves share (X'X of a design, sigma within a fit), so ``solve_spd`` and
-``inv_spd`` on it are matrix products instead of factorizations. Every failed
-factorization is a ``NotSpd`` naming the matrix; no numpy ``LinAlgError``
-leaves this module.
+definite checks, factors, solves and roots, on float64 arrays. Each SPD
+matrix has one criterion: ``check_spd``, ``SpdFactor`` and ``inv_sqrt_spd``
+test the eigenvalues of one ``eigh`` (a factor's inverse comes from it), and
+reject NaN/Inf through ``as_matrix`` as ``orth_projector`` and
+``moore_penrose`` do. ``gram_factor`` (X'X) and ``solve_spd`` on an array
+check by Cholesky, then invert or solve by LU, and do not check for NaN.
+``solve_spd`` on an SpdFactor is a matrix product. Every refusal is a
+``NotSpd`` naming the matrix; no numpy ``LinAlgError`` leaves this module.
 """
 
 from __future__ import annotations
@@ -40,13 +39,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _spd_spectrum(a, name: str, vectors: bool):
-    """The SPD criterion: returns (a, ascending eigenvalues, eigenvectors or None).
+def _spd_spectrum(a, name: str):
+    """The SPD criterion: returns (a, ascending eigenvalues, eigenvectors).
 
     Symmetry is checked relative to the largest entry magnitude and positive
     definiteness requires the smallest eigenvalue to exceed ``RANK_RTOL``
-    times the largest. With ``vectors`` the eigenvalues come from the same
-    ``eigh`` that yields the eigenvectors, so the input is decomposed once.
+    times the largest. The eigenvalues come from the ``eigh`` that yields the
+    eigenvectors, so the input is decomposed once.
     """
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
@@ -56,7 +55,7 @@ def _spd_spectrum(a, name: str, vectors: bool):
         raise NotSpd(f"{name} is identically zero")
     if float(np.abs(a - a.T).max()) > SYM_RTOL * scale:
         raise NotSpd(f"{name} is not symmetric at relative tolerance {SYM_RTOL:g}")
-    w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    w, v = np.linalg.eigh(a)
     if w[-1] <= 0.0 or w[0] <= RANK_RTOL * w[-1]:
         raise NotSpd(
             f"{name} is not positive definite: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
@@ -69,7 +68,7 @@ def check_spd(a, name: str = "matrix") -> np.ndarray:
 
     Returns the validated array; see ``_spd_spectrum`` for the criterion.
     """
-    return _spd_spectrum(a, name, vectors=False)[0]
+    return _spd_spectrum(a, name)[0]
 
 
 def _checked_lu(lu, a: np.ndarray, name: str, *args) -> np.ndarray:
@@ -93,8 +92,8 @@ def _checked_lu(lu, a: np.ndarray, name: str, *args) -> np.ndarray:
 class SpdFactor:
     """Symmetric positive definite ``a`` with its symmetrized inverse ``inv`` (read-only).
 
-    Construction runs ``solve_spd``'s checks, so it refuses what ``solve_spd``
-    refuses with the same NotSpd message, and inverts ``a`` once.
+    ``SpdFactor(a, name)`` refuses what ``check_spd(a, name)`` refuses, with
+    the same error, and takes ``inv`` from the ``eigh`` of that check.
     """
 
     a: np.ndarray
@@ -102,36 +101,35 @@ class SpdFactor:
     inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, name):
-        inv = _checked_lu(np.linalg.inv, self.a, name)
-        inv = (inv + inv.T) / 2.0
-        inv.flags.writeable = False
-        object.__setattr__(self, "inv", inv)
+        a, w, v = _spd_spectrum(self.a, name)
+        _hold(self, a, (v / w) @ v.T)
+
+
+def _hold(factor: SpdFactor, a: np.ndarray, inv: np.ndarray) -> SpdFactor:
+    """Set ``factor``'s matrix and its inverse, symmetrized and read-only."""
+    inv = (inv + inv.T) / 2.0
+    inv.flags.writeable = False
+    object.__setattr__(factor, "a", a)
+    object.__setattr__(factor, "inv", inv)
+    return factor
+
+
+def gram_factor(a: np.ndarray) -> SpdFactor:
+    """The SpdFactor of X'X: a Cholesky check and an LU inverse, refusing as ``solve_spd`` does."""
+    return _hold(object.__new__(SpdFactor), a, _checked_lu(np.linalg.inv, a, "X'X"))
 
 
 def solve_spd(a: np.ndarray | SpdFactor, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``, an array or an SpdFactor.
 
-    On a factor the solve is ``a.inv @ b``, the check having run when the factor
-    was built. On an array the Cholesky factorization is the positive
-    definiteness check and the solve itself is LAPACK's ``gesv``, since numpy
-    has no triangular solve; a product with the inverse would not stay within
-    1e-12 of ``np.linalg.solve`` on ill-conditioned arrays (cond 1e8), which
-    this path does. A zero pivot in ``gesv`` is NotSpd, as in ``SpdFactor``.
+    On a factor the solve is ``a.inv @ b``. On an array it is ``gram_factor``'s
+    check, then LAPACK's ``gesv`` (numpy has no triangular solve), which stays
+    within 1e-12 of ``np.linalg.solve`` at cond 1e8 where a product with the
+    inverse would not.
     """
     if isinstance(a, SpdFactor):
         return a.inv @ b
     return _checked_lu(np.linalg.solve, a, name, b)
-
-
-def inv_spd(a: np.ndarray | SpdFactor, name: str = "matrix") -> np.ndarray:
-    """Explicit inverse of a symmetric positive definite matrix, symmetrized.
-
-    ``solve_spd(a, I)``: an LU solve for an array, a matrix product (equal to
-    ``a.inv``) for an SpdFactor.
-    """
-    p = (a.a if isinstance(a, SpdFactor) else a).shape[0]
-    inv = solve_spd(a, np.eye(p), name)
-    return (inv + inv.T) / 2.0
 
 
 def orth_projector(a) -> np.ndarray:
@@ -170,6 +168,6 @@ def inv_sqrt_spd(a) -> np.ndarray:
     Refuses the inputs ``check_spd`` refuses, testing the eigenvalues of the
     one ``eigh`` that also gives B.
     """
-    _, w, v = _spd_spectrum(a, "inverse square root input", vectors=True)
+    _, w, v = _spd_spectrum(a, "inverse square root input")
     b = (v / np.sqrt(w)) @ v.T
     return (b + b.T) / 2.0

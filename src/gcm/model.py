@@ -70,7 +70,7 @@ class Design:
     @functools.cached_property
     def xtx_factor(self) -> linalg.SpdFactor:
         """X'X as the SpdFactor that every solve with it shares."""
-        return linalg.SpdFactor(self.xtx, "X'X")
+        return linalg.gram_factor(self.xtx)
 
     @functools.cached_property
     def rank_deficient(self) -> str | None:

@@ -120,8 +120,8 @@ def test_criterion_03_equivariance():
         g0 = two_stage_gamma(data, contrast)
         g1 = two_stage_gamma(shifted, contrast)
         worst_gamma = max(worst_gamma, np.abs(g1 - (g0 + contrast.apply(delta))).max())
-        s0 = sigma_hat(data)
-        s1 = sigma_hat(shifted)
+        s0 = sigma_hat(data).a
+        s1 = sigma_hat(shifted).a
         worst_sigma = max(worst_sigma, np.abs(s1 - s0).max())
     ok = worst_gamma < 1e-9 and worst_sigma < 1e-9
     _check(3, "mean-shift equivariance of gamma_hat and sigma_hat", ok,

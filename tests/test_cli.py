@@ -169,7 +169,7 @@ def test_estimate_report_matches_library_exactly(sim_files, tmp_path):
     theta_true, sigma_true = np.asarray(scenario["theta"]), np.asarray(scenario["sigma"])
     expected_gamma_err = float(np.linalg.norm(gamma - contrast.apply(theta_true)))
     assert results["truth_errors"]["gamma_err_fro"] == expected_gamma_err
-    expected_sigma_err = float(np.linalg.norm(estimators.sigma_hat(data) - sigma_true))
+    expected_sigma_err = float(np.linalg.norm(estimators.sigma_hat(data).a - sigma_true))
     assert results["truth_errors"]["sigma_err_fro"] == expected_sigma_err
 
 
@@ -667,6 +667,40 @@ def test_exit_2_on_estimate_input_that_does_not_fit(
     assert error["type"] == kind
     assert words in error["message"]
     assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
+
+
+def test_exit_2_on_a_sigma0_that_has_a_cholesky_factor_but_fails_check_spd(
+    sim_files, tmp_path, capsys
+):
+    # sigma0 is judged by check_spd's eigenvalue ratio only, so a Cholesky
+    # factor does not admit it
+    s0 = np.diag([1.0, 1.0, 1.0, 1e-12])
+    np.linalg.cholesky(s0)
+    fileio.write_matrix_csv(str(sim_files / "S0.csv"), s0)
+    out = tmp_path / "o"
+    argv = _estimation_argv(sim_files, ["--sigma0", str(sim_files / "S0.csv")])
+    assert cli.main(["estimate", *argv, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = _strict_json(line)["error"]
+    assert error["type"] == "NotSpd"
+    assert error["message"].startswith("sigma0 is not positive definite: ")
+    assert _strict_json((out / "report.json").read_text())["errors"] == [error]
+
+
+@pytest.mark.parametrize("known, count", [(False, 25), (True, 9)])
+def test_cli_fits_stay_at_their_factorization_counts(
+    sim_files, tmp_path, factorizations, known, count
+):
+    # gcm estimate then gcm test (two-stage), or gcm estimate --sigma0: 37 and
+    # 14 numpy factorizations when sigma_hat and sigma0 were each checked by
+    # eigvalsh before their Cholesky-checked inverse
+    fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.array(_ar_sigma(4)))
+    runs = [["estimate", "--sigma0", str(sim_files / "S0.csv")]] if known else [["estimate"], ["test"]]
+    factorizations.clear()
+    for command, *extra in runs:
+        out = tmp_path / command
+        assert cli.main([command, *_estimation_argv(sim_files, extra), "--out", str(out)]) == 0
+    assert len(factorizations) == count
 
 
 def test_exit_2_on_malformed_csv(sim_files, tmp_path, capsys):

@@ -63,7 +63,7 @@ def test_sigma_hat_intercept_only_matches_sample_covariance():
     y = rng.standard_normal((n, p))
     design = model.Design(X=np.ones((n, 1)), Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
     data = model.Dataset(Y=y, design=design)
-    sig = estimators.sigma_hat(data)
+    sig = estimators.sigma_hat(data).a
     assert_allclose(sig, np.cov(y, rowvar=False), rtol=1e-12, atol=1e-14)
 
 
@@ -73,7 +73,7 @@ def test_sigma_hat_matches_explicit_projector_oracle():
     x = rng.standard_normal((n, m))
     y = rng.standard_normal((n, p))
     design = model.Design(X=x, Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
-    sig = estimators.sigma_hat(model.Dataset(Y=y, design=design))
+    sig = estimators.sigma_hat(model.Dataset(Y=y, design=design)).a
     w = (np.eye(n) - linalg.orth_projector(x)) / (n - m)
     assert_allclose(sig, y.T @ w @ y, atol=1e-12)
 
@@ -84,8 +84,8 @@ def test_sigma_hat_translation_invariant():
     rng = np.random.default_rng(99)
     delta = rng.standard_normal((design.m, design.q))
     shifted = model.Dataset(Y=data.Y + design.X @ delta @ design.Z.T, design=design)
-    a = estimators.sigma_hat(data)
-    b = estimators.sigma_hat(shifted)
+    a = estimators.sigma_hat(data).a
+    b = estimators.sigma_hat(shifted).a
     assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -202,15 +202,21 @@ def test_h_matrix_of_a_factor_equals_the_array_path_and_refuses_the_same():
     sig = _spd(rng, 4)
     factor = linalg.SpdFactor(sig, "sigma")
     assert np.array_equal(estimators.h_matrix(factor, z), estimators.h_matrix(sig, z))
-    # each has a Cholesky factor, so each builds an SpdFactor: too ill conditioned
-    # for check_spd, not symmetric at SYM_RTOL, or a mismatched Z
+    # a factor with a mismatched Z is refused as the array is
+    z5 = np.ones((5, 1))
+    refused = _h_refusal(sig, z5)
+    assert refused is not None and _h_refusal(factor, z5) == refused
+    # each has a Cholesky factor but fails check_spd (too ill conditioned, not
+    # symmetric at SYM_RTOL): building the factor raises what h_matrix raises
     tilted = sig.copy()
     tilted[0, 1] += 1e-6
-    cases = [(np.diag([1.0, 1.0, 1.0, 1e-12]), z), (tilted, z), (sig, np.ones((5, 1)))]
-    for a, zz in cases:
-        refused = _h_refusal(a, zz)
-        assert refused is not None
-        assert _h_refusal(linalg.SpdFactor(a, "sigma"), zz) == refused
+    for a in (np.diag([1.0, 1.0, 1.0, 1e-12]), tilted):
+        np.linalg.cholesky(a)
+        refused = _h_refusal(a, z)
+        assert refused is not None and refused[0] == "NotSpd"
+        with pytest.raises(NotSpd) as exc:
+            linalg.SpdFactor(a, "sigma")
+        assert str(exc.value) == refused[1]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,7 @@ def gaussian_two_stage_draws():
     sigmas, thetas = [], []
     for seed in range(EXACT_REPS):
         data = model.simulate(design, theta, noise, seed)
-        sigmas.append(estimators.sigma_hat(data))
+        sigmas.append(estimators.sigma_hat(data).a)
         thetas.append(estimators.two_stage_theta(data).reshape(-1))
     return design, theta, sigma, np.array(sigmas), np.array(thetas)
 

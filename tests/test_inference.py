@@ -215,7 +215,7 @@ def test_standardized_stat_scalar_case_matches_z_formula():
     t_stat = inference.standardized_stat(data, contrast)
     assert t_stat.shape == (1, 1)
     n = data.design.n
-    sig = estimators.sigma_hat(data)
+    sig = estimators.sigma_hat(data).a
     gamma = estimators.two_stage_gamma(data, contrast)[0, 0]
     c, d = contrast.C, contrast.D
     x, z = data.design.X, data.design.Z

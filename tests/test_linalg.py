@@ -75,7 +75,8 @@ def test_factor_solves_match_the_array_path(p, k, log_cond, seed, unbalanced):
     x = linalg.solve_spd(a, b)
     rtol = 16 * p * np.finfo(float).eps * np.linalg.cond(a)
     assert np.abs(linalg.solve_spd(factor, b) - x).max() <= rtol * np.abs(x).max()
-    assert np.abs(linalg.inv_spd(a) - factor.inv).max() <= rtol * np.abs(factor.inv).max()
+    inv = linalg.solve_spd(a, np.eye(p))
+    assert np.abs(inv - factor.inv).max() <= rtol * np.abs(factor.inv).max()
 
 
 def test_solve_spd_rejects_indefinite():
@@ -92,29 +93,44 @@ def _refusal(build):
     return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+# eigenvalues {low} + U(1, 10): indefinite, singular, near-singular or SPD, scaled
+_REFUSAL_GRID = given(
     p=st.integers(min_value=1, max_value=5),
     low=st.sampled_from([-1.0, -1e-3, -1e-17, 0.0, 1e-17, 1e-3, 1.0]),
     scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_factor_refuses_exactly_what_solve_spd_refuses(p, low, scale, seed):
-    # eigenvalues {low} + U(1, 10): indefinite, singular, near-singular or SPD,
-    # scaled; a matrix whose Cholesky factor exists but whose LU has a zero
-    # pivot is NotSpd from the solve and from the inverse alike, never numpy's
-    # LinAlgError
+
+
+def _refusal_draw(p, low, scale, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     w = rng.uniform(1.0, 10.0, p)
     w[0] = low
     a = scale * (q * w) @ q.T
-    a = (a + a.T) / 2.0
-    refused = _refusal(lambda: linalg.solve_spd(a, np.ones(p), "sigma"))
+    return (a + a.T) / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@_REFUSAL_GRID
+def test_spd_factor_refuses_exactly_what_check_spd_refuses(p, low, scale, seed):
+    a = _refusal_draw(p, low, scale, seed)
+    refused = _refusal(lambda: linalg.check_spd(a, "sigma"))
     assert _refusal(lambda: linalg.SpdFactor(a, "sigma")) == refused
+
+
+@settings(max_examples=200, deadline=None)
+@_REFUSAL_GRID
+def test_factor_refuses_exactly_what_solve_spd_refuses(p, low, scale, seed):
+    # the X'X builder keeps solve_spd's criterion: a matrix whose Cholesky
+    # factor exists but whose LU has a zero pivot is NotSpd from the solve and
+    # from the inverse alike, never numpy's LinAlgError
+    a = _refusal_draw(p, low, scale, seed)
+    refused = _refusal(lambda: linalg.solve_spd(a, np.ones(p), "X'X"))
+    assert _refusal(lambda: linalg.gram_factor(a)) == refused
     if refused is not None:
         assert refused[1].startswith(
-            ("sigma has no Cholesky factorization: ", "sigma is singular at working precision: ")
+            ("X'X has no Cholesky factorization: ", "X'X is singular at working precision: ")
         )
 
 
@@ -128,19 +144,11 @@ def test_a_zero_lu_pivot_after_a_passing_cholesky_is_not_spd():
     xtx = x.T @ x
     np.linalg.cholesky(xtx)  # succeeds; the LU that follows meets a zero pivot
     for build in (
-        lambda: linalg.SpdFactor(xtx, "X'X"),
+        lambda: linalg.gram_factor(xtx),
         lambda: linalg.solve_spd(xtx, np.ones(3), "X'X"),
-        lambda: linalg.inv_spd(xtx, "X'X"),
     ):
         with pytest.raises(NotSpd, match="^X'X is singular at working precision: "):
             build()
-
-
-def test_inv_spd_of_a_factor_is_its_inverse():
-    a = _spd(np.random.default_rng(5), 4)
-    factor = linalg.SpdFactor(a)
-    assert np.array_equal(linalg.inv_spd(factor), factor.inv)
-    assert np.array_equal(linalg.inv_spd(factor), linalg.inv_spd(a))
 
 
 def test_design_xtx_factor_is_one_object_per_design():

@@ -275,8 +275,8 @@ def test_sign_flip_leaves_first_stage_unchanged():
     design, _, noise = _scenario(m=2, r=8)
     data = model.simulate(design, np.zeros((2, 2)), noise, seed=31)
     flipped = model.Dataset(Y=-data.Y, design=design)
-    a = estimators.sigma_hat(data)
-    b = estimators.sigma_hat(flipped)
+    a = estimators.sigma_hat(data).a
+    b = estimators.sigma_hat(flipped).a
     assert np.array_equal(a, b)
 
 
