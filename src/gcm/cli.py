@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,8 +73,6 @@ def _load_estimation_inputs(args):
     return data, contrast
 
 
-# an error past the float range is inf, written as null, without a warning
-@np.errstate(over="ignore", invalid="ignore")
 def _truth_errors(path, design, contrast, theta, sigma_value):
     """Frobenius errors of theta, gamma and (two-stage runs) sigma_hat against a truth file.
 
@@ -181,7 +180,7 @@ def cmd_mc(args, kind: str) -> int:
     cfg = mc.McConfig.from_dict(conf, kind)
     # from_dict checked every value, so a report from here on, error or not, echoes it as read
     args.echo = (cfg.seed, {**conf, "dump_replicates": args.dump_replicates})
-    cells, records = mc.run(kind, cfg)
+    cells, records = mc.run(kind, cfg, worker_init=_ignore_warnings)
     results = {"kind": kind, "cells": [fileio.jsonable(cell) for cell in cells]}
     doc = fileio.make_report(*args.echo, results)
     fileio.write_json(os.path.join(args.out, "report.json"), doc)
@@ -270,11 +269,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ignore_warnings() -> None:
+    """Ignore Python warnings and numpy floating-point errors in this process: a report
+    writes an undefined value as null, and stderr holds only the error contract."""
+    np.seterr(all="ignore")
+    warnings.simplefilter("ignore")
+
+
 def main(argv=None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # both restore the caller's settings on exit
+        with np.errstate(), warnings.catch_warnings():
+            _ignore_warnings()
+            return args.func(args)
     except CommandError as exc:
         _emit_error(args, exc.kind, str(exc), exc.code)
         return exc.code

@@ -261,7 +261,7 @@ def _replicate(kind: str, cfg: McConfig, prep, cell_index: int, design, i: int) 
     return (1.0, *gam.reshape(-1), *extra)
 
 
-def _run_cell(kind: str, cfg: McConfig, prep, cell_index: int, design: model.Design) -> dict:
+def _run_cell(kind: str, cfg: McConfig, prep, cell_index: int, design, worker_init=None) -> dict:
     """Records of every replicate of one cell, as column name -> array."""
     one = partial(_replicate, kind, cfg, prep, cell_index, design)
     n_rep, workers = cfg.replications, _worker_count()
@@ -270,7 +270,7 @@ def _run_cell(kind: str, cfg: McConfig, prep, cell_index: int, design: model.Des
     else:
         from concurrent.futures import ProcessPoolExecutor  # only runs that use the pool load it
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=worker_init) as pool:
             rows = list(pool.map(one, range(n_rep), chunksize=math.ceil(n_rep / (4 * workers))))
     contrast = cfg.scenario.contrast
     return dict(zip(record_columns(kind, contrast.s, contrast.t), np.array(rows).T))
@@ -349,14 +349,15 @@ def _validate_config(cfg: McConfig) -> list:
     return designs
 
 
-def run(kind: str, cfg: McConfig) -> tuple:
-    """Run one of ``KINDS`` over the sizes of ``cfg``; returns the cells and each one's records."""
+def run(kind: str, cfg: McConfig, worker_init=None) -> tuple:
+    """Run one of ``KINDS`` over the sizes of ``cfg``; returns the cells and each one's records.
+    Each process-pool worker (see ``GCM_THREADS``) calls ``worker_init``, if given, first."""
     spec = _spec(kind)
     designs = _validate_config(cfg)
     prep = spec.prepare(cfg)
     cells, records = [], []
     for j, (r, design) in enumerate(zip(cfg.sample_sizes, designs)):
-        rec = _run_cell(kind, cfg, prep, j, design)
+        rec = _run_cell(kind, cfg, prep, j, design, worker_init)
         cells.append(summarize_cell(kind, rec, cfg.scenario, r))
         records.append(rec)
     return cells, records
@@ -441,8 +442,6 @@ def _unbiasedness_summary(cell, records, ok, gam, scenario) -> dict:
 _MOMENTS = ("coord_mean", "coord_variance", "coord_skewness", "coord_ex_kurtosis")
 
 
-# a moment past the float range is inf or nan, reported as null, without a warning
-@np.errstate(over="ignore", invalid="ignore")
 def _normality_summary(cell, records, ok, gam, scenario) -> dict:
     law = scenario.law()
     theory = law.full()

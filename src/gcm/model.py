@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +28,6 @@ NOISE_FAMILIES = ("gaussian", "uniform", "student_t")
 
 # Half-width of the unit-variance symmetric uniform: U(-sqrt(3), sqrt(3)).
 _UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
-
-# Condition number of Z above which a warning is emitted (raw polynomial
-# time designs degrade quickly with many or widely spread time points).
-_Z_CONDITION_WARN = 1e8
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -233,15 +228,7 @@ def potthoff_roy_design(m: int, r: int, times, q: int) -> Design:
     if np.unique(times).size != p:
         raise DegenerateTimes("time points must be distinct")
     x = np.kron(np.eye(m), np.ones((r, 1)))
-    z = np.vander(times, q, increasing=True)
-    cond = np.linalg.cond(z)
-    if cond > _Z_CONDITION_WARN:
-        warnings.warn(
-            f"polynomial time design is ill conditioned (cond={cond:.2e}); "
-            "consider rescaling the time points",
-            stacklevel=2,
-        )
-    return Design(X=x, Z=z)
+    return Design(X=x, Z=np.vander(times, q, increasing=True))
 
 
 def equality_contrast(m: int, q: int) -> Contrast:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -387,8 +388,8 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
             raise NotSpd("synthetic failure")
         return sigma_hat(data)
 
-    def keep(kind, cfg):
-        runs.append((cfg, *run(kind, cfg)))
+    def keep(kind, cfg, **kwargs):
+        runs.append((cfg, *run(kind, cfg, **kwargs)))
         return runs[-1][1:]
 
     monkeypatch.setenv("GCM_THREADS", "1")
@@ -1128,7 +1129,7 @@ def test_exit_2_on_non_utf8_config(tmp_path, capsys):
 
 def test_unexpected_value_error_is_not_exit_2(tmp_path, monkeypatch):
     # only ValidationError means a bad input; a bare ValueError is a bug and propagates
-    def broken(kind, cfg):
+    def broken(kind, cfg, **kwargs):
         raise ValueError("internal failure")
 
     monkeypatch.setattr(mc, "run", broken)
@@ -1239,7 +1240,7 @@ def shared_sim_files(tmp_path_factory):
 def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_files, data):
     # a config of each mc-* kind, a simulate config and a truth file, one leaf
     # changed: success with strict JSON, or exit 2 with one JSON line and the
-    # error in report.json, never a traceback
+    # error in report.json, never a traceback and never a warning
     name = data.draw(st.sampled_from(sorted(_DOCUMENTS)), label="document")
     doc = copy.deepcopy(_DOCUMENTS[name])
     *parents, key = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
@@ -1255,8 +1256,12 @@ def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_f
         else:
             argv = [name, "--config", str(cfg)]
         stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), mock.patch.dict(os.environ, {"GCM_THREADS": "1"}):
+        with contextlib.redirect_stderr(stderr), mock.patch.dict(os.environ, {"GCM_THREADS": "1"}), \
+                warnings.catch_warnings(record=True) as caught:
+            # pytest's own capture would take a warning before stderr shows it
+            warnings.simplefilter("always")
             code = cli.main([*argv, "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
         written = out / ("truth.json" if name == "simulate" and code == 0 else "report.json")
         report = _strict_json(written.read_text())
         if code == 0:
@@ -1266,6 +1271,67 @@ def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_f
             assert code == 2, stderr.getvalue()
             (line,) = stderr.getvalue().splitlines()
             assert report["errors"] == [json.loads(line)["error"]]
+
+
+def _gcm_process(argv, threads=1, start_method=None):
+    """``gcm argv`` run in a fresh interpreter, so its stderr holds every warning that
+    escapes; with ``start_method``, the process pool starts its workers that way."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, GCM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    if start_method is None:
+        entry = ["-m", "gcm.cli"]
+    else:
+        entry = ["-c", "import multiprocessing as mp, sys; from gcm import cli; "
+                 f"mp.set_start_method({start_method!r}); sys.exit(cli.main(sys.argv[1:]))"]
+    return subprocess.run([sys.executable, *entry, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_run_on_an_ill_conditioned_time_design_writes_nothing_to_stderr(tmp_path):
+    # cond(Z) = 6.8e9: the design fits, and a run that exits 0 writes nothing to stderr
+    doc = {"scenario": {**_scenario_dict(contrast="identity"), "q": 3,
+                        "times": [1.0, 1e3, 1e4, 3e4, 1e5], "sigma": _ar_sigma(5),
+                        "theta": [[0.0] * 3] * 2},
+           "sample_sizes": [10], "replications": 3, "seed": 1}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    proc = _gcm_process(["mc-unbiasedness", "--config", cfg, "--out", tmp_path / "o"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("threads, start_method", [(1, None), (2, None), (2, "spawn")])
+def test_overflowing_run_writes_one_json_line_from_any_worker(tmp_path, threads, start_method):
+    # the first stage overflows in every replicate, in this process or in pool
+    # workers however they start: one JSON line, no numpy warning before it
+    cfg = _mc_config(tmp_path, sample_sizes=[8], replications=8)
+    doc = json.loads(cfg.read_text())
+    doc["scenario"]["theta"][0][0] = 1e200
+    cfg.write_text(json.dumps(doc))
+    argv = ["mc-consistency", "--config", cfg, "--out", tmp_path / "o"]
+    proc = _gcm_process(argv, threads, start_method)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == "InvalidValue"
+
+
+def test_estimate_with_undefined_std_errors_writes_nothing_to_stderr(tmp_path):
+    # near-collinear time points: cov_right has a negative diagonal, so the
+    # standard errors are null in the report and no sqrt warning is written
+    scenario = {**_scenario_dict(contrast="identity"), "q": 3,
+                "times": [1.0 + 3e-5 * k for k in range(5)], "sigma": _ar_sigma(5, 0.4),
+                "theta": [[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]]}
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"scenario": scenario, "r": 20, "seed": 3}))
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(sim), "--out", str(data)]) == 0
+    fileio.write_matrix_csv(str(data / "C.csv"), np.array([[1.0, -1.0]]))
+    fileio.write_matrix_csv(str(data / "D.csv"), np.eye(3))
+    proc = _gcm_process(["estimate", *_estimation_argv(data), "--out", tmp_path / "o"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    std_errors = _strict_json((tmp_path / "o" / "report.json").read_text())["results"]["std_errors"]
+    assert std_errors == [[None] * 3]
 
 
 # ---------------------------------------------------------------------------

@@ -63,3 +63,27 @@ def test_every_module_level_definition_has_a_caller_in_src_or_is_exported():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert uncalled == []
+
+
+def test_only_the_cli_handles_warnings():
+    # cli.main ignores warnings and numpy floating-point errors for every run and
+    # pool worker, so no other module imports warnings or sets numpy's error handling
+    package = pathlib.Path(gcm.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {name}" for name in names
+                if name.split(".")[0] == "warnings" or name in ("errstate", "seterr")
+            ]
+    assert offenders == []
