@@ -1,14 +1,18 @@
 """Deterministic CSV and JSON file handling for the command-line tool.
 
 Matrix CSVs are comma-delimited with values printed to 17 significant
-digits, which round-trips float64 exactly. JSON is serialized with sorted
-keys so identical inputs produce identical bytes. All writes go through a
-temp-file rename, so partially written files are never observed.
+digits, which round-trips float64 exactly. They are written and read in
+bounded blocks of rows, so memory follows the array, not the text; only
+input that numpy's parser refuses is re-read whole, by the line-numbered
+parser. JSON is serialized with sorted keys so identical inputs produce
+identical bytes. All writes go through a temp-file rename, so partially
+written files are never observed.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import os
 
@@ -18,17 +22,22 @@ from . import __version__
 from .errors import ConfigError, MatrixParseError
 
 _FLOAT_FMT = "%.17g"
+# values formatted by one % (whole rows, at least one), and bytes read per
+# chunk of a matrix CSV (plus the rest of the line the chunk ends in)
+_BLOCK_VALUES = 1 << 12
+_CHUNK_BYTES = 1 << 16
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a new temp file (mode per the current umask) and a rename."""
+def atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` in turn to a new temp file (mode per the
+    current umask), then rename it to ``path``; on any failure neither is left."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     handle = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -36,45 +45,78 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def format_matrix_csv(a: np.ndarray, header: list | None = None) -> str:
+def format_matrix_csv(a: np.ndarray, header: list | None = None):
+    """Yield the CSV text of ``a``, after its ``header`` row if one is given, in
+    blocks of whole rows. Each block is one ``%`` over the block's values, so at
+    most ``_BLOCK_VALUES`` values (or one row) are held as Python floats or text."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    lines = []
     if header is not None:
-        lines.append(",".join(header))
-    # one format string per row, applied row by row: a single % over the whole
-    # matrix would hold every value in one tuple
-    row_fmt = ",".join([_FLOAT_FMT] * a.shape[1])
-    lines.extend(row_fmt % tuple(row) for row in a.tolist())
-    return "\n".join(lines) + "\n"
+        yield ",".join(header) + "\n"
+    elif not len(a):
+        yield "\n"  # no header and no rows: one empty line
+    row_fmt = ",".join([_FLOAT_FMT] * a.shape[1]) + "\n"
+    rows = max(1, _BLOCK_VALUES // max(1, a.shape[1]))
+    for start in range(0, len(a), rows):
+        block = a[start : start + rows]
+        yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_matrix_csv(path: str, a: np.ndarray, header: list | None = None) -> None:
-    atomic_write_text(path, format_matrix_csv(a, header))
+    atomic_write(path, format_matrix_csv(a, header))
 
 
 def read_matrix_csv(path: str, skip_header: bool = False) -> np.ndarray:
     """Parse a rectangular CSV of floats; report failures with line numbers.
 
-    numpy's C reader parses the common case. Anything it refuses, and any
-    body with an empty line (which it would skip silently), goes to the
-    line-numbered parser, which reads each line by the same grammar and
-    gives the same array or the error.
+    numpy's C reader parses the common case from bounded chunks of the file.
+    Anything it refuses, an empty or header-only body, any body with an empty
+    line (which it would skip silently) and text that is not UTF-8 go to the
+    line-numbered parser, which reads the whole file, parses each line by the
+    same grammar and gives the same array or the error.
     """
+    with open(path, "rb") as handle:
+        try:
+            body = itertools.chain.from_iterable(_body_lines(handle, skip_header))
+            return _parse_numbers(body)
+        except ValueError:
+            # also a UnicodeDecodeError, whose position is within a chunk:
+            # the whole-file read below names the position in the file
+            pass
     try:
         with open(path, encoding="utf-8") as handle:
             raw_lines = handle.read().splitlines()
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"not UTF-8 text: {exc}", path) from exc
-    body = raw_lines[1:] if skip_header else raw_lines
-    if body and "" not in body:
-        try:
-            return _parse_numbers(body)
-        except ValueError:
-            pass
     return _parse_matrix_lines(raw_lines, path, skip_header)
 
 
-def _parse_numbers(lines: list) -> np.ndarray:
+def _body_lines(handle, skip_header: bool):
+    """Lists of the lines after the optional header of a matrix CSV open in binary
+    mode, split as ``str.splitlines`` splits them, read in bounded chunks. (Lists,
+    so that a C iterator, not this generator, hands numpy each line.)
+
+    A chunk is completed by ``readline``, so it ends at a ``\\n`` or at the
+    end of the file: no UTF-8 character and no line break, ``\\r\\n``
+    included, spans two chunks, and a chunk's ``splitlines`` are whole lines.
+    ValueError is raised at an empty line (which numpy would skip) and for an
+    empty body (on which it would warn).
+    """
+    empty = True
+    while chunk := handle.read(_CHUNK_BYTES) + handle.readline():
+        lines = chunk.decode("utf-8").splitlines()
+        if skip_header:
+            del lines[0]
+            skip_header = False
+        if "" in lines:
+            raise ValueError("empty line")
+        if lines:
+            empty = False
+            yield lines
+    if empty:
+        raise ValueError("no data rows")
+
+
+def _parse_numbers(lines) -> np.ndarray:
     """Comma-separated rows of numbers by numpy's C parser: the one grammar of matrix CSVs."""
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
@@ -107,7 +149,7 @@ def write_table_csv(path: str, header: list, rows: list) -> None:
     keep their integer form.
     """
     table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    atomic_write_text(path, format_matrix_csv(table, header))
+    atomic_write(path, format_matrix_csv(table, header))
 
 
 def jsonable(v):
@@ -131,7 +173,7 @@ def dumps_json(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, dumps_json(obj))
+    atomic_write(path, (dumps_json(obj),))
 
 
 def read_json(path: str):

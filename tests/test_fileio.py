@@ -5,6 +5,8 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +27,9 @@ _FIELDS = [
     "1", "-2.5", "0.1", "-0.0", "4.9406564584124654e-324", "1e400", "-1e400",
     "1_0", "\u0661", " 3 ", "\t4", "nan", "-nan", "inf", "-Infinity", "", "x", "1e", "+7",
 ]
-_SEPARATORS = ["\n", "\r\n", "\r", "\x0c"]
+# every break str.splitlines knows ("\n" twice, to keep it common)
+_SEPARATORS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
 
 
 @st.composite
@@ -71,15 +75,23 @@ def _outcome(fn):
 @example(case=("a,b\n", True))
 @example(case=("", True))
 @example(case=("-0.0,4.9406564584124654e-324\n1e400,nan\n", False))
+@example(case=("c0,c1,c2\x0c1,1,1\n1,1,1\n", True))
+@example(case=("1,2\x0c\n3,4\n", False))
+@example(case=("a,b", True))
+@example(case=("", False))
 def test_reader_matches_the_line_numbered_parser(tmp_path_factory, case):
     text, header = case
     path = tmp_path_factory.getbasetemp() / "reader.csv"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    fast = _outcome(lambda: fileio.read_matrix_csv(str(path), header))
     slow = _outcome(lambda: fileio._parse_matrix_lines(lines, str(path), header))
-    assert fast == slow
+    # chunks of a few bytes put a chunk boundary inside every line;
+    # no warning may escape, not even numpy's on an empty body
+    for chunk_bytes in (fileio._CHUNK_BYTES, 1, 2, 5):
+        with mock.patch.object(fileio, "_CHUNK_BYTES", chunk_bytes), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(lambda: fileio.read_matrix_csv(str(path), header)) == slow
 
 
 @pytest.mark.parametrize("row", ["1_0,3", "\u0661,3"], ids=["underscore", "arabic-indic-digit"])
@@ -100,12 +112,15 @@ def test_fields_numpy_refuses_are_refused_at_their_line(tmp_path, capsys, row):
 
 
 def test_reader_takes_the_c_parser_for_written_matrices(tmp_path):
-    a = np.random.default_rng(3).standard_normal((50, 4))
+    # 5000 rows span several write blocks and several read chunks
     path = tmp_path / "m.csv"
-    fileio.write_matrix_csv(str(path), a, ["a", "b", "c", "d"])
-    with mock.patch.object(fileio, "_parse_matrix_lines", side_effect=AssertionError):
-        back = fileio.read_matrix_csv(str(path), skip_header=True)
-    assert back.tobytes() == a.tobytes()
+    for n in (50, 5000):
+        a = np.random.default_rng(3).standard_normal((n, 4))
+        fileio.write_matrix_csv(str(path), a, ["a", "b", "c", "d"])
+        with mock.patch.object(fileio, "_parse_matrix_lines", side_effect=AssertionError):
+            back = fileio.read_matrix_csv(str(path), skip_header=True)
+        assert back.tobytes() == a.tobytes()
+    assert a.size > 2 * fileio._BLOCK_VALUES and path.stat().st_size > 2 * fileio._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("skip_header", [False, True])
@@ -116,6 +131,11 @@ def test_reader_refuses_non_utf8_naming_the_file(tmp_path, skip_header):
         fileio.read_matrix_csv(str(path), skip_header)
     assert excinfo.value.path == str(path)
     assert str(excinfo.value).startswith(f"{path}: ")
+    # far past the first chunk the message still gives the byte's position in the file
+    good = b"a,b\n" + b"1,2\n" * fileio._CHUNK_BYTES
+    path.write_bytes(good + b"3,\xff\n")
+    with pytest.raises(MatrixParseError, match=f"position {len(good) + 2}:"):
+        fileio.read_matrix_csv(str(path), skip_header)
 
 
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
@@ -138,7 +158,10 @@ def test_formatter_matches_the_per_value_format(a, header):
     names = [f"c{j}" for j in range(a.shape[1])] if header else None
     lines = [",".join(names)] if header else []
     lines += [",".join("%.17g" % v for v in row) for row in a]
-    assert fileio.format_matrix_csv(a, names) == "\n".join(lines) + "\n"
+    # blocks of 1-3 rows make most matrices span several blocks
+    for block_values in (fileio._BLOCK_VALUES, a.shape[1], 2 * a.shape[1], 3 * a.shape[1]):
+        with mock.patch.object(fileio, "_BLOCK_VALUES", block_values):
+            assert "".join(fileio.format_matrix_csv(a, names)) == "\n".join(lines) + "\n"
 
 
 def _per_value_table(header, rows):
@@ -207,8 +230,45 @@ def test_written_files_take_the_umask_in_force_when_written(tmp_path):
 def test_failed_write_leaves_no_temp_file(tmp_path):
     # a text that cannot be encoded fails inside the write; a failed rename fails after it
     with pytest.raises(UnicodeEncodeError):
-        fileio.atomic_write_text(str(tmp_path / "a.txt"), "\ud800")
+        fileio.atomic_write(str(tmp_path / "a.txt"), ["\ud800"])
     with mock.patch.object(fileio.os, "replace", side_effect=OSError("rename failed")):
         with pytest.raises(OSError, match="rename failed"):
-            fileio.atomic_write_text(str(tmp_path / "b.txt"), "x")
+            fileio.atomic_write(str(tmp_path / "b.txt"), ["x"])
     assert list(tmp_path.iterdir()) == []
+
+    def chunks():
+        # a later block fails once earlier ones have gone to the temp file
+        yield "1,2\n" * 10_000
+        (part,) = tmp_path.iterdir()
+        assert part.suffix == ".part" and part.stat().st_size > 0
+        yield "\ud800"
+
+    with pytest.raises(UnicodeEncodeError):
+        fileio.atomic_write(str(tmp_path / "c.csv"), chunks())
+    # a failed write leaves the file it would have replaced as it was
+    fileio.write_matrix_csv(str(tmp_path / "d.csv"), np.eye(2))
+    with pytest.raises(UnicodeEncodeError):
+        fileio.write_matrix_csv(str(tmp_path / "d.csv"), np.eye(2), ["\ud800", "b"])
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    assert (tmp_path / "d.csv").read_text() == "1,0\n0,1\n"
+
+
+def _traced_peak(fn):
+    """Peak bytes that Python and numpy allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_files_are_written_and_read_in_bounded_memory(tmp_path):
+    # 0.96 MB of values, 2.4 MB of text
+    a = np.random.default_rng(4).standard_normal((20_000, 6))
+    path = str(tmp_path / "Y.csv")
+    write_peak, _ = _traced_peak(lambda: fileio.write_matrix_csv(path, a))
+    read_peak, back = _traced_peak(lambda: fileio.read_matrix_csv(path))
+    assert back.tobytes() == a.tobytes()
+    assert write_peak < 2**20
+    assert read_peak < a.nbytes + 2**20
