@@ -136,7 +136,7 @@ def _estimate_results(args, sigma0=None):
 def _estimation_inputs_echo(args) -> dict:
     """Every parsed estimation input, so the parser is the one list of them; a
     non-finite ``--alpha`` is written as null, so the report stays strict JSON."""
-    skip = ("command", "func", "out")
+    skip = ("func", "out")
     return fileio.jsonable({key: value for key, value in vars(args).items() if key not in skip})
 
 
@@ -221,52 +221,71 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", dict(default=".", help="output directory"))
+_ESTIMATION = (
+    ("--y", dict(required=True, help="observations CSV (n x p)")),
+    ("--x", dict(required=True, help="between-individual design CSV (n x m)")),
+    ("--z", dict(required=True, help="within-individual design CSV (p x q)")),
+    ("--c", dict(required=True, help="left contrast CSV (s x m)")),
+    ("--d", dict(required=True, help="right contrast CSV (t x q)")),
+    ("--truth", dict(default=None, help="truth.json for error reporting")),
+    ("--header", dict(action="store_true", help="skip one header row in input CSVs")),
+    _OUT,
+)
+_MC = (
+    ("--config", dict(required=True, help="experiment config JSON")),
+    ("--seed", dict(type=int, default=None, help="override the config seed")),
+    _OUT,
+    ("--dump-replicates", dict(action="store_true",
+                               help="write per-replicate records to tables/replicates_r*.csv")),
+)
+# each command's help line, its options (flag, add_argument keywords) in usage order, and
+# the function that runs it
+_COMMANDS = {
+    "simulate": ("simulate a dataset and write Y/X/Z/truth files", (
+        ("--config", dict(required=True, help="scenario config JSON")),
+        ("--seed", dict(type=int, default=None, help="unsigned 64-bit seed")),
+        _OUT,
+    ), cmd_simulate),
+    "estimate": ("estimate gamma = C theta D' from CSV data", (
+        *_ESTIMATION, ("--sigma0", dict(default=None, help="known covariance CSV (p x p)")),
+    ), cmd_estimate),
+    "test": ("chi-square test of C theta D' = 0", (
+        *_ESTIMATION, ("--alpha", dict(type=float, default=0.05, help="test level")),
+    ), cmd_test),
+    **{f"mc-{kind}": (f"Monte Carlo {kind} run", _MC, lambda a, k=kind: cmd_mc(a, k))
+       for kind in mc.KINDS},
+}
+
+
+def _command_parser(name: str, parser=None) -> argparse.ArgumentParser:
+    """``name``'s options and function on ``parser``, by default a parser of its own."""
+    parser = _Parser(prog=f"gcm {name}") if parser is None else parser
+    for flag, options in _COMMANDS[name][1]:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=_COMMANDS[name][2])
+    return parser
+
+
+def _overview_parser() -> argparse.ArgumentParser:
+    """``gcm`` with every command as a subcommand, as ``gcm --help`` lists them."""
     parser = _Parser(
         prog="gcm",
         description="Growth curve model estimation and Monte Carlo verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="simulate a dataset and write Y/X/Z/truth files")
-    sim.add_argument("--config", required=True, help="scenario config JSON")
-    sim.add_argument("--seed", type=int, default=None, help="unsigned 64-bit seed")
-    sim.add_argument("--out", default=".", help="output directory")
-    sim.set_defaults(func=cmd_simulate)
-
-    def add_estimation_args(p):
-        p.add_argument("--y", required=True, help="observations CSV (n x p)")
-        p.add_argument("--x", required=True, help="between-individual design CSV (n x m)")
-        p.add_argument("--z", required=True, help="within-individual design CSV (p x q)")
-        p.add_argument("--c", required=True, help="left contrast CSV (s x m)")
-        p.add_argument("--d", required=True, help="right contrast CSV (t x q)")
-        p.add_argument("--truth", default=None, help="truth.json for error reporting")
-        p.add_argument("--header", action="store_true", help="skip one header row in input CSVs")
-        p.add_argument("--out", default=".", help="output directory")
-
-    est = sub.add_parser("estimate", help="estimate gamma = C theta D' from CSV data")
-    add_estimation_args(est)
-    est.add_argument("--sigma0", default=None, help="known covariance CSV (p x p)")
-    est.set_defaults(func=cmd_estimate)
-
-    tst = sub.add_parser("test", help="chi-square test of C theta D' = 0")
-    add_estimation_args(tst)
-    tst.add_argument("--alpha", type=float, default=0.05, help="test level")
-    tst.set_defaults(func=cmd_test)
-
-    for kind in mc.KINDS:
-        p = sub.add_parser(f"mc-{kind}", help=f"Monte Carlo {kind} run")
-        p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--dump-replicates",
-            action="store_true",
-            help="write per-replicate records to tables/replicates_r*.csv",
-        )
-        p.set_defaults(func=lambda a, k=kind: cmd_mc(a, k))
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Only the command named first gets a parser built; help, a missing or unknown
+    command and an option before the command go to the whole overview tree."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        return _command_parser(argv[0]).parse_args(argv[1:])
+    return _overview_parser().parse_args(argv)
 
 
 def _ignore_warnings() -> None:
@@ -279,7 +298,7 @@ def _ignore_warnings() -> None:
 def main(argv=None) -> int:
     args = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         # both restore the caller's settings on exit
         with np.errstate(), warnings.catch_warnings():
             _ignore_warnings()

@@ -457,6 +457,125 @@ def test_usage_errors_follow_the_error_contract(tmp_path, monkeypatch, capsys, a
     assert list(tmp_path.iterdir()) == []
 
 
+COMMAND_NAMES = ["simulate", "estimate", "test", *(f"mc-{kind}" for kind in mc.KINDS)]
+
+
+def _reference_tree():
+    """Every command of cli's table as a subparser of one ``gcm`` parser: the tree
+    that the one-command dispatch of ``cli.main`` must accept and refuse as."""
+    parser = cli._Parser(
+        prog="gcm", description="Growth curve model estimation and Monte Carlo verification"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, options, func) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _parse_outcome(parse, argv):
+    """What parsing ``argv`` gives: the parsed values and function, the usage error's
+    message, or the exit code and the text written on a help exit."""
+    text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+            args = vars(parse(argv))
+    except ConfigError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, text.getvalue()
+    func = args.pop("func")
+    args.pop("command", None)
+    return "ok", {key: repr(value) for key, value in args.items()}, func
+
+
+_OPTION_STRINGS = sorted({flag for _, options, _ in cli._COMMANDS.values() for flag, _ in options})
+_VALUES = st.one_of(
+    st.integers(-3, 2**65).map(str),
+    st.floats(-10, 10).map(str),
+    st.sampled_from(["nan", "1e-3", "Y.csv", "-x", "out"]),
+)
+_TOKENS = st.one_of(st.sampled_from([*COMMAND_NAMES, "junk", "--", "--help", *_OPTION_STRINGS]),
+                    _VALUES)
+
+
+def _command_argvs(name):
+    """argv lists naming ``name`` first with a value for each of its required options,
+    then more of its options with values and a token that may not belong."""
+    options = cli._COMMANDS[name][1]
+    required = [flag for flag, kwargs in options if kwargs.get("required")]
+    pair = st.tuples(st.sampled_from([flag for flag, _ in options]), _VALUES)
+    return st.builds(
+        lambda values, pairs, tail: [name, *(t for p in [*zip(required, values), *pairs]
+                                             for t in p), *tail],
+        st.lists(_VALUES, min_size=len(required), max_size=len(required)),
+        st.lists(pair, max_size=3),
+        st.lists(_TOKENS, max_size=1),
+    )
+
+
+# a list of any tokens or a command's argv, each about half the time
+_ARGVS = st.tuples(
+    st.booleans(), st.lists(_TOKENS, max_size=6),
+    st.one_of(*(_command_argvs(name) for name in COMMAND_NAMES)),
+).map(lambda drawn: drawn[1] if drawn[0] else drawn[2])
+_TREE = _reference_tree()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_ARGVS)
+def test_dispatch_accepts_and_refuses_what_the_subparser_tree_does(argv):
+    outcome = _parse_outcome(cli._parse_args, argv)
+    assert outcome == _parse_outcome(_TREE.parse_args, argv)
+    if outcome[0] == "ok":
+        assert outcome[2] is cli._COMMANDS[argv[0]][2]
+    if not argv or argv[0] not in cli._COMMANDS:
+        # these went to the overview, which never runs a command not named first
+        assert outcome[0] != "ok"
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_NAMES])
+def test_help_text_is_the_subparser_trees(capsys, command):
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: gcm {command or ''}".rstrip())
+    assert _parse_outcome(_TREE.parse_args, argv) == ("exit", 0, text)
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("simulate", {"--config", "--seed", "--out"}),
+     ("test", {"--y", "--x", "--z", "--c", "--d", "--truth", "--header", "--out", "--alpha"})],
+)
+def test_one_call_builds_one_parser_with_only_its_commands_options(
+    sim_files, tmp_path, monkeypatch, command, options
+):
+    parsers, added = [], []
+    init, add_argument = cli._Parser.__init__, cli._Parser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_add_argument(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(cli._Parser, "add_argument", counting_add_argument)
+    argv = {"simulate": ["simulate", "--config", str(sim_files.parent / "sim.json")],
+            "test": ["test", *_estimation_argv(sim_files)]}[command]
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    (parser,) = parsers
+    assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help", *options}
+    assert len(added) == 1 + len(options)  # --help, then each of the command's options
+
+
 @pytest.mark.parametrize(
     "kind, as_written",
     [*(pytest.param(kind, False, id=kind) for kind in mc.KINDS),

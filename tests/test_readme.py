@@ -22,12 +22,10 @@ def test_readme_quick_tour_runs():
 
 def _subparser_options() -> dict:
     """Each gcm subcommand's option strings, without --help."""
-    parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
-               for s in a.option_strings}
-        for name, p in sub.choices.items()
+        name: {s for a in cli._command_parser(name)._actions
+               if not isinstance(a, argparse._HelpAction) for s in a.option_strings}
+        for name in cli._COMMANDS
     }
 
 
