@@ -114,7 +114,7 @@ def _estimate_results(args, sigma0=None):
         sigma_value = sigma.a
         estimator_name = "two_stage"
     theta = estimators.theta_hat_known(data, sigma)
-    law = inference.cov_factors(data.design.xtx_factor, sigma, data.design.Z, contrast)
+    law = inference.plugin_cov(data.design, sigma, contrast)
     gamma = contrast.apply(theta)
     results = {
         "estimator": estimator_name,

@@ -73,16 +73,19 @@ def cov_factors(
     return AsymptoticLaw(left=(left + left.T) / 2.0, right=(right + right.T) / 2.0)
 
 
-def plugin_cov(data: model.Dataset, contrast: model.Contrast) -> AsymptoticLaw:
-    """Finite-sample plug-in covariance factors for gamma_hat.
+def plugin_cov(
+    design: model.Design, sigma: linalg.SpdFactor, contrast: model.Contrast
+) -> AsymptoticLaw:
+    """Finite-sample plug-in covariance factors for the gamma_hat of a fit.
 
     Left factor C (X'X)^{-1} C' (not scaled by n) and right factor
-    D (Z' sigma_hat^{-1} Z)^{-1} D'. The square roots of the diagonal
-    products are the approximate standard errors of the entries of
-    gamma_hat.
+    D (Z' sigma^{-1} Z)^{-1} D', where ``sigma`` is the fit's covariance:
+    sigma_hat for the two-stage estimator, sigma0 for the known one. The
+    square roots of the diagonal products are the approximate standard
+    errors of the entries of gamma_hat.
     """
-    contrast.check(data.design)
-    return cov_factors(data.design.xtx_factor, estimators.sigma_hat(data), data.design.Z, contrast)
+    contrast.check(design)
+    return cov_factors(design.xtx_factor, sigma, design.Z, contrast)
 
 
 def standard_errors(law: AsymptoticLaw) -> np.ndarray:
@@ -103,7 +106,7 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     contrast.check(design)
     n = design.n
     sig, theta = estimators.two_stage(data)
-    law = cov_factors(design.xtx_factor, sig, design.Z, contrast)
+    law = plugin_cov(design, sig, contrast)
     law = AsymptoticLaw(n * law.left, law.right)
     # C's bytes fix C: its column count is X's, checked above
     key = contrast.C.tobytes()

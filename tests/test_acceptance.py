@@ -35,18 +35,7 @@ from gcm import (
     two_stage_gamma,
     two_stage_gamma_pinv,
 )
-
-TIMES4 = (1.0, 2.0, 3.0, 4.0)
-
-
-def _ar_sigma(p, rho=0.4):
-    idx = np.arange(p)
-    return rho ** np.abs(np.subtract.outer(idx, idx))
-
-
-def _spd(rng, p, jitter=0.5):
-    g = rng.standard_normal((p, p))
-    return g @ g.T + jitter * p * np.eye(p)
+from shared import TIMES4, ar_sigma, spd
 
 
 def _check(num, name, ok, detail=""):
@@ -60,7 +49,7 @@ def _random_dataset(seed, n=20, m=3, p=5, q=2):
     rng = np.random.default_rng(seed)
     design = Design(X=rng.standard_normal((n, m)), Z=rng.standard_normal((p, q)))
     theta = rng.standard_normal((m, q))
-    sigma = _spd(rng, p)
+    sigma = spd(rng, p)
     data = simulate(
         design,
         theta,
@@ -82,7 +71,7 @@ def test_criterion_01_projection_identity():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((6, 3))
-        sigma = _spd(rng, 6)
+        sigma = spd(rng, 6)
         lhs = z @ np.linalg.solve(z.T @ np.linalg.solve(sigma, z), z.T)
         p_z = linalg.orth_projector(z)
         rhs = linalg.moore_penrose(p_z @ np.linalg.inv(sigma) @ p_z)
@@ -139,7 +128,7 @@ def test_criterion_04_known_sigma_exact_recovery():
     contrast = equality_contrast(3, 2)
     worst = 0.0
     for seed in range(10):
-        sigma0 = _spd(np.random.default_rng(seed + 40), 4)
+        sigma0 = spd(np.random.default_rng(seed + 40), 4)
         err_theta = np.abs(theta_hat_known(data, sigma0) - theta).max()
         err_gamma = np.abs(
             gamma_hat_known(data, sigma0, contrast) - contrast.apply(theta)
@@ -161,7 +150,7 @@ def test_criterion_05_unbiasedness(family, df):
         q=2,
         times=TIMES4,
         theta=np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]),
-        noise=NoiseSpec(family=family, sigma=_ar_sigma(4), df=df),
+        noise=NoiseSpec(family=family, sigma=ar_sigma(4), df=df),
         contrast=contrast,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(20,), replications=10_000, seed=501)
@@ -183,7 +172,7 @@ def test_criterion_06_consistency_trends(family):
         q=2,
         times=TIMES4,
         theta=np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]),
-        noise=NoiseSpec(family=family, sigma=_ar_sigma(4)),
+        noise=NoiseSpec(family=family, sigma=ar_sigma(4)),
         contrast=contrast,
     )
     cfg = McConfig(scenario=scenario, sample_sizes=(16, 64, 256), replications=500, seed=601)
@@ -218,7 +207,7 @@ def normality_cells():
             q=2,
             times=TIMES4,
             theta=np.array([[1.0, 0.5], [2.0, 0.25]]),
-            noise=NoiseSpec(family=family, sigma=_ar_sigma(4)),
+            noise=NoiseSpec(family=family, sigma=ar_sigma(4)),
         )
         cfg = McConfig(scenario=scenario, sample_sizes=(250,), replications=5000, seed=701)
         (cells[family],), _ = mc.run("normality", cfg)
@@ -263,7 +252,7 @@ def test_criterion_09_test_level(family, df, band):
         q=2,
         times=TIMES4,
         theta=np.array([[1.0, 0.5], [1.0, 0.5]]),  # equal curves: gamma = 0
-        noise=NoiseSpec(family=family, sigma=_ar_sigma(4), df=df),
+        noise=NoiseSpec(family=family, sigma=ar_sigma(4), df=df),
         contrast=contrast,
     )
     cfg = McConfig(
@@ -287,7 +276,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
             "q": 2,
             "times": list(TIMES4),
             "theta": [[1.0, 0.5], [1.0, 0.5]],
-            "sigma": _ar_sigma(4).tolist(),
+            "sigma": ar_sigma(4).tolist(),
             "noise": {"family": "gaussian", "df": None},
             "contrast": "equality",
         },
@@ -338,7 +327,7 @@ def test_criterion_11_io_round_trip_and_exit_codes(tmp_path, monkeypatch):
     # crafted failures hit the documented exit codes
     design = potthoff_roy_design(2, 5, TIMES4, 2)
     theta = np.array([[1.0, 0.5], [2.0, 0.25]])
-    sigma = _ar_sigma(4)
+    sigma = ar_sigma(4)
     data = simulate(
         design, theta,
         NoiseSpec(family="gaussian", sigma=sigma), seed=11,

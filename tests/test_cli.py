@@ -21,8 +21,8 @@ from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, mc, model
 from gcm.errors import ConfigError, MatrixParseError, NotSpd
+from shared import TIMES4, ar_sigma
 
-TIMES4 = [1.0, 2.0, 3.0, 4.0]
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
 
@@ -35,9 +35,44 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def _ar_sigma(p, rho=0.3):
-    idx = np.arange(p)
-    return (rho ** np.abs(np.subtract.outer(idx, idx))).tolist()
+def _main(argv) -> subprocess.CompletedProcess:
+    """``cli.main(argv)`` run in this process: its exit code and what it wrote on stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return subprocess.CompletedProcess(argv, code, stderr=stderr.getvalue())
+
+
+def _refused(argv, code, run=_main) -> dict:
+    """Run ``gcm argv`` by ``run`` and check the README's error contract for a failure
+    that exits ``code``; returns the error, for the caller's own type and message checks.
+
+    stderr is one line, ``{"error": {type, message, exit_code}}`` with ``exit_code ==
+    code``. Once the arguments parse, ``--out`` holds a strict-JSON report.json with
+    ``results: null`` and ``errors == [error]``. A usage error (a ConfigError raised
+    while parsing) leaves any report.json in the ``--out`` it names as it was.
+    """
+    argv = [str(a) for a in argv]
+    try:
+        out, usage = cli._parse_args(argv).out, False
+    except ConfigError:
+        out, usage = argv[argv.index("--out") + 1] if "--out" in argv else ".", True
+    report = Path(out) / "report.json"
+    before = report.read_bytes() if report.exists() else None
+    proc = run(argv)
+    assert proc.returncode == code, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    doc = _strict_json(line)
+    assert list(doc) == ["error"] and sorted(doc["error"]) == ["exit_code", "message", "type"]
+    error = doc["error"]
+    assert error["exit_code"] == code
+    if usage:
+        assert (error["type"], code) == ("ConfigError", 2)
+        assert (report.read_bytes() if report.exists() else None) == before
+    else:
+        written = _strict_json(report.read_text())
+        assert written["results"] is None and written["errors"] == [error]
+    return error
 
 
 def _scenario_dict(equal_curves=False, contrast="equality", family="gaussian", df=None):
@@ -45,9 +80,9 @@ def _scenario_dict(equal_curves=False, contrast="equality", family="gaussian", d
     return {
         "m": 2,
         "q": 2,
-        "times": TIMES4,
+        "times": list(TIMES4),
         "theta": theta,
-        "sigma": _ar_sigma(4),
+        "sigma": ar_sigma(4, 0.3).tolist(),
         "noise": {"family": family, "df": df},
         "contrast": contrast,
     }
@@ -79,6 +114,11 @@ def _estimation_argv(out, extra=()):
         "--d", str(out / "D.csv"),
         *extra,
     ]
+
+
+def _estimate_refused(root, tmp_path, code=2, extra=()) -> dict:
+    """``gcm estimate`` on the CSVs in ``root``, checked by ``_refused``."""
+    return _refused(["estimate", *_estimation_argv(root, extra), "--out", tmp_path / "o"], code)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +175,8 @@ def test_simulate_requires_seed(tmp_path):
     config = {"scenario": _scenario_dict(), "r": 4}
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps(config))
-    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    error = _refused(["simulate", "--config", cfg_path, "--out", tmp_path / "o"], 2)
+    assert error["type"] == "ConfigError" and error["message"].startswith("a seed is required")
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +185,8 @@ def test_simulate_requires_seed(tmp_path):
 
 def test_estimate_report_matches_library_exactly(sim_files, tmp_path):
     out = tmp_path / "est"
-    code = cli.main(
-        ["estimate", *_estimation_argv(sim_files),
-         "--truth", str(sim_files / "truth.json"), "--out", str(out)]
-    )
-    assert code == 0
+    assert cli.main(["estimate", *_estimation_argv(sim_files),
+                     "--truth", str(sim_files / "truth.json"), "--out", str(out)]) == 0
     report = fileio.read_json(str(out / "report.json"))
     results = report["results"]
 
@@ -158,7 +196,7 @@ def test_estimate_report_matches_library_exactly(sim_files, tmp_path):
     data = model.Dataset(Y=y, design=model.Design(X=x, Z=z))
     contrast = model.Contrast(C=np.array([[1.0, -1.0]]), D=np.array([[0.0, 1.0]]))
     gamma = estimators.two_stage_gamma(data, contrast)
-    law = inference.plugin_cov(data, contrast)
+    law = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     assert np.array_equal(np.asarray(results["gamma"]), gamma)
     assert np.array_equal(np.asarray(results["cov_left"]), law.left)
     assert np.array_equal(np.asarray(results["cov_right"]), law.right)
@@ -190,10 +228,9 @@ def test_estimate_with_known_sigma_matches_ols(tmp_path):
     fileio.write_matrix_csv(str(d / "D.csv"), np.eye(q))
     fileio.write_matrix_csv(str(d / "S0.csv"), np.eye(p))
     out = d / "est"
-    code = cli.main(
+    assert cli.main(
         ["estimate", *_estimation_argv(d), "--sigma0", str(d / "S0.csv"), "--out", str(out)]
-    )
-    assert code == 0
+    ) == 0
     report = fileio.read_json(str(out / "report.json"))
     assert report["results"]["estimator"] == "known_sigma"
     ols = np.linalg.lstsq(x, y[:, :q], rcond=None)[0]
@@ -217,8 +254,7 @@ def test_estimate_header_flag(tmp_path, sim_files):
         header = ",".join(f"col{i}" for i in range(width))
         path.write_text(header + "\n" + body)
     out = tmp_path / "est"
-    code = cli.main(["estimate", *_estimation_argv(sim_files), "--header", "--out", str(out)])
-    assert code == 0
+    assert cli.main(["estimate", *_estimation_argv(sim_files), "--header", "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +263,7 @@ def test_estimate_header_flag(tmp_path, sim_files):
 
 def test_test_command_fields_are_consistent(sim_files, tmp_path):
     out = tmp_path / "tst"
-    code = cli.main(
-        ["test", *_estimation_argv(sim_files), "--alpha", "0.05", "--out", str(out)]
-    )
-    assert code == 0
+    assert cli.main(["test", *_estimation_argv(sim_files), "--alpha", "0.05", "--out", str(out)]) == 0
     results = fileio.read_json(str(out / "report.json"))["results"]
     # the p-value must be recomputable from chi_sq and dof by an external table
     reference = stats.chi2.sf(results["chi_sq"], results["dof"])
@@ -266,8 +299,7 @@ def test_test_command_null_data_accepts(tmp_path):
 
 def test_test_command_alpha_one_always_rejects(sim_files, tmp_path):
     out = tmp_path / "tst"
-    code = cli.main(["test", *_estimation_argv(sim_files), "--alpha", "1.0", "--out", str(out)])
-    assert code == 0
+    assert cli.main(["test", *_estimation_argv(sim_files), "--alpha", "1.0", "--out", str(out)]) == 0
     results = fileio.read_json(str(out / "report.json"))["results"]
     assert results["p_value"] < 1.0
     assert results["reject"] is True
@@ -355,10 +387,9 @@ def test_mc_level_runs_a_contrast_that_reads_one_theta_column(tmp_path):
 def test_mc_dump_resummarizes_to_the_same_report(tmp_path):
     cfg = _mc_config(tmp_path)
     out = tmp_path / "mc"
-    code = cli.main(
+    assert cli.main(
         ["mc-consistency", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
-    )
-    assert code == 0
+    ) == 0
     report = fileio.read_json(str(out / "report.json"))
     config = mc.McConfig.from_dict(
         {k: v for k, v in report["inputs"].items() if k != "dump_replicates"}, "consistency"
@@ -397,10 +428,9 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(mc, "run", keep)
     cfg = _mc_config(tmp_path, sample_sizes=[4, 8])
     out = tmp_path / "mc"
-    code = cli.main(
+    assert cli.main(
         ["mc-consistency", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
-    )
-    assert code == 0
+    ) == 0
     ((config, cells, records),) = runs
     contrast = config.scenario.contrast
     cols = mc.record_columns("consistency", contrast.s, contrast.t)
@@ -413,27 +443,16 @@ def test_mc_dump_bytes_match_the_table_writer(tmp_path, monkeypatch):
         assert dump.read_bytes() == expected.read_bytes()
 
 
-def _usage_error(capsys) -> dict:
-    """The one JSON line a usage error prints to stderr."""
-    (line,) = capsys.readouterr().err.splitlines()
-    error = json.loads(line)["error"]
-    assert error["type"] == "ConfigError" and error["exit_code"] == 2
-    return error
-
-
-def test_mc_seed_and_alpha_flags_override_config(tmp_path, capsys):
+def test_mc_seed_and_alpha_flags_override_config(tmp_path):
     # --seed overrides the config seed; the test level comes from the config alone
     cfg = _mc_config(tmp_path, kind="level", alpha=0.1)
     out = tmp_path / "mc"
-    code = cli.main(["mc-level", "--config", str(cfg), "--seed", "5", "--out", str(out)])
-    assert code == 0
+    assert cli.main(["mc-level", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
     report = fileio.read_json(str(out / "report.json"))
     assert report["meta"]["seed"] == 5
     assert report["inputs"]["alpha"] == 0.1
-    capsys.readouterr()
-    code = cli.main(["mc-level", "--config", str(cfg), "--alpha", "0.2", "--out", str(out)])
-    assert code == 2
-    assert "--alpha" in _usage_error(capsys)["message"]
+    error = _refused(["mc-level", "--config", cfg, "--alpha", "0.2", "--out", out], 2)
+    assert "--alpha" in error["message"]
     # the arguments never parsed, so --out is unknown and the report stays as it was
     assert fileio.read_json(str(out / "report.json")) == report
 
@@ -450,10 +469,9 @@ def test_mc_seed_and_alpha_flags_override_config(tmp_path, capsys):
         ([], "required"),
     ],
 )
-def test_usage_errors_follow_the_error_contract(tmp_path, monkeypatch, capsys, argv, words):
+def test_usage_errors_follow_the_error_contract(tmp_path, monkeypatch, argv, words):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(argv) == 2
-    assert words in _usage_error(capsys)["message"]
+    assert words in _refused(argv, 2)["message"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -622,7 +640,7 @@ def test_mc_single_replicate_report_is_strict_json(tmp_path):
      ("table write", "FileExistsError", 3)],
 )
 def test_mc_error_report_after_the_config_is_checked_echoes_it(
-    tmp_path, monkeypatch, capsys, fault, kind, code
+    tmp_path, monkeypatch, fault, kind, code
 ):
     # once McConfig.from_dict accepts the config, a failure writes the inputs
     # and seed that a success would
@@ -636,24 +654,19 @@ def test_mc_error_report_after_the_config_is_checked_echoes_it(
     elif fault == "table write":
         out.mkdir()
         (out / "tables").write_text("a file where the tables directory goes\n")
-    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == code
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["type"] == kind
+    assert _refused(["mc-level", "--config", cfg, "--out", out], code)["type"] == kind
     report = _strict_json((out / "report.json").read_text())
     assert report["meta"]["seed"] == 901
     assert report["inputs"] == {**conf, "dump_replicates": False}
-    assert report["results"] is None and report["errors"] == [error]
 
 
-def test_mc_error_report_on_a_refused_config_echoes_nothing(tmp_path, capsys):
+def test_mc_error_report_on_a_refused_config_echoes_nothing(tmp_path):
     # read_json takes the NaN token, so a config from_dict refuses is not echoed
     cfg = _mc_config(tmp_path, kind="level", alpha=float("nan"))
     out = tmp_path / "o"
-    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    assert _refused(["mc-level", "--config", cfg, "--out", out], 2)["type"] == "ConfigError"
     report = _strict_json((out / "report.json").read_text())
     assert report["inputs"] == {} and report["meta"]["seed"] is None
-    assert report["errors"] == [error]
 
 
 @pytest.mark.parametrize(
@@ -661,7 +674,7 @@ def test_mc_error_report_on_a_refused_config_echoes_nothing(tmp_path, capsys):
     [("estimate", "missing y", 3), ("test", "missing y", 3), ("test", "alpha nan", 2)],
 )
 def test_estimation_error_report_echoes_the_parsed_inputs(
-    sim_files, tmp_path, capsys, command, fault, code
+    sim_files, tmp_path, command, fault, code
 ):
     # a failed estimate or test writes the inputs that a success would, as strict JSON
     assert cli.main([command, *_estimation_argv(sim_files), "--out", str(tmp_path / "ok")]) == 0
@@ -672,12 +685,10 @@ def test_estimation_error_report_echoes_the_parsed_inputs(
     else:
         argv += ["--alpha", "nan"]
         inputs["alpha"] = None
-    capsys.readouterr()
-    assert cli.main([command, *argv, "--out", str(tmp_path / "o")]) == code
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused([command, *argv, "--out", tmp_path / "o"], code)
+    assert error["type"] == {3: "FileNotFoundError", 2: "InvalidValue"}[code]
     report = _strict_json((tmp_path / "o" / "report.json").read_text())
     assert report["inputs"] == inputs and report["meta"]["seed"] is None
-    assert report["results"] is None and report["errors"] == [error]
 
 
 @pytest.mark.filterwarnings("error")
@@ -701,11 +712,7 @@ def test_mc_normality_single_replicate_writes_both_tables(tmp_path):
     cfg = _mc_config(tmp_path, kind="normality", replications=1)
     out = tmp_path / "mc"
     assert cli.main(["mc-normality", "--config", str(cfg), "--out", str(out)]) == 0
-
-    def reject(token):
-        raise ValueError(f"report.json holds the non-JSON constant {token}")
-
-    doc = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    doc = _strict_json((out / "report.json").read_text())
     assert [cell["successes"] for cell in doc["results"]["cells"]] == [1]
     tables = out / "tables"
     assert (tables / "normality.csv").read_text() == (
@@ -719,11 +726,7 @@ def test_mc_unbiasedness_writes_bias_report(tmp_path):
     out = tmp_path / "mc"
     assert cli.main(["mc-unbiasedness", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["report.json"]
-
-    def reject(token):
-        raise ValueError(f"report.json holds the non-JSON constant {token}")
-
-    doc = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    doc = _strict_json((out / "report.json").read_text())
     assert doc["results"]["kind"] == "unbiasedness"
     assert all("max_abs_bias_in_se" in cell for cell in doc["results"]["cells"])
 
@@ -753,7 +756,7 @@ def test_mc_writes_the_tables_and_dump_columns_of_its_kind(tmp_path, kind):
     "c, d", [([[1.0, -1.0], [1.0, -1.0]], [[0.0, 1.0]]), ([[1.0, -1.0]], [[0.0, 1.0], [0.0, 2.0]])]
 )
 def test_exit_2_before_any_replicate_on_contrast_without_full_row_rank(
-    tmp_path, capsys, monkeypatch, kind, c, d
+    tmp_path, monkeypatch, kind, c, d
 ):
     # the whitening needs C and D of full row rank; such a contrast is refused
     # up front instead of failing every replicate or the cell summary
@@ -761,8 +764,7 @@ def test_exit_2_before_any_replicate_on_contrast_without_full_row_rank(
     monkeypatch.setattr(mc, "replicate_seed", lambda *args, **kw: seeds.append(args) or 0)
     scenario = _scenario_dict(equal_curves=True, contrast={"c": c, "d": d})
     cfg = _mc_config(tmp_path, kind=kind, scenario=scenario)
-    assert cli.main([f"mc-{kind}", "--config", str(cfg), "--out", str(tmp_path / "mc")]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused([f"mc-{kind}", "--config", cfg, "--out", tmp_path / "mc"], 2)
     assert error["type"] == "ConfigError"
     assert "full row rank" in error["message"]
     assert seeds == []
@@ -770,41 +772,33 @@ def test_exit_2_before_any_replicate_on_contrast_without_full_row_rank(
 
 @pytest.mark.parametrize(
     "fault, kind, words",
-    [("sigma0", "NotSpd", "sigma0"), ("d", "DimensionMismatch", "D has 3 columns")],
+    [("sigma0", "NotSpd", "sigma0"), ("d", "DimensionMismatch", "D has 3 columns"),
+     ("sigma0 size", "DimensionMismatch", "sigma0 is 3 x 3 but Z has 4 rows"),
+     ("sigma0 shape", "NotSpd", "sigma0 is not square: shape (4, 3)")],
 )
-def test_exit_2_on_estimate_input_that_does_not_fit(
-    sim_files, tmp_path, capsys, fault, kind, words
-):
+def test_exit_2_on_estimate_input_that_does_not_fit(sim_files, tmp_path, fault, kind, words):
+    sigma0 = {"sigma0": np.diag([1.0, -1.0, 1.0, 1.0]), "sigma0 size": np.eye(3),
+              "sigma0 shape": np.eye(4, 3)}.get(fault)
     extra = []
-    if fault == "sigma0":
-        fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.diag([1.0, -1.0, 1.0, 1.0]))
+    if sigma0 is not None:
+        fileio.write_matrix_csv(str(sim_files / "S0.csv"), sigma0)
         extra = ["--sigma0", str(sim_files / "S0.csv")]
     else:
         fileio.write_matrix_csv(str(sim_files / "D.csv"), np.array([[0.0, 1.0, 0.0]]))
-    out = tmp_path / "o"
-    assert cli.main(["estimate", *_estimation_argv(sim_files, extra), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _estimate_refused(sim_files, tmp_path, extra=extra)
     assert error["type"] == kind
     assert words in error["message"]
-    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
-def test_exit_2_on_a_sigma0_that_has_a_cholesky_factor_but_fails_check_spd(
-    sim_files, tmp_path, capsys
-):
+def test_exit_2_on_a_sigma0_that_has_a_cholesky_factor_but_fails_check_spd(sim_files, tmp_path):
     # sigma0 is judged by check_spd's eigenvalue ratio only, so a Cholesky
     # factor does not admit it
     s0 = np.diag([1.0, 1.0, 1.0, 1e-12])
     np.linalg.cholesky(s0)
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), s0)
-    out = tmp_path / "o"
-    argv = _estimation_argv(sim_files, ["--sigma0", str(sim_files / "S0.csv")])
-    assert cli.main(["estimate", *argv, "--out", str(out)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    error = _strict_json(line)["error"]
+    error = _estimate_refused(sim_files, tmp_path, extra=["--sigma0", str(sim_files / "S0.csv")])
     assert error["type"] == "NotSpd"
     assert error["message"].startswith("sigma0 is not positive definite: ")
-    assert _strict_json((out / "report.json").read_text())["errors"] == [error]
 
 
 @pytest.mark.parametrize("known, count", [(False, 25), (True, 9)])
@@ -814,7 +808,7 @@ def test_cli_fits_stay_at_their_factorization_counts(
     # gcm estimate then gcm test (two-stage), or gcm estimate --sigma0: 37 and
     # 14 numpy factorizations when sigma_hat and sigma0 were each checked by
     # eigvalsh before their Cholesky-checked inverse
-    fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.array(_ar_sigma(4)))
+    fileio.write_matrix_csv(str(sim_files / "S0.csv"), ar_sigma(4, 0.3))
     runs = [["estimate", "--sigma0", str(sim_files / "S0.csv")]] if known else [["estimate"], ["test"]]
     factorizations.clear()
     for command, *extra in runs:
@@ -823,40 +817,31 @@ def test_cli_fits_stay_at_their_factorization_counts(
     assert len(factorizations) == count
 
 
-def test_exit_2_on_malformed_csv(sim_files, tmp_path, capsys):
+def test_exit_2_on_malformed_csv(sim_files, tmp_path):
     (sim_files / "Y.csv").write_text("1.0,2.0\n3.0,not_a_number\n")
-    code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "MatrixParseError"
-    assert ":2:" in err["error"]["message"]  # line number of the bad row
+    error = _estimate_refused(sim_files, tmp_path)
+    assert error["type"] == "MatrixParseError"
+    assert ":2:" in error["message"]  # line number of the bad row
 
 
-def test_exit_2_on_non_finite_csv_value(sim_files, tmp_path, capsys):
+def test_exit_2_on_non_finite_csv_value(sim_files, tmp_path):
     # the library's own ValueErrors are ValidationErrors, so they still exit 2
     y = fileio.read_matrix_csv(str(sim_files / "Y.csv"))
     y[3, 1] = np.nan
     fileio.write_matrix_csv(str(sim_files / "Y.csv"), y)
-    code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidValue"
+    assert _estimate_refused(sim_files, tmp_path)["type"] == "InvalidValue"
 
 
 def test_exit_2_on_ragged_csv(sim_files, tmp_path):
     (sim_files / "Y.csv").write_text("1.0,2.0\n3.0\n")
-    code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
-    assert code == 2
+    assert _estimate_refused(sim_files, tmp_path)["type"] == "MatrixParseError"
 
 
-def test_exit_2_on_non_utf8_csv(sim_files, tmp_path, capsys):
+def test_exit_2_on_non_utf8_csv(sim_files, tmp_path):
     (sim_files / "Y.csv").write_bytes(b"1.0,2.0\n3.0,\xff\n")
-    out = tmp_path / "o"
-    code = cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(out)])
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _estimate_refused(sim_files, tmp_path)
     assert error["type"] == "MatrixParseError"
     assert str(sim_files / "Y.csv") in error["message"]
-    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 def test_exit_2_on_invalid_design(tmp_path):
@@ -867,10 +852,10 @@ def test_exit_2_on_invalid_design(tmp_path):
     fileio.write_matrix_csv(str(d / "Z.csv"), np.array([[1.0, 1.0], [1.0, 2.0]]))
     fileio.write_matrix_csv(str(d / "C.csv"), np.eye(2))
     fileio.write_matrix_csv(str(d / "D.csv"), np.eye(2))
-    assert cli.main(["estimate", *_estimation_argv(d), "--out", str(d / "o")]) == 2
+    assert _estimate_refused(d, d)["type"] == "ShapeViolation"
 
 
-def test_exit_2_on_an_x_whose_gram_matrix_does_not_factor(tmp_path, capsys):
+def test_exit_2_on_an_x_whose_gram_matrix_does_not_factor(tmp_path):
     # X = [1, b, b + 3e-9 e] passes the rank check on its singular values
     # (ratio 1.3e-9), but X'X does not factor: a refused design, not a crash
     rng = np.random.default_rng(3)
@@ -882,34 +867,30 @@ def test_exit_2_on_an_x_whose_gram_matrix_does_not_factor(tmp_path, capsys):
     fileio.write_matrix_csv(str(d / "Z.csv"), np.vander(TIMES4, 2, increasing=True))
     fileio.write_matrix_csv(str(d / "C.csv"), np.array([[0.0, 1.0, -1.0]]))
     fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
-    out = d / "o"
-    assert cli.main(["estimate", *_estimation_argv(d), "--out", str(out)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    error = _strict_json(line)["error"]
+    error = _estimate_refused(d, d)
     assert error["type"] == "RankDeficient" and error["message"].startswith("X'X ")
-    assert _strict_json((out / "report.json").read_text())["errors"] == [error]
 
 
 def test_exit_2_on_unknown_config_key(tmp_path):
     cfg = _mc_config(tmp_path, bogus=1)
-    assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    error = _refused(["mc-consistency", "--config", cfg, "--out", tmp_path / "o"], 2)
+    assert error["type"] == "ConfigError" and "'bogus'" in error["message"]
 
 
-def test_exit_2_on_repeated_config_key(tmp_path, capsys):
+def test_exit_2_on_repeated_config_key(tmp_path):
     # json keeps the last of two equal keys; a config that repeats one is refused
     cfg = _mc_config(tmp_path, kind="level")
     text = cfg.read_text().replace('"replications": 40', '"replications": 5000, "replications": 20')
     cfg.write_text(text)
     out = tmp_path / "o"
-    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused(["mc-level", "--config", cfg, "--out", out], 2)
     assert error["type"] == "ConfigError"
     assert str(cfg) in error["message"] and "'replications'" in error["message"]
     assert not (out / "tables").exists()
 
 
 @pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
-def test_exit_2_on_unknown_noise_key(tmp_path, capsys, command):
+def test_exit_2_on_unknown_noise_key(tmp_path, command):
     scenario = _scenario_dict(family="uniform")
     scenario["noise"]["sd"] = 5
     docs = {
@@ -918,25 +899,19 @@ def test_exit_2_on_unknown_noise_key(tmp_path, capsys, command):
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(docs[command]))
-    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused([command, "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert "'sd'" in error["message"]
 
 
 @pytest.mark.parametrize("sigma", [[[float("nan")] * 4] * 4, [[1.0, 0.0], [0.0, 1.0]]])
-def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, sigma):
+def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, sigma):
     truth = fileio.read_json(str(sim_files / "truth.json"))
     truth["scenario"]["sigma"] = sigma
     path = tmp_path / "truth.json"
     # json.dumps writes the NaN token, which read_json accepts
     path.write_text(json.dumps(truth))
-    code = cli.main(
-        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
     assert error["type"] == "ConfigError"
     assert str(path) in error["message"] and "sigma" in error["message"]
 
@@ -946,7 +921,7 @@ def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, capsys, s
     [("theta", [["1.0", "0.5"], ["2.0", "0.25"]]), ("sigma", [[True] * 4] * 4), ("bogus", 1)],
 )
 @pytest.mark.parametrize("known_sigma", [False, True])
-def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, capsys, key, value, known_sigma):
+def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, key, value, known_sigma):
     # a truth file is checked as a simulate config is: no coercion, no unknown
     # keys, on either route
     truth = fileio.read_json(str(sim_files / "truth.json"))
@@ -955,25 +930,16 @@ def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, capsys, key, value,
     path.write_text(json.dumps(truth))
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
     extra = ["--sigma0", str(sim_files / "S0.csv")] if known_sigma else []
-    code = cli.main(
-        ["estimate", *_estimation_argv(sim_files, extra), "--truth", str(path),
-         "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _estimate_refused(sim_files, tmp_path, extra=[*extra, "--truth", str(path)])
     assert error["type"] == "ConfigError"
     assert str(path) in error["message"] and key in error["message"]
 
 
-def test_exit_2_on_repeated_truth_key(sim_files, tmp_path, capsys):
+def test_exit_2_on_repeated_truth_key(sim_files, tmp_path):
     text = (sim_files / "truth.json").read_text()
     path = tmp_path / "truth.json"
     path.write_text(text.replace('"seed":', '"seed": 1, "seed":', 1))
-    code = cli.main(
-        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
     assert error["type"] == "ConfigError"
     assert str(path) in error["message"] and "repeated JSON keys ['seed']" in error["message"]
 
@@ -981,19 +947,15 @@ def test_exit_2_on_repeated_truth_key(sim_files, tmp_path, capsys):
 @pytest.mark.parametrize(
     "change, key",
     [({"m": 3, "theta": [[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]}, "theta"),
-     ({"times": TIMES4[:3], "sigma": _ar_sigma(3)}, "sigma")],
+     ({"times": TIMES4[:3], "sigma": ar_sigma(3, 0.3).tolist()}, "sigma")],
 )
-def test_exit_2_on_truth_that_does_not_fit_the_data(sim_files, tmp_path, capsys, change, key):
+def test_exit_2_on_truth_that_does_not_fit_the_data(sim_files, tmp_path, change, key):
     # a valid simulate config of another shape is not the truth of this data
     truth = fileio.read_json(str(sim_files / "truth.json"))
     truth["scenario"].update(change)
     path = tmp_path / "truth.json"
     path.write_text(json.dumps(truth))
-    code = cli.main(
-        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(f"truth file {path}: {key} must be ")
 
@@ -1013,32 +975,26 @@ def test_truth_error_past_the_float_range_is_null(sim_files, tmp_path):
     assert errors["theta_err_fro"] is None and errors["sigma_err_fro"] is not None
 
 
-def test_exit_2_on_theta_only_truth_file(sim_files, tmp_path, capsys):
+def test_exit_2_on_theta_only_truth_file(sim_files, tmp_path):
     # a truth file is a whole simulate config; theta alone is not one
     truth = fileio.read_json(str(sim_files / "truth.json"))
     path = tmp_path / "truth.json"
     path.write_text(json.dumps({"theta": truth["scenario"]["theta"]}))
-    code = cli.main(
-        ["estimate", *_estimation_argv(sim_files), "--truth", str(path), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
     assert error["type"] == "ConfigError"
     assert str(path) in error["message"] and "'theta'" in error["message"]
 
 
-def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path, capsys):
+def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path):
     # the test statistic is defined for the two-stage estimator alone
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
     argv = _estimation_argv(sim_files, ["--sigma0", str(sim_files / "S0.csv")])
-    capsys.readouterr()
-    assert cli.main(["test", *argv, "--out", str(tmp_path / "o")]) == 2
-    assert "--sigma0" in _usage_error(capsys)["message"]
+    assert "--sigma0" in _refused(["test", *argv, "--out", tmp_path / "o"], 2)["message"]
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
-def test_exit_2_on_non_spd_scenario_sigma(tmp_path, capsys, command):
+def test_exit_2_on_non_spd_scenario_sigma(tmp_path, command):
     scenario = _scenario_dict()
     scenario["sigma"] = np.diag([1.0, -1.0, 1.0, 1.0]).tolist()
     docs = {
@@ -1047,19 +1003,15 @@ def test_exit_2_on_non_spd_scenario_sigma(tmp_path, capsys, command):
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(docs[command]))
-    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused([command, "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert "sigma" in error["message"]
 
 
 @pytest.mark.parametrize("seed", [-3, 1.7, 2**70])
-def test_exit_2_on_malformed_config_seed(tmp_path, capsys, seed):
+def test_exit_2_on_malformed_config_seed(tmp_path, seed):
     cfg = _mc_config(tmp_path, seed=seed)
-    code = cli.main(["mc-consistency", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused(["mc-consistency", "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert "seed" in error["message"]
 
@@ -1099,7 +1051,7 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("mc-level", ("alpha",), float("nan"), "alpha"),
     ],
 )
-def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value, name):
+def test_exit_2_on_malformed_config_value(tmp_path, command, path, value, name):
     # config values are checked, never truncated or handed to numpy unchecked
     if command == "simulate":
         doc = {"scenario": _scenario_dict(), "r": 8, "seed": 1}
@@ -1114,24 +1066,20 @@ def test_exit_2_on_malformed_config_value(tmp_path, capsys, command, path, value
     target[key] = value
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
-    out = tmp_path / "o"
-    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused([command, "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(name)
-    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 @pytest.mark.parametrize("key", ["m", "q"])
-def test_exit_2_on_equality_contrast_with_a_huge_m_or_q(tmp_path, capsys, key):
+def test_exit_2_on_equality_contrast_with_a_huge_m_or_q(tmp_path, key):
     # the equality contrast is sized by theta, so a size theta does not have
     # is refused before any matrix is built
     scenario = _scenario_dict(contrast="equality")
     scenario[key] = 2**64
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"scenario": scenario, "r": 8, "seed": 1}))
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused(["simulate", "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert error["message"].startswith("theta must be ")
 
@@ -1150,26 +1098,22 @@ def test_exit_2_on_equality_contrast_with_a_huge_m_or_q(tmp_path, capsys, key):
         ("mc-unbiasedness", "alpha", 0.05),
     ],
 )
-def test_exit_2_on_run_option_in_config(tmp_path, capsys, command, key, value):
+def test_exit_2_on_run_option_in_config(tmp_path, command, key, value):
     # --out and --dump-replicates are the only way to set these run options,
     # and a kind refuses a key it does not read: only level runs test at alpha
     cfg = _mc_config(tmp_path, kind=command.removeprefix("mc-"), **{key: value})
     out = tmp_path / "o"
-    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused([command, "--config", cfg, "--out", out], 2)
     assert error["type"] == "ConfigError"
     assert repr(key) in error["message"]
-    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
     assert not (out / "tables").exists()
 
 
-def test_exit_2_on_repeated_sample_size(tmp_path, capsys):
+def test_exit_2_on_repeated_sample_size(tmp_path):
     # one dump file per size: a repeated size would overwrite the first cell's records
     cfg = _mc_config(tmp_path, kind="unbiasedness", sample_sizes=[8, 8], replications=2)
     out = tmp_path / "o"
-    argv = ["mc-unbiasedness", "--config", str(cfg), "--out", str(out), "--dump-replicates"]
-    assert cli.main(argv) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused(["mc-unbiasedness", "--config", cfg, "--out", out, "--dump-replicates"], 2)
     assert error["type"] == "ConfigError"
     assert error["message"].startswith("sample_sizes")
     assert not (out / "tables").exists()
@@ -1224,26 +1168,20 @@ def test_key_checked_objects_refuse_malformed_input(tmp_path, name, fault):
 @pytest.mark.parametrize(
     "text, words", [("[1, 2]", "JSON object"), ('{"seed": 1,', "invalid JSON")]
 )
-def test_exit_2_on_config_that_is_not_a_json_object(tmp_path, capsys, text, words):
+def test_exit_2_on_config_that_is_not_a_json_object(tmp_path, text, words):
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
-    out = tmp_path / "o"
-    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused(["mc-level", "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert str(cfg) in error["message"] and words in error["message"]
-    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
-def test_exit_2_on_non_utf8_config(tmp_path, capsys):
+def test_exit_2_on_non_utf8_config(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_bytes(_mc_config(tmp_path, kind="level").read_bytes().replace(b"2718", b"27\xff8"))
-    out = tmp_path / "o"
-    assert cli.main(["mc-level", "--config", str(cfg), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
+    error = _refused(["mc-level", "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert str(cfg) in error["message"]
-    assert fileio.read_json(str(out / "report.json"))["errors"] == [error]
 
 
 def test_unexpected_value_error_is_not_exit_2(tmp_path, monkeypatch):
@@ -1258,22 +1196,17 @@ def test_unexpected_value_error_is_not_exit_2(tmp_path, monkeypatch):
 
 
 def test_exit_2_on_bad_alpha(sim_files, tmp_path):
-    code = cli.main(
-        ["test", *_estimation_argv(sim_files), "--alpha", "0.0", "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
+    argv = ["test", *_estimation_argv(sim_files), "--alpha", "0.0", "--out", tmp_path / "o"]
+    assert _refused(argv, 2)["type"] == "InvalidValue"
 
 
-def test_exit_3_on_missing_input(sim_files, tmp_path, capsys):
+def test_exit_3_on_missing_input(sim_files, tmp_path):
     argv = _estimation_argv(sim_files)
     argv[1] = str(sim_files / "nope.csv")
-    code = cli.main(["estimate", *argv, "--out", str(tmp_path / "o")])
-    assert code == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["exit_code"] == 3
+    assert _refused(["estimate", *argv, "--out", tmp_path / "o"], 3)["type"] == "FileNotFoundError"
 
 
-def test_exit_4_on_too_few_samples(tmp_path, capsys):
+def test_exit_4_on_too_few_samples(tmp_path):
     rng = np.random.default_rng(1)
     d = tmp_path
     fileio.write_matrix_csv(str(d / "Y.csv"), rng.standard_normal((5, 4)))
@@ -1281,8 +1214,7 @@ def test_exit_4_on_too_few_samples(tmp_path, capsys):
     fileio.write_matrix_csv(str(d / "Z.csv"), np.vander(np.array(TIMES4), 2, increasing=True))
     fileio.write_matrix_csv(str(d / "C.csv"), np.array([[1.0, -1.0]]))
     fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
-    assert cli.main(["estimate", *_estimation_argv(d), "--out", str(d / "o")]) == 4
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "TooFewSamples"
+    assert _estimate_refused(d, d, 4)["type"] == "TooFewSamples"
 
 
 def test_exit_4_on_noise_free_data(tmp_path):
@@ -1294,20 +1226,43 @@ def test_exit_4_on_noise_free_data(tmp_path):
     fileio.write_matrix_csv(str(d / "Z.csv"), design.Z)
     fileio.write_matrix_csv(str(d / "C.csv"), np.array([[1.0, -1.0]]))
     fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
-    code = cli.main(["estimate", *_estimation_argv(d), "--out", str(d / "o")])
-    assert code == 4
     # the error report still lands, machine readable
-    report = fileio.read_json(str(d / "o" / "report.json"))
-    assert report["errors"][0]["type"] == "NotSpd"
-    assert report["results"] is None
+    assert _estimate_refused(d, d, 4)["type"] == "NotSpd"
+
+
+def _near_collinear_times_data(tmp_path, theta) -> Path:
+    """simulate output on times 1 + 3e-5 (0..4) (cond(Z) 2.8e9, q = 3), with C = [1, -1]
+    and D = I."""
+    scenario = {**_scenario_dict(contrast="identity"), "q": 3,
+                "times": [1.0 + 3e-5 * k for k in range(5)], "sigma": ar_sigma(5).tolist(),
+                "theta": theta}
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"scenario": scenario, "r": 20, "seed": 3}))
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(sim), "--out", str(data)]) == 0
+    fileio.write_matrix_csv(str(data / "C.csv"), np.array([[1.0, -1.0]]))
+    fileio.write_matrix_csv(str(data / "D.csv"), np.eye(3))
+    return data
+
+
+@pytest.mark.parametrize("command", ["estimate", "test"])
+def test_exit_4_on_a_singular_second_stage(tmp_path, command):
+    # the first stage fits, but Z' sigma_hat^{-1} Z does not factor at working
+    # precision (which of solve_spd's two refusals depends on the LAPACK build);
+    # an orthogonal second stage would fit this Z and change the code
+    data = _near_collinear_times_data(tmp_path, [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    error = _refused([command, *_estimation_argv(data), "--out", tmp_path / "o"], 4)
+    assert error["type"] == "NotSpd"
+    assert error["message"].startswith(("Z' sigma^{-1} Z has no Cholesky factorization: ",
+                                        "Z' sigma^{-1} Z is singular at working precision: "))
 
 
 def test_exit_5_on_singular_standardizer(sim_files, tmp_path):
     fileio.write_matrix_csv(
         str(sim_files / "C.csv"), np.array([[1.0, -1.0], [1.0, -1.0]])
     )
-    code = cli.main(["test", *_estimation_argv(sim_files), "--out", str(tmp_path / "o")])
-    assert code == 5
+    argv = ["test", *_estimation_argv(sim_files), "--out", tmp_path / "o"]
+    assert _refused(argv, 5)["type"] == "NotSpd"
 
 
 def _leaves(doc, path=()):
@@ -1374,22 +1329,20 @@ def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_f
             argv = ["estimate", *_estimation_argv(shared_sim_files), "--truth", str(cfg)]
         else:
             argv = [name, "--config", str(cfg)]
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), mock.patch.dict(os.environ, {"GCM_THREADS": "1"}), \
+        argv += ["--out", str(out)]
+        with mock.patch.dict(os.environ, {"GCM_THREADS": "1"}), \
                 warnings.catch_warnings(record=True) as caught:
             # pytest's own capture would take a warning before stderr shows it
             warnings.simplefilter("always")
-            code = cli.main([*argv, "--out", str(out)])
+            proc = _main(argv)
         assert [str(w.message) for w in caught] == []
-        written = out / ("truth.json" if name == "simulate" and code == 0 else "report.json")
-        report = _strict_json(written.read_text())
-        if code == 0:
-            assert stderr.getvalue() == ""
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+            written = out / ("truth.json" if name == "simulate" else "report.json")
+            report = _strict_json(written.read_text())
             assert name == "simulate" or report["errors"] == []
         else:
-            assert code == 2, stderr.getvalue()
-            (line,) = stderr.getvalue().splitlines()
-            assert report["errors"] == [json.loads(line)["error"]]
+            _refused(argv, 2, run=lambda argv: proc)
 
 
 def _gcm_process(argv, threads=1, start_method=None):
@@ -1411,7 +1364,7 @@ def _gcm_process(argv, threads=1, start_method=None):
 def test_run_on_an_ill_conditioned_time_design_writes_nothing_to_stderr(tmp_path):
     # cond(Z) = 6.8e9: the design fits, and a run that exits 0 writes nothing to stderr
     doc = {"scenario": {**_scenario_dict(contrast="identity"), "q": 3,
-                        "times": [1.0, 1e3, 1e4, 3e4, 1e5], "sigma": _ar_sigma(5),
+                        "times": [1.0, 1e3, 1e4, 3e4, 1e5], "sigma": ar_sigma(5, 0.3).tolist(),
                         "theta": [[0.0] * 3] * 2},
            "sample_sizes": [10], "replications": 3, "seed": 1}
     cfg = tmp_path / "config.json"
@@ -1429,24 +1382,14 @@ def test_overflowing_run_writes_one_json_line_from_any_worker(tmp_path, threads,
     doc["scenario"]["theta"][0][0] = 1e200
     cfg.write_text(json.dumps(doc))
     argv = ["mc-consistency", "--config", cfg, "--out", tmp_path / "o"]
-    proc = _gcm_process(argv, threads, start_method)
-    assert proc.returncode == 2
-    (line,) = proc.stderr.splitlines()
-    assert json.loads(line)["error"]["type"] == "InvalidValue"
+    error = _refused(argv, 2, run=lambda argv: _gcm_process(argv, threads, start_method))
+    assert error["type"] == "InvalidValue"
 
 
 def test_estimate_with_undefined_std_errors_writes_nothing_to_stderr(tmp_path):
     # near-collinear time points: cov_right has a negative diagonal, so the
     # standard errors are null in the report and no sqrt warning is written
-    scenario = {**_scenario_dict(contrast="identity"), "q": 3,
-                "times": [1.0 + 3e-5 * k for k in range(5)], "sigma": _ar_sigma(5, 0.4),
-                "theta": [[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]]}
-    sim = tmp_path / "sim.json"
-    sim.write_text(json.dumps({"scenario": scenario, "r": 20, "seed": 3}))
-    data = tmp_path / "data"
-    assert cli.main(["simulate", "--config", str(sim), "--out", str(data)]) == 0
-    fileio.write_matrix_csv(str(data / "C.csv"), np.array([[1.0, -1.0]]))
-    fileio.write_matrix_csv(str(data / "D.csv"), np.eye(3))
+    data = _near_collinear_times_data(tmp_path, [[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]])
     proc = _gcm_process(["estimate", *_estimation_argv(data), "--out", tmp_path / "o"])
     assert (proc.returncode, proc.stderr) == (0, "")
     std_errors = _strict_json((tmp_path / "o" / "report.json").read_text())["results"]["std_errors"]
@@ -1484,7 +1427,10 @@ def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
         runs[f"mc-{kind}"] = ([f"mc-{kind}", "--config", str(cfg)], 0)
     for name, (argv, code) in runs.items():
         out = tmp_path / name
-        assert cli.main([*argv, "--out", str(out)]) == code, name
+        if code:
+            assert _refused([*argv, "--out", out], code)["type"] == "FileNotFoundError"
+        else:
+            assert cli.main([*argv, "--out", str(out)]) == 0, name
         doc = fileio.read_json(str(out / "report.json"))
         assert set(doc) == {"meta", "inputs", "results", "errors"}, name
         assert set(doc["meta"]) == {"version", "seed"}, name
@@ -1496,6 +1442,9 @@ def test_json_writer_refuses_non_finite_values(tmp_path):
         with pytest.raises(ValueError):
             fileio.write_json(str(path), {"x": bad})
     assert not path.exists()
+    # jsonable is how a report gets them past the writer: numpy scalars become
+    # Python numbers, and a non-finite one null
+    assert fileio.jsonable({"x": np.float64("nan"), "n": np.int64(3)}) == {"x": None, "n": 3}
 
 
 def test_matrix_parse_error_carries_line_number(tmp_path):

@@ -6,18 +6,7 @@ from numpy.testing import assert_allclose
 
 from gcm import estimators, linalg, model
 from gcm.errors import DimensionMismatch, NotSpd, TooFewSamples
-
-TIMES4 = (1.0, 2.0, 3.0, 4.0)
-
-
-def _ar_sigma(p, rho=0.4):
-    idx = np.arange(p)
-    return rho ** np.abs(np.subtract.outer(idx, idx))
-
-
-def _spd(rng, p, jitter=0.5):
-    g = rng.standard_normal((p, p))
-    return g @ g.T + jitter * p * np.eye(p)
+from shared import TIMES4, ar_sigma, spd
 
 
 def _random_instance(seed, n=20, m=3, p=5, q=2, noise_scale=1.0):
@@ -27,7 +16,7 @@ def _random_instance(seed, n=20, m=3, p=5, q=2, noise_scale=1.0):
     z = rng.standard_normal((p, q))
     design = model.Design(X=x, Z=z)
     theta = rng.standard_normal((m, q))
-    sigma = _spd(rng, p)
+    sigma = spd(rng, p)
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
     data = model.simulate(design, theta, noise, seed=seed + 1)
     if noise_scale != 1.0:
@@ -97,7 +86,7 @@ def test_theta_known_exact_recovery_zero_noise():
     design = model.potthoff_roy_design(3, 4, TIMES4, 2)
     theta = np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]])
     data = model.Dataset(Y=design.X @ theta @ design.Z.T, design=design)
-    sigma0 = _ar_sigma(4)
+    sigma0 = ar_sigma(4)
     assert np.abs(estimators.theta_hat_known(data, sigma0) - theta).max() < 1e-10
 
 
@@ -135,7 +124,7 @@ def test_gamma_known_zero_noise_exact():
     theta = np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]])
     data = model.Dataset(Y=design.X @ theta @ design.Z.T, design=design)
     contrast = model.equality_contrast(3, 2)
-    gamma = estimators.gamma_hat_known(data, _ar_sigma(4), contrast)
+    gamma = estimators.gamma_hat_known(data, ar_sigma(4), contrast)
     assert np.abs(gamma - contrast.apply(theta)).max() < 1e-10
 
 
@@ -174,7 +163,7 @@ def test_h_matrix_identity_covariance_is_projector():
 def test_h_matrix_bridge_identity():
     rng = np.random.default_rng(71)
     z = rng.standard_normal((5, 2))
-    sig = _spd(rng, 5)
+    sig = spd(rng, 5)
     h = estimators.h_matrix(sig, z)
     lhs = h @ z @ np.linalg.inv(z.T @ z)
     s_inv = np.linalg.inv(sig)
@@ -199,7 +188,7 @@ def _h_refusal(sigma, z):
 def test_h_matrix_of_a_factor_equals_the_array_path_and_refuses_the_same():
     rng = np.random.default_rng(17)
     z = np.vander(TIMES4, 2, increasing=True)
-    sig = _spd(rng, 4)
+    sig = spd(rng, 4)
     factor = linalg.SpdFactor(sig, "sigma")
     assert np.array_equal(estimators.h_matrix(factor, z), estimators.h_matrix(sig, z))
     # a factor with a mismatched Z is refused as the array is
@@ -298,7 +287,7 @@ def test_two_stage_gamma_is_centered_under_uniform_noise():
     # Monte Carlo band around the true transformation
     design = model.potthoff_roy_design(2, 10, (1.0, 2.0, 3.0), 2)
     theta = np.array([[1.0, 0.4], [1.5, 0.8]])
-    sigma = _ar_sigma(3)
+    sigma = ar_sigma(3)
     noise = model.NoiseSpec(family="uniform", sigma=sigma)
     contrast = model.equality_contrast(2, 2)
     gamma_true = contrast.apply(theta)
@@ -343,7 +332,7 @@ def _exact_design():
     x = np.column_stack([group == 0, group == 1, covariate]).astype(float)
     z = np.vander(np.arange(1.0, 6.0), 2, increasing=True)
     theta = np.array([[1.0, 0.5], [2.0, -0.25], [0.3, 0.1]])
-    sigma = _ar_sigma(5) * np.outer(np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5))
+    sigma = ar_sigma(5) * np.outer(np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5))
     return model.Design(X=x, Z=z), theta, sigma
 
 

@@ -15,25 +15,14 @@ from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, linalg, model
 from gcm.errors import NotSpd
-
-TIMES4 = (1.0, 2.0, 3.0, 4.0)
-
-
-def _ar_sigma(p, rho=0.4):
-    idx = np.arange(p)
-    return rho ** np.abs(np.subtract.outer(idx, idx))
-
-
-def _spd(rng, p, jitter=0.5):
-    g = rng.standard_normal((p, p))
-    return g @ g.T + jitter * p * np.eye(p)
+from shared import TIMES4, ar_sigma, spd
 
 
 def _pr_data(seed, m=2, r=10, q=2, theta=None, family="gaussian", df=None):
     design = model.potthoff_roy_design(m, r, TIMES4, q)
     if theta is None:
         theta = np.linspace(0.5, 2.0, m * q).reshape(m, q)
-    sigma = _ar_sigma(4)
+    sigma = ar_sigma(4)
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
     return model.simulate(design, theta, noise, seed=seed), theta, sigma
 
@@ -47,7 +36,7 @@ def test_cov_factors_balanced_design_left_factor():
     m, q = 3, 2
     contrast = model.equality_contrast(m, q)
     design = model.potthoff_roy_design(m, 2, TIMES4, q)
-    sigma = _ar_sigma(4)
+    sigma = ar_sigma(4)
     law = inference.cov_factors(np.eye(m) / m, sigma, design.Z, contrast)
     assert_allclose(law.left, m * contrast.C @ contrast.C.T, atol=1e-12)
 
@@ -56,7 +45,7 @@ def test_cov_factors_identity_substitutions():
     rng = np.random.default_rng(5)
     m, q, p = 3, 2, 5
     z = rng.standard_normal((p, q))
-    r_mat = _spd(rng, m)
+    r_mat = spd(rng, m)
     contrast = model.Contrast(C=np.eye(m), D=np.eye(q))
     law = inference.cov_factors(r_mat, np.eye(p), z, contrast)
     assert_allclose(law.left, np.linalg.inv(r_mat), atol=1e-10)
@@ -70,8 +59,8 @@ def test_cov_factors_matches_unsimplified_form():
     rng = np.random.default_rng(29)
     m, q, p, s, t = 3, 2, 5, 2, 2
     z = rng.standard_normal((p, q))
-    sigma = _spd(rng, p)
-    r_mat = _spd(rng, m)
+    sigma = spd(rng, p)
+    r_mat = spd(rng, m)
     contrast = model.Contrast(
         C=rng.standard_normal((s, m)), D=rng.standard_normal((t, q))
     )
@@ -91,14 +80,14 @@ def test_plugin_cov_balanced_design_left_factor_exact():
     m, r, q = 3, 5, 2
     data, theta, sigma = _pr_data(1, m=m, r=r, q=q)
     contrast = model.equality_contrast(m, q)
-    law = inference.plugin_cov(data, contrast)
+    law = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     assert_allclose(law.left, contrast.C @ contrast.C.T / r, atol=1e-12)
 
 
 def test_plugin_cov_right_factor_is_spd_and_symmetric():
     data, _, _ = _pr_data(2)
     contrast = model.Contrast(C=np.eye(2), D=np.eye(2))
-    law = inference.plugin_cov(data, contrast)
+    law = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     assert np.abs(law.right - law.right.T).max() < 1e-10
     assert np.linalg.eigvalsh(law.right)[0] > 0.0
 
@@ -134,7 +123,7 @@ def _unbalanced_problem(draw):
     groups = np.repeat(np.eye(len(sizes)), sizes, axis=0)
     x = np.column_stack([groups, rng.standard_normal(groups.shape[0])])
     design = model.Design(X=x, Z=np.vander(np.arange(1.0, p + 1), q, increasing=True))
-    sigma = _spd(rng, p)
+    sigma = spd(rng, p)
     theta = rng.standard_normal((m, q))
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
     data = model.simulate(design, theta, noise, seed=int(rng.integers(2**31)))
@@ -158,7 +147,7 @@ def test_cov_factors_on_unbalanced_designs(problem):
     assert_allclose(law.right, right, rtol=1e-9, atol=1e-9 * np.abs(right).max())
 
     # the estimate report carries the plug-in factors and standard errors
-    plugin = inference.plugin_cov(data, contrast)
+    plugin = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         inputs = {"y": data.Y, "x": x, "z": z, "c": c, "d": d}
@@ -242,7 +231,7 @@ def test_standardized_stat_takes_one_left_root_per_design_and_c():
     groups = np.repeat(np.eye(3), (5, 7, 9), axis=0)
     x = np.column_stack([groups, rng.standard_normal(groups.shape[0])])
     design = model.Design(X=x, Z=np.vander((1.0, 2.0, 3.0, 4.0, 5.0), 3, increasing=True))
-    noise = model.NoiseSpec(family="gaussian", sigma=_spd(rng, 5))
+    noise = model.NoiseSpec(family="gaussian", sigma=spd(rng, 5))
     theta = rng.standard_normal((4, 3))
     c2 = rng.standard_normal((2, 4))
     contrasts = [
@@ -282,8 +271,8 @@ def test_whitening_construction_is_exact():
     # whitening the law's own factors must give identity covariance; pure
     # matrix algebra, no simulation
     rng = np.random.default_rng(13)
-    left = _spd(rng, 2)
-    right = _spd(rng, 3)
+    left = spd(rng, 2)
+    right = spd(rng, 3)
     w_left = linalg.inv_sqrt_spd(left)
     w_right = linalg.inv_sqrt_spd(right)
     assert_allclose(w_left @ left @ w_left, np.eye(2), atol=1e-10)
@@ -296,7 +285,7 @@ def test_whiten_matches_the_kronecker_whitener_on_one_matrix_and_a_stack():
     # whitening each s x t matrix is kron(left^{-1/2}, right^{-1/2}) applied to
     # its row-stacked form; only the order of the sums differs
     rng = np.random.default_rng(16)
-    law = inference.AsymptoticLaw(left=_spd(rng, 2), right=_spd(rng, 3))
+    law = inference.AsymptoticLaw(left=spd(rng, 2), right=spd(rng, 3))
     stack = rng.standard_normal((5, 2, 3))
     kron = np.kron(linalg.inv_sqrt_spd(law.left), linalg.inv_sqrt_spd(law.right))
     expected = (stack.reshape(5, -1) @ kron.T).reshape(5, 2, 3)
@@ -388,7 +377,7 @@ def test_standardized_stat_is_approximately_standard_normal_under_null():
     m, r, q = 2, 250, 2
     theta = np.array([[1.0, 0.5], [1.0, 0.5]])
     design = model.potthoff_roy_design(m, r, TIMES4, q)
-    sigma = _ar_sigma(4)
+    sigma = ar_sigma(4)
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
     contrast = model.equality_contrast(m, q)
     n_rep = 5000

@@ -8,11 +8,7 @@ from numpy.testing import assert_allclose
 
 from gcm import linalg, model
 from gcm.errors import NotSpd, RankDeficient
-
-
-def _spd(rng, p, jitter=0.5):
-    g = rng.standard_normal((p, p))
-    return g @ g.T + jitter * p * np.eye(p)
+from shared import spd
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +314,7 @@ def test_inv_sqrt_diagonal():
 
 
 def test_inv_sqrt_seeded_residual():
-    a = _spd(np.random.default_rng(3), 3)
+    a = spd(np.random.default_rng(3), 3)
     b = linalg.inv_sqrt_spd(a)
     assert np.abs(b @ a @ b - np.eye(3)).max() < 1e-9
     assert np.abs(b - b.T).max() == 0.0
@@ -371,7 +367,7 @@ def test_weighted_projection_identity(seed):
     rng = np.random.default_rng(seed)
     p, q = 6, 3
     z = rng.standard_normal((p, q))
-    sigma = _spd(rng, p)
+    sigma = spd(rng, p)
     lhs = z @ np.linalg.solve(z.T @ np.linalg.solve(sigma, z), z.T)
     p_z = linalg.orth_projector(z)
     rhs = linalg.moore_penrose(p_z @ np.linalg.inv(sigma) @ p_z)
@@ -399,15 +395,19 @@ def test_as_matrix_rejects_nan_and_bad_shapes():
         linalg.as_matrix(np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         linalg.as_matrix(np.ones(3))
+    with pytest.raises(ValueError, match="non-empty"):
+        linalg.as_matrix(np.ones((0, 3)))
 
 
 def test_check_spd_rejects_asymmetric():
     a = np.array([[1.0, 0.1], [0.0, 1.0]])
     with pytest.raises(NotSpd):
         linalg.check_spd(a)
+    with pytest.raises(NotSpd, match="not square"):
+        linalg.check_spd(np.eye(3, 2))
 
 
 def test_check_spd_accepts_valid():
-    a = _spd(np.random.default_rng(9), 4)
+    a = spd(np.random.default_rng(9), 4)
     out = linalg.check_spd(a)
     assert out is a or np.array_equal(out, a)

@@ -8,11 +8,7 @@ from scipy import stats
 
 from gcm import estimators, fileio, mc, model
 from gcm.errors import ConfigError, NotSpd
-
-
-def _ar_sigma(p, rho=0.4):
-    idx = np.arange(p)
-    return rho ** np.abs(np.subtract.outer(idx, idx))
+from shared import ar_sigma
 
 
 def _scenario(family="gaussian", df=None, equal_curves=False, contrast="identity"):
@@ -29,7 +25,7 @@ def _scenario(family="gaussian", df=None, equal_curves=False, contrast="identity
         q=2,
         times=(1.0, 2.0, 3.0, 4.0),
         theta=theta,
-        noise=model.NoiseSpec(family=family, sigma=_ar_sigma(4), df=df),
+        noise=model.NoiseSpec(family=family, sigma=ar_sigma(4), df=df),
         contrast=c,
     )
 
@@ -52,7 +48,7 @@ def _doc():
             "q": 2,
             "times": [1.0, 2.0, 3.0, 4.0],
             "theta": [[1.0, 0.5], [2.0, 0.25]],
-            "sigma": _ar_sigma(4).tolist(),
+            "sigma": ar_sigma(4).tolist(),
         },
         "sample_sizes": [10, 20],
         "replications": 60,
@@ -93,6 +89,7 @@ def test_scenario_contrast_shorthand():
         (("scenario", "theta"), np.zeros((3, 3))),
         (("sample_sizes",), ()),
         (("alpha",), 2.0),
+        (("alpha",), np.float64("nan")),  # jsonable writes it as null
     ],
 )
 def test_constructor_and_from_dict_refuse_the_same_values(path, value):
@@ -103,7 +100,7 @@ def test_constructor_and_from_dict_refuse_the_same_values(path, value):
         q=2,
         times=(1.0, 2.0, 3.0, 4.0),
         theta=np.array([[1.0, 0.5], [2.0, 0.25]]),
-        noise=model.NoiseSpec(family="gaussian", sigma=_ar_sigma(4)),
+        noise=model.NoiseSpec(family="gaussian", sigma=ar_sigma(4)),
     )
     config = dict(sample_sizes=(10, 20), replications=5, seed=1)
     (scenario if path[0] == "scenario" else config)[path[-1]] = value
@@ -146,7 +143,7 @@ def test_level_alternative_bumps_an_entry_the_contrast_reads(c, d, entry):
     contrast = model.Contrast(C=c, D=d)
     scen = mc.Scenario(
         m=2, q=2, times=(1.0, 2.0, 3.0, 4.0), theta=np.zeros((2, 2)),
-        noise=model.NoiseSpec(family="gaussian", sigma=_ar_sigma(4)), contrast=contrast,
+        noise=model.NoiseSpec(family="gaussian", sigma=ar_sigma(4)), contrast=contrast,
     )
     alt = mc.KINDS["level"].prepare(_cfg(scenario=scen, sizes=(20,), reps=5))
     expected = np.zeros((2, 2))
@@ -388,7 +385,7 @@ def test_unbiasedness_zero_theta():
         q=2,
         times=(1.0, 2.0, 3.0, 4.0),
         theta=np.zeros((2, 2)),
-        noise=model.NoiseSpec(family="uniform", sigma=_ar_sigma(4)),
+        noise=model.NoiseSpec(family="uniform", sigma=ar_sigma(4)),
     )
     (cell,), _ = mc.run("unbiasedness", _cfg(scenario=scen, sizes=(25,), reps=400, seed=10))
     assert np.array_equal(cell["bias"], cell["mean_gamma"])  # gamma_true is zero

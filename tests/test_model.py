@@ -15,20 +15,14 @@ from gcm.errors import (
     RankDeficient,
     ShapeViolation,
 )
-
-TIMES4 = (1.0, 2.0, 3.0, 4.0)
-
-
-def _ar_sigma(p, rho=0.4):
-    idx = np.arange(p)
-    return rho ** np.abs(np.subtract.outer(idx, idx))
+from shared import TIMES4, ar_sigma
 
 
 def _scenario(m=2, r=10, q=2, times=TIMES4, family="gaussian", df=None, theta=None):
     design = model.potthoff_roy_design(m, r, times, q)
     if theta is None:
         theta = np.linspace(0.5, 2.0, m * q).reshape(m, q)
-    sigma = _ar_sigma(len(times))
+    sigma = ar_sigma(len(times))
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
     return design, theta, noise
 
@@ -61,6 +55,8 @@ def test_design_full_rank_case():
 def test_design_rejects_repeated_times():
     with pytest.raises(DegenerateTimes):
         model.potthoff_roy_design(2, 2, (1.0, 1.0, 2.0), 2)
+    with pytest.raises(DegenerateTimes, match="finite"):
+        model.potthoff_roy_design(2, 2, (1.0, np.inf, 2.0), 2)
 
 
 def test_design_rejects_bad_counts():
@@ -180,7 +176,7 @@ def test_validate_runs_the_rank_svds_once_per_design(monkeypatch):
 def test_design_and_noise_hold_read_only_copies():
     x = np.vstack([np.eye(2)] * 3)
     z = np.vander(TIMES4, 2, increasing=True)
-    sigma = _ar_sigma(4)
+    sigma = ar_sigma(4)
     design = model.Design(X=x, Z=z)
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
     for held in (design.X, design.Z, design.xtx, design.xtx_factor.inv, noise.sigma, noise.chol):
@@ -200,7 +196,7 @@ def test_design_and_noise_hold_read_only_copies():
 
 
 def test_noise_rejects_low_degrees_of_freedom():
-    sigma = _ar_sigma(3)
+    sigma = ar_sigma(3)
     with pytest.raises(InvalidNoise):
         model.NoiseSpec(family="student_t", sigma=sigma, df=4.0)
     with pytest.raises(InvalidNoise):
@@ -211,7 +207,7 @@ def test_noise_rejects_low_degrees_of_freedom():
 
 
 def test_noise_rejects_unknown_family_and_stray_df():
-    sigma = _ar_sigma(3)
+    sigma = ar_sigma(3)
     with pytest.raises(InvalidNoise):
         model.NoiseSpec(family="laplace", sigma=sigma)
     with pytest.raises(InvalidNoise):
@@ -244,7 +240,7 @@ def test_simulate_rejects_mismatched_theta():
 
 def test_simulate_rejects_mismatched_noise_covariance():
     design, theta, _ = _scenario()
-    noise = model.NoiseSpec(family="gaussian", sigma=_ar_sigma(3))
+    noise = model.NoiseSpec(family="gaussian", sigma=ar_sigma(3))
     with pytest.raises(DimensionMismatch):
         model.simulate(design, theta, noise, seed=1)
 
@@ -254,7 +250,7 @@ def test_simulate_rows_are_centered(family, df):
     # theta = 0, so Y = E; the mean over many rows must sit inside the CLT band
     n_rows = 100_000
     p = 3
-    sigma = _ar_sigma(p)
+    sigma = ar_sigma(p)
     design = model.Design(X=np.ones((n_rows, 1)), Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
     data = model.simulate(design, np.zeros((1, 2)), noise, seed=2024)
@@ -266,7 +262,7 @@ def test_simulate_rows_are_centered(family, df):
 def test_simulate_rows_have_target_covariance(family, df):
     n_rows = 100_000
     p = 3
-    sigma = _ar_sigma(p)
+    sigma = ar_sigma(p)
     design = model.Design(X=np.ones((n_rows, 1)), Z=np.vander((1.0, 2.0, 3.0), 2, increasing=True))
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
     data = model.simulate(design, np.zeros((1, 2)), noise, seed=5150)

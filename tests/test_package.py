@@ -87,3 +87,66 @@ def test_only_the_cli_handles_warnings():
                 if name.split(".")[0] == "warnings" or name in ("errstate", "seterr")
             ]
     assert offenders == []
+
+
+def _cli_test_offenders(source: str) -> list:
+    """Where a test function of ``source`` checks a failing ``gcm`` call by itself: it
+    keeps ``cli.main``'s code for later, compares an exit code with anything but 0, or
+    parses stderr as JSON. The error-contract helpers ``_refused`` and ``_main`` may."""
+    tree = ast.parse(source)
+    helpers = {"_refused", "_main"}
+    assert helpers <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def is_call(node, owner, name):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and owner is None and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == owner)
+
+    def is_code(node):
+        return (is_call(node, "cli", "main") or is_call(node, None, "_main")
+                or isinstance(node, ast.Attribute) and node.attr == "returncode")
+
+    offenders = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef) or func.name in helpers:
+            continue
+        parents = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+        # names bound, directly or through other names, from what a process wrote on stderr
+        tainted, grew = {"stderr"}, True
+
+        def reads_stderr(node):
+            return any(isinstance(n, ast.Attribute) and n.attr in ("err", "stderr")
+                       or isinstance(n, ast.Name) and n.id in tainted for n in ast.walk(node))
+
+        while grew:
+            bound = {n.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                     and reads_stderr(node.value)
+                     for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+            grew, tainted = not bound <= tainted, tainted | bound
+        for node in ast.walk(func):
+            where = f"{func.name}:{getattr(node, 'lineno', '?')}"
+            if is_call(node, "cli", "main") and not isinstance(parents[node], (ast.Compare, ast.Expr)):
+                offenders.append(f"{where}: cli.main's code kept for later")
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                for a, b in zip(operands, operands[1:]):
+                    tuples = isinstance(a, ast.Tuple) and isinstance(b, ast.Tuple)
+                    for x, y in zip(a.elts, b.elts) if tuples else [(a, b)]:
+                        offenders += [
+                            f"{where}: exit code compared with {ast.unparse(other)}"
+                            for code, other in ((x, y), (y, x))
+                            if is_code(code)
+                            and not (isinstance(other, ast.Constant) and other.value == 0)
+                        ]
+            elif (is_call(node, "json", "loads") or is_call(node, None, "_strict_json")) and any(
+                    reads_stderr(arg) for arg in node.args):
+                offenders.append(f"{where}: stderr parsed as JSON")
+    return offenders
+
+
+def test_every_failing_cli_call_is_checked_by_the_error_contract_helper():
+    # tests/test_cli.py checks each failing call through _refused, which asserts the
+    # exit code, the one stderr line and report.json together
+    path = pathlib.Path(__file__).with_name("test_cli.py")
+    assert _cli_test_offenders(path.read_text(encoding="utf-8")) == []
