@@ -1,13 +1,16 @@
 """Command-line front end: simulate, estimate, test and Monte Carlo runs.
 
 Exit codes: 0 success, 2 validation failure (bad config, malformed files,
-invalid designs), 3 I/O failure, 4 singular first stage, 5 singular
-standardizer in the test statistic.
+invalid designs), 3 I/O failure, 4 singular fit (a first-stage estimate or a
+Z' sigma^{-1} Z that does not factor), 5 singular standardizer in the test
+statistic. Each command returns its results; ``main`` writes the one
+``report.json``, on success and on failure alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,7 +24,7 @@ from .errors import ConfigError, NotSpd, TooFewSamples, ValidationError
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-EXIT_SINGULAR_FIRST_STAGE = 4
+EXIT_SINGULAR_FIT = 4
 EXIT_SINGULAR_STANDARDIZER = 5
 
 
@@ -47,16 +50,17 @@ def _simulate_config(config, seed=None) -> tuple:
     return scenario, r, mc.check_int(config["seed"], "seed", 0, 2**64)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     config = fileio.read_json(args.config)
     scenario, r, seed = _simulate_config(config, args.seed)
+    # every value was checked above, so the config echoes as read
+    args.echo = (seed, config)
     design = scenario.design(r)
     data = model.simulate(design, scenario.theta, scenario.noise, seed)
     for name, a in (("Y.csv", data.Y), ("X.csv", design.X), ("Z.csv", design.Z)):
         fileio.write_matrix_csv(os.path.join(args.out, name), a)
-    # every value was checked above, so the config echoes as read
     fileio.write_json(os.path.join(args.out, "truth.json"), config)
-    return EXIT_OK
+    return {"files": ["Y.csv", "X.csv", "Z.csv", "truth.json"]}
 
 
 def _load_estimation_inputs(args):
@@ -95,12 +99,16 @@ def _truth_errors(path, design, contrast, theta, sigma_value):
     }
     if sigma_value is not None:
         errors["sigma_err_fro"] = float(np.linalg.norm(sigma_value - true.noise.sigma))
-    return fileio.jsonable(errors)  # an error past the float range is written as null
+    return errors
 
 
 def _estimate_results(args, sigma0=None):
     """Fit the CSV inputs of ``args``: by the known-covariance estimator when a
     ``sigma0`` CSV is given, else by the two-stage estimator."""
+    # a report from here on, error or not, echoes every parsed input, so the parser
+    # is the one list of them
+    args.echo = (None, {key: value for key, value in vars(args).items()
+                        if key not in ("func", "out")})
     data, contrast = _load_estimation_inputs(args)
     if sigma0:
         try:
@@ -118,14 +126,14 @@ def _estimate_results(args, sigma0=None):
     gamma = contrast.apply(theta)
     results = {
         "estimator": estimator_name,
-        "gamma": fileio.jsonable(gamma),
-        "theta": fileio.jsonable(theta),
-        "cov_left": fileio.jsonable(law.left),
-        "cov_right": fileio.jsonable(law.right),
-        "std_errors": fileio.jsonable(inference.standard_errors(law)),
+        "gamma": gamma,
+        "theta": theta,
+        "cov_left": law.left,
+        "cov_right": law.right,
+        "std_errors": inference.standard_errors(law),
     }
     if sigma_value is not None:
-        results["sigma_hat"] = fileio.jsonable(sigma_value)
+        results["sigma_hat"] = sigma_value
     if args.truth:
         results["truth_errors"] = _truth_errors(
             args.truth, data.design, contrast, theta, sigma_value
@@ -133,45 +141,22 @@ def _estimate_results(args, sigma0=None):
     return data, contrast, results
 
 
-def _estimation_inputs_echo(args) -> dict:
-    """Every parsed estimation input, so the parser is the one list of them; a
-    non-finite ``--alpha`` is written as null, so the report stays strict JSON."""
-    skip = ("func", "out")
-    return fileio.jsonable({key: value for key, value in vars(args).items() if key not in skip})
+def cmd_estimate(args) -> dict:
+    return _estimate_results(args, args.sigma0)[2]
 
 
-def cmd_estimate(args) -> int:
-    # a report from here on, error or not, echoes the parsed inputs
-    args.echo = (None, _estimation_inputs_echo(args))
-    _, _, results = _estimate_results(args, args.sigma0)
-    report = fileio.make_report(*args.echo, results)
-    fileio.write_json(os.path.join(args.out, "report.json"), report)
-    return EXIT_OK
-
-
-def cmd_test(args) -> int:
-    args.echo = (None, _estimation_inputs_echo(args))
+def cmd_test(args) -> dict:
     data, contrast, results = _estimate_results(args)
     try:
         outcome = inference.test_gamma_zero(data, contrast, args.alpha)
     except NotSpd as exc:
         raise CommandError(EXIT_SINGULAR_STANDARDIZER, "NotSpd", str(exc)) from exc
-    results.update(
-        {
-            "t_stat": fileio.jsonable(outcome.T_stat),
-            "chi_sq": outcome.chi_sq,
-            "dof": outcome.dof,
-            "p_value": outcome.p_value,
-            "alpha": outcome.alpha,
-            "reject": outcome.reject,
-        }
-    )
-    report = fileio.make_report(*args.echo, results)
-    fileio.write_json(os.path.join(args.out, "report.json"), report)
-    return EXIT_OK
+    results.update(t_stat=outcome.T_stat, chi_sq=outcome.chi_sq, dof=outcome.dof,
+                   p_value=outcome.p_value, alpha=outcome.alpha, reject=outcome.reject)
+    return results
 
 
-def cmd_mc(args, kind: str) -> int:
+def cmd_mc(args, kind: str) -> dict:
     conf = fileio.read_json(args.config)
     if not isinstance(conf, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
@@ -181,15 +166,12 @@ def cmd_mc(args, kind: str) -> int:
     # from_dict checked every value, so a report from here on, error or not, echoes it as read
     args.echo = (cfg.seed, {**conf, "dump_replicates": args.dump_replicates})
     cells, records = mc.run(kind, cfg, worker_init=_ignore_warnings)
-    results = {"kind": kind, "cells": [fileio.jsonable(cell) for cell in cells]}
-    doc = fileio.make_report(*args.echo, results)
-    fileio.write_json(os.path.join(args.out, "report.json"), doc)
     for name, (header, rows) in mc.KINDS[kind].tables.items():
         body = [row for cell in cells for row in rows(cfg, cell)]
         fileio.write_table_csv(os.path.join(args.out, "tables", name), header, body)
     if args.dump_replicates:
         _write_dumps(args.out, cells, records)
-    return EXIT_OK
+    return {"kind": kind, "cells": cells}
 
 
 def _write_dumps(out: str, cells: list, records: list) -> None:
@@ -201,17 +183,22 @@ def _write_dumps(out: str, cells: list, records: list) -> None:
         fileio.write_matrix_csv(path, table, ["replicate", *rec])
 
 
-def _emit_error(args, kind: str, message: str, code: int) -> None:
-    payload = {"error": {"type": kind, "message": message, "exit_code": code}}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            seed, inputs = getattr(args, "echo", (getattr(args, "seed", None), {}))
-            report = fileio.make_report(seed, inputs, None, [payload["error"]])
-            fileio.write_json(os.path.join(out, "report.json"), report)
-        except OSError:
-            pass
+def _write_report(args, results, errors=None) -> None:
+    """``report.json`` in ``--out``: the seed and inputs of ``args.echo``, which a command
+    sets once it has checked them (until then none), then ``results`` or ``errors``."""
+    seed, inputs = getattr(args, "echo", (None, {}))
+    report = fileio.make_report(seed, inputs, results, errors)
+    fileio.write_json(os.path.join(args.out, "report.json"), report)
+
+
+def _emit_error(args, kind: str, message: str, code: int) -> int:
+    """The one stderr JSON line and, once the arguments parse, an error report; returns ``code``."""
+    error = {"type": kind, "message": message, "exit_code": code}
+    print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
+    if getattr(args, "out", None):
+        with contextlib.suppress(OSError):
+            _write_report(args, None, [error])
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,19 +289,16 @@ def main(argv=None) -> int:
         # both restore the caller's settings on exit
         with np.errstate(), warnings.catch_warnings():
             _ignore_warnings()
-            return args.func(args)
+            _write_report(args, args.func(args))
+        return EXIT_OK
     except CommandError as exc:
-        _emit_error(args, exc.kind, str(exc), exc.code)
-        return exc.code
+        return _emit_error(args, exc.kind, str(exc), exc.code)
     except ValidationError as exc:
-        _emit_error(args, type(exc).__name__, str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
+        return _emit_error(args, type(exc).__name__, str(exc), EXIT_VALIDATION)
     except (TooFewSamples, NotSpd) as exc:
-        _emit_error(args, type(exc).__name__, str(exc), EXIT_SINGULAR_FIRST_STAGE)
-        return EXIT_SINGULAR_FIRST_STAGE
+        return _emit_error(args, type(exc).__name__, str(exc), EXIT_SINGULAR_FIT)
     except OSError as exc:
-        _emit_error(args, type(exc).__name__, str(exc), EXIT_IO)
-        return EXIT_IO
+        return _emit_error(args, type(exc).__name__, str(exc), EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -153,11 +153,14 @@ def write_table_csv(path: str, header: list, rows: list) -> None:
 
 
 def jsonable(v):
-    """JSON-ready form of ``v``, a dict value by value: arrays become nested lists
-    (at least 2-d), numpy scalars Python numbers, and non-finite floats, such as the
-    standard error of a Monte Carlo cell with fewer than two successes, None (null)."""
+    """JSON-ready form of ``v``, a dict value by value and a list or tuple item by item:
+    arrays become nested lists (at least 2-d), numpy scalars Python numbers, and
+    non-finite floats, such as the standard error of a Monte Carlo cell with fewer
+    than two successes, None (null)."""
     if isinstance(v, dict):
         return {key: jsonable(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
     if isinstance(v, np.ndarray):
         return [[jsonable(float(x)) for x in row] for row in np.atleast_2d(v)]
     if isinstance(v, (np.floating, np.integer)):
@@ -177,7 +180,8 @@ def write_json(path: str, obj) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; an object that repeats a key is refused, not read as its last value."""
+    """Parse a JSON file; an object that repeats a key is refused, not read as its last
+    value, and so is JSON the decoder cannot hold."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -196,13 +200,17 @@ def read_json(path: str):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the decoder recurses, or an integer too long to convert
+        raise ConfigError(f"{path}: JSON the decoder cannot hold: {exc}") from exc
 
 
 def make_report(seed, inputs: dict, results, errors: list | None = None) -> dict:
+    """The report of a run; ``inputs`` and ``results`` are made JSON-ready here, by ``jsonable``."""
     return {
         "meta": {"version": __version__, "seed": None if seed is None else int(seed)},
-        "inputs": inputs,
-        "results": results,
+        "inputs": jsonable(inputs),
+        "results": jsonable(results),
         "errors": [] if errors is None else errors,
     }
 

@@ -135,7 +135,7 @@ def check_floats(value, key: str, ndim: int):
 
     Strings and booleans are refused, never coerced."""
     try:
-        out = np.asarray(value, dtype=np.float64) if _real_leaves(value) else None
+        out = np.asarray(value, dtype=np.float64) if _real_leaves(value, ndim) else None
     except (ValueError, OverflowError):  # ragged rows, an int beyond float range
         out = None
     if out is None or out.ndim != ndim or not np.isfinite(out).all():
@@ -145,12 +145,13 @@ def check_floats(value, key: str, ndim: int):
     return float(out) if ndim == 0 else out
 
 
-def _real_leaves(value) -> bool:
-    """Whether every leaf of the nested lists or arrays ``value`` is a real non-bool number."""
+def _real_leaves(value, depth: int) -> bool:
+    """Whether every leaf of the lists or arrays ``value``, nested ``depth`` levels at
+    most, is a real non-bool number; deeper lists are not looked into."""
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iuf"
     if isinstance(value, (list, tuple)):
-        return all(_real_leaves(v) for v in value)
+        return depth > 0 and all(_real_leaves(v, depth - 1) for v in value)
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 

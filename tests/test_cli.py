@@ -132,9 +132,12 @@ def test_simulate_writes_expected_shapes(sim_files):
     assert y.shape == (16, 4)
     assert x.shape == (16, 2)
     assert z.shape == (4, 2)
-    # the truth file is the simulate config as read
+    # the truth file is the simulate config as read, and the report echoes it
     truth = fileio.read_json(str(sim_files / "truth.json"))
     assert truth == {"scenario": _scenario_dict(), "r": 8, "seed": 42}
+    report = fileio.read_json(str(sim_files / "report.json"))
+    assert report["meta"]["seed"] == 42 and report["inputs"] == truth and report["errors"] == []
+    assert report["results"] == {"files": ["Y.csv", "X.csv", "Z.csv", "truth.json"]}
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -143,7 +146,7 @@ def test_simulate_is_deterministic(tmp_path):
     cfg_path.write_text(json.dumps(config))
     for out in ("a", "b"):
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
-    for name in ("Y.csv", "X.csv", "Z.csv", "truth.json"):
+    for name in ("Y.csv", "X.csv", "Z.csv", "truth.json", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -167,8 +170,27 @@ def test_simulate_on_its_truth_file_rewrites_the_same_files(tmp_path):
                      "--out", str(first)]) == 0
     assert cli.main(["simulate", "--config", str(first / "truth.json"),
                      "--out", str(second)]) == 0
-    for name in ("Y.csv", "X.csv", "Z.csv", "truth.json"):
+    for name in ("Y.csv", "X.csv", "Z.csv", "truth.json", "report.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc-level"])
+def test_a_refused_seed_is_not_echoed_and_a_later_success_replaces_the_report(tmp_path, command):
+    # until a command has checked its seed, an error report says seed null and
+    # echoes no inputs; a success in the same --out then writes its own report
+    if command == "simulate":
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"scenario": _scenario_dict(), "r": 4, "seed": 7}))
+    else:
+        cfg = _mc_config(tmp_path, kind="level", replications=2)
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--out", out]
+    assert _refused([*argv, "--seed", "-1"], 2)["type"] == "ConfigError"
+    report = _strict_json((out / "report.json").read_text())
+    assert report["meta"]["seed"] is None and report["inputs"] == {}
+    assert cli.main([str(a) for a in argv]) == 0
+    report = _strict_json((out / "report.json").read_text())
+    assert report["errors"] == [] and report["meta"]["seed"] == json.loads(cfg.read_text())["seed"]
 
 
 def test_simulate_requires_seed(tmp_path):
@@ -1017,6 +1039,8 @@ def test_exit_2_on_malformed_config_seed(tmp_path, seed):
 
 
 _RAGGED = [[1.0, 0.5], [2.0]]
+# a theta nested 900 deep, which read_json reads: refused as malformed, not by a RecursionError
+_DEEP = json.loads("[" * 900 + "1.0" + "]" * 900)
 
 
 @pytest.mark.parametrize(
@@ -1049,6 +1073,8 @@ _RAGGED = [[1.0, 0.5], [2.0]]
         ("simulate", ("r",), 2**40, "r"),
         ("mc-consistency", ("replications",), 10**6 + 1, "replications"),
         ("mc-level", ("alpha",), float("nan"), "alpha"),
+        ("simulate", ("scenario", "theta"), _DEEP, "theta"),
+        ("mc-level", ("scenario", "theta"), _DEEP, "theta"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, command, path, value, name):
@@ -1166,7 +1192,12 @@ def test_key_checked_objects_refuse_malformed_input(tmp_path, name, fault):
 
 
 @pytest.mark.parametrize(
-    "text, words", [("[1, 2]", "JSON object"), ('{"seed": 1,', "invalid JSON")]
+    "text, words",
+    [("[1, 2]", "JSON object"), ('{"seed": 1,', "invalid JSON"),
+     # JSON that the decoder cannot hold: nesting past its recursion limit, and an
+     # integer too long to convert
+     pytest.param("[" * 100_000 + "]" * 100_000, "decoder cannot hold", id="nesting"),
+     pytest.param('{"replications": ' + "9" * 5000 + "}", "4300 digits", id="long integer")],
 )
 def test_exit_2_on_config_that_is_not_a_json_object(tmp_path, text, words):
     cfg = tmp_path / "config.json"
@@ -1338,9 +1369,7 @@ def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_f
         assert [str(w.message) for w in caught] == []
         if proc.returncode == 0:
             assert proc.stderr == ""
-            written = out / ("truth.json" if name == "simulate" else "report.json")
-            report = _strict_json(written.read_text())
-            assert name == "simulate" or report["errors"] == []
+            assert _strict_json((out / "report.json").read_text())["errors"] == []
         else:
             _refused(argv, 2, run=lambda argv: proc)
 
@@ -1415,9 +1444,10 @@ def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
 
 
 def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
-    # estimate, test, each mc-* kind and an error report share one top-level schema
+    # simulate, estimate, test, each mc-* kind and an error report share one top-level schema
     missing_truth = ["--truth", str(tmp_path / "nope.json")]
     runs = {
+        "simulate": (["simulate", "--config", str(sim_files.parent / "sim.json")], 0),
         "estimate": (["estimate", *_estimation_argv(sim_files)], 0),
         "test": (["test", *_estimation_argv(sim_files)], 0),
         "error": (["estimate", *_estimation_argv(sim_files, missing_truth)], 3),

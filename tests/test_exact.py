@@ -69,10 +69,12 @@ def _sigma(rng, p):
 
 # c of each bound: over 60,000 draws of these strategies the worst relative
 # error / (cond * eps) was 6.9 for SpdFactor.inv, 2.0 for solve_spd(a, I), and
-# over cond(Z)^2 * eps 54 for h_matrix and 15 for the right factor
+# over cond(Z)^2 * eps 54 for h_matrix and 15 for the right factor; over 20,000
+# draws, over cond(Z' S^{-1} Z) * eps 2.5 for the GLS theta
 C_INV = 32.0
 C_H = 256.0
 C_RIGHT = 64.0
+C_GLS = 16.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,3 +113,36 @@ def test_h_and_the_right_factor_are_within_cond_z_squared_eps_of_exact(p, q, log
     contrast = model.Contrast(C=np.eye(1), D=np.eye(q))
     law = inference.cov_factors(np.eye(1), sig, z, contrast)
     assert _rel_error(law.right, right) <= C_RIGHT * cond2 * EPS
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(min_value=2, max_value=6),
+    q=st.integers(min_value=1, max_value=5),
+    m=st.integers(min_value=1, max_value=3),
+    log_cond=st.floats(min_value=0.0, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gls_theta_is_within_cond_g_eps_of_the_exact_solve(p, q, m, log_cond, seed):
+    # theta = (X'X)^{-1} X'Y S^{-1} Z G^{-1}, G = Z' S^{-1} Z, exactly; two rows per
+    # group make X'X = 2 I, so the error left is the Z side's. Theta's entries are
+    # 1 to 2 in size and the noise small, so theta_hat has no cancellation of its own
+    q = min(q, p - 1)
+    rng = np.random.default_rng(seed)
+    z = _z_of_cond(rng, p, q, log_cond)
+    sig = linalg.SpdFactor(_sigma(rng, p), "sigma")
+    x = np.kron(np.eye(m), np.ones((2, 1)))
+    theta = rng.uniform(1.0, 2.0, (m, q)) * rng.choice([-1.0, 1.0], (m, q))
+    y = x @ theta @ z.T + 0.1 * rng.standard_normal((2 * m, p))
+    xt = _exact(x.T)
+    a = _exact_solve(_exact_matmul(xt, _exact(x)), _exact_matmul(xt, _exact(y)))
+    b = _exact_solve(_exact(sig.a), _exact(z))
+    g = _exact_matmul(_exact(z.T), b)
+    exact = _transpose(_exact_solve(g, _transpose(_exact_matmul(a, b))))
+    data = model.Dataset(Y=y, design=model.Design(X=x, Z=z))
+    bound = C_GLS * np.linalg.cond(np.array(g, dtype=float)) * EPS
+    assert _rel_error(estimators.theta_hat_known(data, sig), exact) <= bound

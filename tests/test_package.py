@@ -89,6 +89,28 @@ def test_only_the_cli_handles_warnings():
     assert offenders == []
 
 
+def test_one_cli_helper_builds_and_writes_every_report():
+    # fileio.make_report alone makes a report's values JSON-ready, and one cli
+    # function, which main calls, is the only one to build a report.json
+    package = pathlib.Path(gcm.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+
+    def callers(name):
+        """(module, top-level definition) of every call of ``name``, bare or as an attribute."""
+        return {(module, getattr(top, "name", "<module>"))
+                for module, tree in trees.items() for top in tree.body
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+    assert callers("jsonable") - {("fileio", "jsonable")} == {("fileio", "make_report")}
+    (writer,) = callers("make_report")
+    assert writer[0] == "cli" and ("cli", "main") in callers(writer[1])
+    named = {top.name for top in trees["cli"].body for node in ast.walk(top)
+             if isinstance(node, ast.Constant) and node.value == "report.json"}
+    assert named == {writer[1]}
+
+
 def _cli_test_offenders(source: str) -> list:
     """Where a test function of ``source`` checks a failing ``gcm`` call by itself: it
     keeps ``cli.main``'s code for later, compares an exit code with anything but 0, or
