@@ -195,7 +195,8 @@ def _emit_error(args, kind: str, message: str, code: int) -> int:
     """The one stderr JSON line and, once the arguments parse, an error report; returns ``code``."""
     error = {"type": kind, "message": message, "exit_code": code}
     print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
-    if getattr(args, "out", None):
+    # --out "" writes into the working directory, on failure as on success
+    if getattr(args, "out", None) is not None:
         with contextlib.suppress(OSError):
             _write_report(args, None, [error])
     return code

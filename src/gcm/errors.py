@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounded excerpt of a refused
+value that their messages quote."""
+
+import reprlib
+
+_EXCERPT_CHARS = 200
+# reprlib stops at six items per container and three levels of nesting, so a huge or
+# deeply nested value is never formatted whole; the cut bounds what those limits leave
+_EXCERPT = reprlib.Repr()
+_EXCERPT.maxlevel = 3
+_EXCERPT.maxstring = _EXCERPT_CHARS
+
+
+def excerpt(value) -> str:
+    """``repr(value)``, cut short enough to quote in an error message."""
+    text = _EXCERPT.repr(value)
+    return text if len(text) <= _EXCERPT_CHARS else text[: _EXCERPT_CHARS - 3] + "..."
 
 
 class GcmError(Exception):

@@ -48,7 +48,9 @@ def sigma_hat(data: model.Dataset) -> linalg.SpdFactor:
             f"need n - m >= p for an invertible first stage, got n={n}, m={m}, p={p}"
         )
     x, y = design.X, data.Y
-    resid = y - x @ linalg.solve_spd(design.xtx_factor, x.T @ y, "X'X")
+    # the residual is built in the fitted values' buffer: one n x p temporary, not two
+    resid = x @ linalg.solve_spd(design.xtx_factor, x.T @ y, "X'X")
+    np.subtract(y, resid, out=resid)
     s = resid.T @ resid / (n - m)
     return linalg.SpdFactor((s + s.T) / 2.0, "first-stage covariance estimate")
 

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, MatrixParseError
+from .errors import ConfigError, MatrixParseError, excerpt
 
 _FLOAT_FMT = "%.17g"
 # values formatted by one % (whole rows, at least one), and bytes read per
@@ -136,7 +136,7 @@ def _parse_matrix_lines(raw_lines: list, path: str, skip_header: bool) -> np.nda
         try:
             rows.append(_parse_numbers([line])[0])
         except ValueError:
-            raise MatrixParseError(f"non-numeric field in row: {line!r}", path, lineno)
+            raise MatrixParseError(f"non-numeric field in row: {excerpt(line)}", path, lineno)
     if not rows:
         raise MatrixParseError("file contains no data rows", path, len(raw_lines) or 1)
     return np.asarray(rows, dtype=np.float64)
@@ -222,7 +222,7 @@ def check_keys(d, where: str, required, optional=()) -> None:
         raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
     unknown = set(d) - set(required) - set(optional)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {excerpt(sorted(unknown))}")
     for key in required:
         if key not in d:
             raise ConfigError(f"{where} is missing required key {key!r}")

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import estimators, fileio, inference, linalg, model
-from .errors import ConfigError, NotSpd, TooFewSamples
+from .errors import ConfigError, NotSpd, TooFewSamples, excerpt
 
 # Offset to one theta entry that gives level runs their alternative (power is context only).
 _ALT_BUMP = 0.5
@@ -126,7 +126,7 @@ class Scenario:
 def check_int(value, key: str, low: int = 1, high: float = math.inf) -> int:
     """Config ``key`` as an integer in [low, high); non-integers are refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
-        raise ConfigError(f"{key} must be an integer in [{low}, {high}), got {value!r}")
+        raise ConfigError(f"{key} must be an integer in [{low}, {high}), got {excerpt(value)}")
     return int(value)
 
 
@@ -141,7 +141,7 @@ def check_floats(value, key: str, ndim: int):
     if out is None or out.ndim != ndim or not np.isfinite(out).all():
         kind = ("a finite number", "a list of finite numbers",
                 "a list of equal-length rows of finite numbers")[ndim]
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        raise ConfigError(f"{key} must be {kind}, got {excerpt(value)}")
     return float(out) if ndim == 0 else out
 
 
@@ -184,12 +184,11 @@ class McConfig:
 
     def __post_init__(self):
         if not isinstance(self.sample_sizes, (list, tuple)) or not self.sample_sizes:
-            raise ConfigError(
-                f"sample_sizes must be a non-empty list of integers, got {self.sample_sizes!r}"
-            )
+            raise ConfigError("sample_sizes must be a non-empty list of integers, "
+                              f"got {excerpt(self.sample_sizes)}")
         sizes = tuple(self.scenario.check_size(r, "sample_sizes entry") for r in self.sample_sizes)
         if len(set(sizes)) != len(sizes):
-            raise ConfigError(f"sample_sizes must not repeat a size, got {list(sizes)}")
+            raise ConfigError(f"sample_sizes must not repeat a size, got {excerpt(list(sizes))}")
         alpha = check_floats(self.alpha, "alpha", 0)
         if not 0.0 < alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {alpha}")

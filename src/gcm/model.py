@@ -22,6 +22,7 @@ from .errors import (
     NotSpd,
     RankDeficient,
     ShapeViolation,
+    excerpt,
 )
 
 NOISE_FAMILIES = ("gaussian", "uniform", "student_t")
@@ -151,7 +152,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise InvalidNoise(
-                f"unknown noise family {self.family!r}; expected one of {NOISE_FAMILIES}"
+                f"unknown noise family {excerpt(self.family)}; expected one of {NOISE_FAMILIES}"
             )
         if self.family == "student_t":
             if self.df is None or not 4.0 < self.df < math.inf:
@@ -225,7 +226,9 @@ def potthoff_roy_design(m: int, r: int, times, q: int) -> Design:
         raise ShapeViolation(f"need 1 <= q <= p, got q={q}, p={p}")
     if not np.all(np.isfinite(times)):
         raise DegenerateTimes("time points must be finite")
-    if np.unique(times).size != p:
+    # a set, not np.unique, which loads numpy.ma; the times are finite, so float
+    # equality decides, -0.0 == 0.0 included
+    if len(set(times.tolist())) != p:
         raise DegenerateTimes("time points must be distinct")
     x = np.kron(np.eye(m), np.ones((r, 1)))
     return Design(X=x, Z=np.vander(times, q, increasing=True))

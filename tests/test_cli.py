@@ -193,6 +193,16 @@ def test_a_refused_seed_is_not_echoed_and_a_later_success_replaces_the_report(tm
     assert report["errors"] == [] and report["meta"]["seed"] == json.loads(cfg.read_text())["seed"]
 
 
+def test_empty_out_writes_the_error_report_where_a_success_goes(tmp_path, monkeypatch):
+    # --out "" is the working directory: a refusal replaces the success report there
+    monkeypatch.chdir(tmp_path)
+    Path("sim.json").write_text(json.dumps({"scenario": _scenario_dict(), "r": 4, "seed": 7}))
+    argv = ["simulate", "--config", "sim.json", "--out", ""]
+    assert cli.main(argv) == 0
+    assert _strict_json(Path("report.json").read_text())["errors"] == []
+    assert _refused([*argv, "--seed", "-1"], 2)["type"] == "ConfigError"
+
+
 def test_simulate_requires_seed(tmp_path):
     config = {"scenario": _scenario_dict(), "r": 4}
     cfg_path = tmp_path / "sim.json"
@@ -846,6 +856,14 @@ def test_exit_2_on_malformed_csv(sim_files, tmp_path):
     assert ":2:" in error["message"]  # line number of the bad row
 
 
+def test_exit_2_on_a_long_malformed_csv_row_quotes_an_excerpt(sim_files, tmp_path):
+    row = ",".join(["3.0"] * 99_999)
+    (sim_files / "Y.csv").write_text(f"{row},3.0\n{row},not_a_number\n")
+    error = _estimate_refused(sim_files, tmp_path)
+    assert error["type"] == "MatrixParseError"
+    assert len(error["message"]) < len(str(sim_files)) + 300
+
+
 def test_exit_2_on_non_finite_csv_value(sim_files, tmp_path):
     # the library's own ValueErrors are ValidationErrors, so they still exit 2
     y = fileio.read_matrix_csv(str(sim_files / "Y.csv"))
@@ -1041,6 +1059,8 @@ def test_exit_2_on_malformed_config_seed(tmp_path, seed):
 _RAGGED = [[1.0, 0.5], [2.0]]
 # a theta nested 900 deep, which read_json reads: refused as malformed, not by a RecursionError
 _DEEP = json.loads("[" * 900 + "1.0" + "]" * 900)
+# a 200000-row theta with one string entry, whose whole repr is 2.4 MB
+_HUGE = [[1.0, 0.5]] * 100000 + [["x", 0.5]] + [[1.0, 0.5]] * 99999
 
 
 @pytest.mark.parametrize(
@@ -1075,6 +1095,10 @@ _DEEP = json.loads("[" * 900 + "1.0" + "]" * 900)
         ("mc-level", ("alpha",), float("nan"), "alpha"),
         ("simulate", ("scenario", "theta"), _DEEP, "theta"),
         ("mc-level", ("scenario", "theta"), _DEEP, "theta"),
+        ("mc-consistency", ("replications",), _DEEP, "replications"),
+        ("simulate", ("scenario", "theta"), _HUGE, "theta"),
+        ("mc-level", ("sample_sizes",), {"sizes": "8" * 10**6}, "sample_sizes"),
+        ("mc-level", ("scenario", "k" * 10**6), 1.0, "unknown scenario keys"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, command, path, value, name):
@@ -1095,6 +1119,8 @@ def test_exit_2_on_malformed_config_value(tmp_path, command, path, value, name):
     error = _refused([command, "--config", cfg, "--out", tmp_path / "o"], 2)
     assert error["type"] == "ConfigError"
     assert error["message"].startswith(name)
+    # the message quotes an excerpt of the value, never all of it
+    assert len(error["message"]) < 300
 
 
 @pytest.mark.parametrize("key", ["m", "q"])
@@ -1499,6 +1525,29 @@ def test_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runs_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs each process about 1 MB and 10 ms; np.unique loads it.
+    # mc-consistency is left out: its summary's np.median still loads numpy.ma
+    data = _write_sim_files(tmp_path)
+    runs = [
+        ["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "sim"],
+        ["estimate", *_estimation_argv(data), "--out", tmp_path / "estimate"],
+        ["test", *_estimation_argv(data), "--out", tmp_path / "test"],
+        ["mc-level", "--config", _mc_config(tmp_path, kind="level", replications=5),
+         "--out", tmp_path / "level"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from gcm import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    argv = json.dumps([[str(a) for a in run] for run in runs])
+    proc = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
 
 
 def test_import_loads_no_scipy():

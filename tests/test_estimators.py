@@ -1,5 +1,7 @@
 """First-stage covariance and two-stage GLS estimators against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -76,6 +78,26 @@ def test_sigma_hat_translation_invariant():
     a = estimators.sigma_hat(data).a
     b = estimators.sigma_hat(shifted).a
     assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(a).max())
+
+
+def test_sigma_hat_holds_one_residual_and_matches_the_textbook_formula():
+    # the first stage allocates one n x p temporary beyond Y, its residual
+    rng = np.random.default_rng(5)
+    n, m, p = 100_000, 3, 4
+    design = model.Design(X=rng.standard_normal((n, m)), Z=np.vander(TIMES4, 2, increasing=True))
+    data = model.Dataset(Y=rng.standard_normal((n, p)), design=design)
+    model.validate(design)  # the design's one-time checks and X'X factor, not the fit's cost
+    tracemalloc.start()
+    try:
+        sig = estimators.sigma_hat(data).a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * data.Y.nbytes
+    x, y = design.X, data.Y
+    resid = y - x @ (design.xtx_factor.inv @ (x.T @ y))
+    s = resid.T @ resid / (n - m)
+    assert np.array_equal(sig, (s + s.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------

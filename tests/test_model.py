@@ -212,6 +212,10 @@ def test_noise_rejects_unknown_family_and_stray_df():
         model.NoiseSpec(family="laplace", sigma=sigma)
     with pytest.raises(InvalidNoise):
         model.NoiseSpec(family="gaussian", sigma=sigma, df=6.0)
+    # an unknown family is quoted as an excerpt, however long it is
+    with pytest.raises(InvalidNoise, match="unknown noise family") as excinfo:
+        model.NoiseSpec(family="x" * 10**6, sigma=sigma)
+    assert len(str(excinfo.value)) < 300
 
 
 # ---------------------------------------------------------------------------
