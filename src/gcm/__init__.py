@@ -33,7 +33,6 @@ from .model import (
     validate,
 )
 from .estimators import (
-    gamma_hat_known,
     h_matrix,
     sigma_hat,
     theta_hat_known,
@@ -78,7 +77,6 @@ __all__ = [
     "validate",
     "sigma_hat",
     "theta_hat_known",
-    "gamma_hat_known",
     "h_matrix",
     "two_stage",
     "two_stage_theta",

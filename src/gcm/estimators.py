@@ -55,34 +55,22 @@ def sigma_hat(data: model.Dataset) -> linalg.SpdFactor:
     return linalg.SpdFactor((s + s.T) / 2.0, "first-stage covariance estimate")
 
 
-def theta_hat_known(data: model.Dataset, sigma0: np.ndarray | linalg.SpdFactor) -> np.ndarray:
-    """Least-squares estimator of theta for a known row covariance (array or SpdFactor)."""
+def theta_hat_known(data: model.Dataset, sigma0: linalg.SpdFactor) -> np.ndarray:
+    """Least-squares estimator of theta for a known row covariance, given as an SpdFactor."""
     model.validate(data.design)
-    if not isinstance(sigma0, linalg.SpdFactor):
-        sigma0 = linalg.SpdFactor(sigma0, "sigma0")
     p = sigma0.a.shape[0]
     if p != data.design.p:
         raise DimensionMismatch(f"sigma0 is {p} x {p} but Z has {data.design.p} rows")
     return _gls_theta(data.design, data.Y, sigma0)
 
 
-def gamma_hat_known(
-    data: model.Dataset, sigma0: np.ndarray | linalg.SpdFactor, contrast: model.Contrast
-) -> np.ndarray:
-    """Known-covariance BLUE of gamma = C theta D'."""
-    contrast.check(data.design)
-    return contrast.apply(theta_hat_known(data, sigma0))
-
-
-def h_matrix(sigma: np.ndarray | linalg.SpdFactor, z: np.ndarray) -> np.ndarray:
+def h_matrix(sigma: linalg.SpdFactor, z: np.ndarray) -> np.ndarray:
     """The p x p matrix sigma^{-1} (P_Z sigma^{-1} P_Z)^+ for an SPD sigma.
 
     Satisfies H Z (Z'Z)^{-1} = sigma^{-1} Z (Z' sigma^{-1} Z)^{-1}, which is
     what makes the pseudo-inverse route agree with the solve route. ``sigma``
-    is a fit's SpdFactor, used as it is, or an array, which is factored here.
+    is an SpdFactor: a fit's sigma_hat, or ``SpdFactor(sigma, "sigma")``.
     """
-    if not isinstance(sigma, linalg.SpdFactor):
-        sigma = linalg.SpdFactor(sigma, "sigma")
     p = sigma.a.shape[0]
     z = linalg.as_matrix(z, "Z")
     if z.shape[0] != p:

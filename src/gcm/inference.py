@@ -94,26 +94,26 @@ def standard_errors(law: AsymptoticLaw) -> np.ndarray:
 
 
 def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarray:
-    """Whitened estimator (C n(X'X)^{-1} C')^{-1/2} sqrt(n) gamma_hat (D(Z' sigma_hat^{-1} Z)^{-1} D')^{-1/2}.
+    """Whitened estimator (C (X'X)^{-1} C')^{-1/2} gamma_hat (D (Z' sigma_hat^{-1} Z)^{-1} D')^{-1/2}.
 
-    Entries are asymptotically iid standard normal under gamma = 0. Raises
-    NotSpd when either standardizer is singular (C or D without full row
-    rank). The left root depends on the design and C only, so it is taken
-    once per design and C and kept in ``design.left_roots``; a singular one
-    is not kept, and raises on every call.
+    gamma_hat whitened by its own plug-in law, ``plugin_cov``. Scaling the
+    estimate by sqrt(n) and the left factor by n, as the limit law does,
+    gives the same statistic, since n cancels. Entries are asymptotically iid
+    standard normal under gamma = 0. Raises NotSpd when either standardizer is
+    singular (C or D without full row rank). The left root depends on the
+    design and C only, so it is taken once per design and C and kept in
+    ``design.left_roots``; a singular one is not kept, and raises on every call.
     """
     design = data.design
     contrast.check(design)
-    n = design.n
     sig, theta = estimators.two_stage(data)
     law = plugin_cov(design, sig, contrast)
-    law = AsymptoticLaw(n * law.left, law.right)
     # C's bytes fix C: its column count is X's, checked above
     key = contrast.C.tobytes()
     root = design.left_roots.get(key)
     if root is None:
         root = design.left_roots[key] = linalg.inv_sqrt_spd(law.left)
-    return law.whiten(np.sqrt(n) * contrast.apply(theta), root)
+    return law.whiten(contrast.apply(theta), root)
 
 
 def chi_sq_p_value(chi_sq: float, dof: int) -> float:

@@ -412,7 +412,8 @@ def _consistency_prepare(cfg: McConfig) -> np.ndarray:
     """Sizes must increase; returns the true H that each replicate's H(Y) is measured against."""
     if list(cfg.sample_sizes) != sorted(cfg.sample_sizes):
         raise ConfigError("sample_sizes must be strictly increasing for consistency runs")
-    return estimators.h_matrix(cfg.scenario.noise.sigma, cfg.scenario.z)
+    sigma = linalg.SpdFactor(cfg.scenario.noise.sigma, "sigma")
+    return estimators.h_matrix(sigma, cfg.scenario.z)
 
 
 def _consistency_replicate(cfg, h_true, data, key) -> tuple:

@@ -46,7 +46,7 @@ class Design:
     size), Z is p x q (within-individual design, fixed as n grows). Both
     are held as read-only copies, so the quantities derived from them are
     computed once per design and stay valid. ``left_roots`` maps the bytes of
-    a contrast's C to the whitening root (n C (X'X)^{-1} C')^{-1/2}, which
+    a contrast's C to the whitening root (C (X'X)^{-1} C')^{-1/2}, which
     ``inference.standardized_stat`` fills on its first fit of the design.
     """
 

@@ -23,7 +23,6 @@ from gcm import (
     equality_contrast,
     estimators,
     fileio,
-    gamma_hat_known,
     inference,
     linalg,
     mc,
@@ -128,11 +127,10 @@ def test_criterion_04_known_sigma_exact_recovery():
     contrast = equality_contrast(3, 2)
     worst = 0.0
     for seed in range(10):
-        sigma0 = spd(np.random.default_rng(seed + 40), 4)
-        err_theta = np.abs(theta_hat_known(data, sigma0) - theta).max()
-        err_gamma = np.abs(
-            gamma_hat_known(data, sigma0, contrast) - contrast.apply(theta)
-        ).max()
+        sigma0 = linalg.SpdFactor(spd(np.random.default_rng(seed + 40), 4), "sigma0")
+        theta_hat = theta_hat_known(data, sigma0)
+        err_theta = np.abs(theta_hat - theta).max()
+        err_gamma = np.abs(contrast.apply(theta_hat) - contrast.apply(theta)).max()
         worst = max(worst, err_theta, err_gamma)
     _check(4, "noise-free data recovers theta and gamma exactly", worst < 1e-10,
            f"max deviation {worst:.2e}")

@@ -1287,17 +1287,17 @@ def test_exit_4_on_noise_free_data(tmp_path):
     assert _estimate_refused(d, d, 4)["type"] == "NotSpd"
 
 
-def _near_collinear_times_data(tmp_path, theta) -> Path:
-    """simulate output on times 1 + 3e-5 (0..4) (cond(Z) 2.8e9, q = 3), with C = [1, -1]
-    and D = I."""
-    scenario = {**_scenario_dict(contrast="identity"), "q": 3,
-                "times": [1.0 + 3e-5 * k for k in range(5)], "sigma": ar_sigma(5).tolist(),
-                "theta": theta}
+def _q3_data(tmp_path, theta, times=None, seed=3, c=((1.0, -1.0),)) -> Path:
+    """simulate output with m = 2, r = 20, q = 3 and AR(0.4) sigma, with C = ``c`` and
+    D = I; the times are 1 + 3e-5 (0..4) (cond(Z) 2.8e9) unless given."""
+    times = [1.0 + 3e-5 * k for k in range(5)] if times is None else times
+    scenario = {**_scenario_dict(contrast="identity"), "q": 3, "times": times,
+                "sigma": ar_sigma(5).tolist(), "theta": theta}
     sim = tmp_path / "sim.json"
-    sim.write_text(json.dumps({"scenario": scenario, "r": 20, "seed": 3}))
+    sim.write_text(json.dumps({"scenario": scenario, "r": 20, "seed": seed}))
     data = tmp_path / "data"
     assert cli.main(["simulate", "--config", str(sim), "--out", str(data)]) == 0
-    fileio.write_matrix_csv(str(data / "C.csv"), np.array([[1.0, -1.0]]))
+    fileio.write_matrix_csv(str(data / "C.csv"), np.array(c))
     fileio.write_matrix_csv(str(data / "D.csv"), np.eye(3))
     return data
 
@@ -1307,7 +1307,7 @@ def test_exit_4_on_a_singular_second_stage(tmp_path, command):
     # the first stage fits, but Z' sigma_hat^{-1} Z does not factor at working
     # precision (which of solve_spd's two refusals depends on the LAPACK build);
     # an orthogonal second stage would fit this Z and change the code
-    data = _near_collinear_times_data(tmp_path, [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    data = _q3_data(tmp_path, [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     error = _refused([command, *_estimation_argv(data), "--out", tmp_path / "o"], 4)
     assert error["type"] == "NotSpd"
     assert error["message"].startswith(("Z' sigma^{-1} Z has no Cholesky factorization: ",
@@ -1320,6 +1320,22 @@ def test_exit_5_on_singular_standardizer(sim_files, tmp_path):
     )
     argv = ["test", *_estimation_argv(sim_files), "--out", tmp_path / "o"]
     assert _refused(argv, 5)["type"] == "NotSpd"
+
+
+@pytest.mark.parametrize("k", [0, 1, *(
+    pytest.param(k, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 13"))
+    for k in (2, 3, 4))])
+def test_test_chi_sq_does_not_depend_on_the_time_unit(tmp_path, k):
+    # theta = 0, so the seed-1 Y does not depend on the times: the same Y, tested on Z
+    # built on the times (1..5) x 10^k, gives the same chi^2. From k = 2 on, the right
+    # standardizer's eigenvalue ratio falls below RANK_RTOL and the test exits 5
+    times = [1.0, 2.0, 3.0, 4.0, 5.0]
+    data = _q3_data(tmp_path, [[0.0] * 3] * 2, times, 1, np.eye(2))
+    z = np.vander(np.array(times) * 10.0**k, 3, increasing=True)
+    fileio.write_matrix_csv(str(data / "Z.csv"), z)
+    assert cli.main(["test", *_estimation_argv(data), "--out", str(tmp_path / "o")]) == 0
+    chi_sq = fileio.read_json(str(tmp_path / "o" / "report.json"))["results"]["chi_sq"]
+    assert chi_sq == pytest.approx(6.7550557063, rel=1e-9)
 
 
 def _leaves(doc, path=()):
@@ -1444,7 +1460,7 @@ def test_overflowing_run_writes_one_json_line_from_any_worker(tmp_path, threads,
 def test_estimate_with_undefined_std_errors_writes_nothing_to_stderr(tmp_path):
     # near-collinear time points: cov_right has a negative diagonal, so the
     # standard errors are null in the report and no sqrt warning is written
-    data = _near_collinear_times_data(tmp_path, [[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]])
+    data = _q3_data(tmp_path, [[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]])
     proc = _gcm_process(["estimate", *_estimation_argv(data), "--out", tmp_path / "o"])
     assert (proc.returncode, proc.stderr) == (0, "")
     std_errors = _strict_json((tmp_path / "o" / "report.json").read_text())["results"]["std_errors"]

@@ -108,7 +108,7 @@ def test_theta_known_exact_recovery_zero_noise():
     design = model.potthoff_roy_design(3, 4, TIMES4, 2)
     theta = np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]])
     data = model.Dataset(Y=design.X @ theta @ design.Z.T, design=design)
-    sigma0 = ar_sigma(4)
+    sigma0 = linalg.SpdFactor(ar_sigma(4), "sigma0")
     assert np.abs(estimators.theta_hat_known(data, sigma0) - theta).max() < 1e-10
 
 
@@ -121,7 +121,7 @@ def test_theta_known_reduces_to_ols_for_canonical_z():
     z = np.vstack([np.eye(q), np.zeros((p - q, q))])
     y = rng.standard_normal((n, p))
     data = model.Dataset(Y=y, design=model.Design(X=x, Z=z))
-    theta = estimators.theta_hat_known(data, np.eye(p))
+    theta = estimators.theta_hat_known(data, linalg.SpdFactor(np.eye(p), "sigma0"))
     ols = np.linalg.lstsq(x, y[:, :q], rcond=None)[0]
     assert_allclose(theta, ols, atol=1e-10)
 
@@ -129,16 +129,9 @@ def test_theta_known_reduces_to_ols_for_canonical_z():
 def test_theta_known_normal_equation_residual():
     data, _, sigma = _random_instance(33)
     design = data.design
-    theta = estimators.theta_hat_known(data, sigma)
+    theta = estimators.theta_hat_known(data, linalg.SpdFactor(sigma, "sigma0"))
     resid = design.X.T @ (data.Y - design.X @ theta @ design.Z.T) @ np.linalg.solve(sigma, design.Z)
     assert np.abs(resid).max() < 1e-8 * max(1.0, np.abs(data.Y).max())
-
-
-def test_gamma_known_identity_contrast_equals_theta():
-    data, _, sigma = _random_instance(40)
-    contrast = model.Contrast(C=np.eye(data.design.m), D=np.eye(data.design.q))
-    gamma = estimators.gamma_hat_known(data, sigma, contrast)
-    assert np.array_equal(gamma, estimators.theta_hat_known(data, sigma))
 
 
 def test_gamma_known_zero_noise_exact():
@@ -146,7 +139,8 @@ def test_gamma_known_zero_noise_exact():
     theta = np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]])
     data = model.Dataset(Y=design.X @ theta @ design.Z.T, design=design)
     contrast = model.equality_contrast(3, 2)
-    gamma = estimators.gamma_hat_known(data, ar_sigma(4), contrast)
+    sigma0 = linalg.SpdFactor(ar_sigma(4), "sigma0")
+    gamma = contrast.apply(estimators.theta_hat_known(data, sigma0))
     assert np.abs(gamma - contrast.apply(theta)).max() < 1e-10
 
 
@@ -157,7 +151,7 @@ def test_gamma_known_matches_explicit_inverse_oracle():
     contrast = model.Contrast(
         C=rng.standard_normal((2, design.m)), D=rng.standard_normal((2, design.q))
     )
-    gamma = estimators.gamma_hat_known(data, sigma, contrast)
+    gamma = contrast.apply(estimators.theta_hat_known(data, linalg.SpdFactor(sigma, "sigma0")))
     # straight evaluation with explicit inverses
     s_inv = np.linalg.inv(sigma)
     theta = (
@@ -178,7 +172,7 @@ def test_gamma_known_matches_explicit_inverse_oracle():
 def test_h_matrix_identity_covariance_is_projector():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((5, 2))
-    h = estimators.h_matrix(np.eye(5), z)
+    h = estimators.h_matrix(linalg.SpdFactor(np.eye(5), "sigma"), z)
     assert_allclose(h, linalg.orth_projector(z), atol=1e-10)
 
 
@@ -186,7 +180,7 @@ def test_h_matrix_bridge_identity():
     rng = np.random.default_rng(71)
     z = rng.standard_normal((5, 2))
     sig = spd(rng, 5)
-    h = estimators.h_matrix(sig, z)
+    h = estimators.h_matrix(linalg.SpdFactor(sig, "sigma"), z)
     lhs = h @ z @ np.linalg.inv(z.T @ z)
     s_inv = np.linalg.inv(sig)
     rhs = s_inv @ z @ np.linalg.inv(z.T @ s_inv @ z)
@@ -194,40 +188,23 @@ def test_h_matrix_bridge_identity():
 
 
 def test_h_matrix_rejects_mismatched_z():
-    with pytest.raises(DimensionMismatch):
-        estimators.h_matrix(np.eye(4), np.ones((5, 1)))
+    with pytest.raises(DimensionMismatch) as exc:
+        estimators.h_matrix(linalg.SpdFactor(np.eye(4), "sigma"), np.ones((5, 1)))
+    assert str(exc.value) == "Z has 5 rows but sigma is 4 x 4"
 
 
-def _h_refusal(sigma, z):
-    """The type and text of the error h_matrix(sigma, z) raises, else None."""
-    try:
-        estimators.h_matrix(sigma, z)
-    except (NotSpd, DimensionMismatch) as exc:
-        return type(exc).__name__, str(exc)
-    return None
-
-
-def test_h_matrix_of_a_factor_equals_the_array_path_and_refuses_the_same():
-    rng = np.random.default_rng(17)
-    z = np.vander(TIMES4, 2, increasing=True)
-    sig = spd(rng, 4)
-    factor = linalg.SpdFactor(sig, "sigma")
-    assert np.array_equal(estimators.h_matrix(factor, z), estimators.h_matrix(sig, z))
-    # a factor with a mismatched Z is refused as the array is
-    z5 = np.ones((5, 1))
-    refused = _h_refusal(sig, z5)
-    assert refused is not None and _h_refusal(factor, z5) == refused
+def test_the_factor_h_matrix_takes_refuses_what_check_spd_refuses():
     # each has a Cholesky factor but fails check_spd (too ill conditioned, not
-    # symmetric at SYM_RTOL): building the factor raises what h_matrix raises
-    tilted = sig.copy()
+    # symmetric at SYM_RTOL)
+    tilted = spd(np.random.default_rng(17), 4)
     tilted[0, 1] += 1e-6
     for a in (np.diag([1.0, 1.0, 1.0, 1e-12]), tilted):
         np.linalg.cholesky(a)
-        refused = _h_refusal(a, z)
-        assert refused is not None and refused[0] == "NotSpd"
+        with pytest.raises(NotSpd) as expected:
+            linalg.check_spd(a, "sigma")
         with pytest.raises(NotSpd) as exc:
             linalg.SpdFactor(a, "sigma")
-        assert str(exc.value) == refused[1]
+        assert str(exc.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +277,7 @@ def test_two_stage_paths_agree(seed):
     # the known-sigma route fed sigma_hat runs the same GLS on the same arrays
     # (the random dense X is unbalanced, so X'X is not diagonal)
     sig = estimators.sigma_hat(data)
-    assert np.array_equal(estimators.gamma_hat_known(data, sig, contrast), a)
+    assert np.array_equal(contrast.apply(estimators.theta_hat_known(data, sig)), a)
     assert np.array_equal(estimators.theta_hat_known(data, sig), estimators.two_stage_theta(data))
 
 
@@ -383,8 +360,9 @@ def _moment_z(samples, mean, cov):
 def test_theta_known_covariance_is_exact_for_every_family(family, df):
     design, theta, sigma = _exact_design()
     noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
+    factor = linalg.SpdFactor(sigma, "sigma0")
     thetas = np.array([
-        estimators.theta_hat_known(model.simulate(design, theta, noise, seed), sigma).reshape(-1)
+        estimators.theta_hat_known(model.simulate(design, theta, noise, seed), factor).reshape(-1)
         for seed in range(EXACT_REPS)
     ])
     cov = _known_sigma_cov(design, sigma)

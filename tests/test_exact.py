@@ -3,16 +3,18 @@
 A float64 input is an exact binary rational, so ``fractions.Fraction`` gives
 the exact value of each quantity for that very input, and a route's error
 needs no second float route to trust. Each bound is c * cond * eps, with c
-set from measured draws.
+set from measured draws; the near-collinear reproducer asks for 1e-6.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcm import estimators, inference, linalg, model
+from shared import ar_sigma
 
 EPS = np.finfo(float).eps
 
@@ -70,11 +72,13 @@ def _sigma(rng, p):
 # c of each bound: over 60,000 draws of these strategies the worst relative
 # error / (cond * eps) was 6.9 for SpdFactor.inv, 2.0 for solve_spd(a, I), and
 # over cond(Z)^2 * eps 54 for h_matrix and 15 for the right factor; over 20,000
-# draws, over cond(Z' S^{-1} Z) * eps 2.5 for the GLS theta
+# draws, over cond(Z' S^{-1} Z) * eps 2.5 for the GLS theta, and over
+# cond(Z)^2 * eps 14.8 for the closed-form H (68 for h_matrix)
 C_INV = 32.0
 C_H = 256.0
 C_RIGHT = 64.0
 C_GLS = 16.0
+C_CLOSED_H = 64.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +113,14 @@ def test_h_and_the_right_factor_are_within_cond_z_squared_eps_of_exact(p, q, log
     h = _exact_matmul(s_inv_z, _exact_solve(g, _exact(z.T)))
     right = _exact_solve(g, _exact(np.eye(q)))
     cond2 = np.linalg.cond(z) ** 2
-    assert _rel_error(estimators.h_matrix(sig, z), h) <= C_H * cond2 * EPS
+    h_pinv = estimators.h_matrix(sig, z)
+    assert _rel_error(h_pinv, h) <= C_H * cond2 * EPS
+    # the closed form by two solve_spd calls, with no projector and no
+    # pseudo-inverse: the route a batched H takes
+    b = linalg.solve_spd(sig, z, "sigma")
+    closed = b @ linalg.solve_spd(z.T @ b, z.T, "Z' sigma^{-1} Z")
+    assert _rel_error(closed, h) <= C_CLOSED_H * cond2 * EPS
+    assert _rel_error(closed, h_pinv) <= (C_CLOSED_H + C_H) * cond2 * EPS
     contrast = model.Contrast(C=np.eye(1), D=np.eye(q))
     law = inference.cov_factors(np.eye(1), sig, z, contrast)
     assert _rel_error(law.right, right) <= C_RIGHT * cond2 * EPS
@@ -146,3 +157,31 @@ def test_gls_theta_is_within_cond_g_eps_of_the_exact_solve(p, q, m, log_cond, se
     data = model.Dataset(Y=y, design=model.Design(X=x, Z=z))
     bound = C_GLS * np.linalg.cond(np.array(g, dtype=float)) * EPS
     assert _rel_error(estimators.theta_hat_known(data, sig), exact) <= bound
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_theta_and_the_right_factor_on_near_collinear_times_are_within_1e_6_of_exact():
+    # times 1 + 3e-5 (0..4) pass validate's rank check (cond(Z) 2.8e9), but
+    # Z' sigma_hat^{-1} Z is formed and solved: theta comes out wrong in sign and
+    # size and the right factor's diagonal negative. The exact values are of
+    # the same float Y, with sigma_hat exact too
+    times = [1.0 + 3e-5 * k for k in range(5)]
+    design = model.potthoff_roy_design(2, 20, times, 3)
+    theta = np.array([[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]])
+    noise = model.NoiseSpec(family="gaussian", sigma=ar_sigma(5))
+    data = model.simulate(design, theta, noise, seed=3)
+    contrast = model.Contrast(C=np.array([[1.0, -1.0]]), D=np.eye(3))
+    x, z = design.X, design.Z
+    xt = _exact(x.T)
+    a = _exact_solve(_exact_matmul(xt, _exact(x)), _exact_matmul(xt, _exact(data.Y)))
+    fitted = _exact_matmul(_exact(x), a)
+    resid = [[y - f for y, f in zip(ry, rf)] for ry, rf in zip(_exact(data.Y), fitted)]
+    s = [[v / (design.n - design.m) for v in row]
+         for row in _exact_matmul(_transpose(resid), resid)]
+    b = _exact_solve(s, _exact(z))
+    g = _exact_matmul(_exact(z.T), b)
+    exact_theta = _transpose(_exact_solve(g, _transpose(_exact_matmul(a, b))))
+    sig = estimators.sigma_hat(data)
+    assert _rel_error(estimators.theta_hat_known(data, sig), exact_theta) <= 1e-6
+    right = inference.plugin_cov(design, sig, contrast).right
+    assert _rel_error(right, _exact_solve(g, _exact(np.eye(3)))) <= 1e-6

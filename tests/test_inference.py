@@ -65,7 +65,7 @@ def test_cov_factors_matches_unsimplified_form():
         C=rng.standard_normal((s, m)), D=rng.standard_normal((t, q))
     )
     law = inference.cov_factors(r_mat, sigma, z, contrast)
-    h = estimators.h_matrix(sigma, z)
+    h = estimators.h_matrix(linalg.SpdFactor(sigma, "sigma"), z)
     k = z @ np.linalg.inv(z.T @ z)
     right_unsimplified = contrast.D @ k.T @ h.T @ sigma @ h @ k @ contrast.D.T
     left = contrast.C @ np.linalg.inv(r_mat) @ contrast.C.T
@@ -135,7 +135,7 @@ def _unbalanced_problem(draw):
 @given(problem=_unbalanced_problem())
 def test_cov_factors_on_unbalanced_designs(problem):
     data, sigma, contrast = problem
-    x, z, n = data.design.X, data.design.Z, data.design.n
+    x, z = data.design.X, data.design.Z
     assert np.abs(x.T @ x - np.diag(np.diag(x.T @ x))).max() > 0.0
     c, d = contrast.C, contrast.D
 
@@ -163,7 +163,7 @@ def test_cov_factors_on_unbalanced_designs(problem):
         np.asarray(results["std_errors"]), inference.standard_errors(plugin)
     )
 
-    # the left standardizer of the whitened statistic is n times the plug-in left factor
+    # the left standardizer of the whitened statistic is the plug-in left factor
     with mock.patch.object(linalg, "inv_sqrt_spd", wraps=linalg.inv_sqrt_spd) as spy:
         try:
             inference.standardized_stat(data, contrast)
@@ -172,7 +172,7 @@ def test_cov_factors_on_unbalanced_designs(problem):
             # plug-in standardizer can be numerically singular
             w = np.linalg.eigvalsh(spy.call_args_list[-1].args[0])
             assert w[0] <= linalg.RANK_RTOL * w[-1]
-    assert np.array_equal(spy.call_args_list[0].args[0], n * plugin.left)
+    assert np.array_equal(spy.call_args_list[0].args[0], plugin.left)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +239,12 @@ def test_standardized_stat_takes_one_left_root_per_design_and_c():
         model.Contrast(C=rng.standard_normal((1, 4)), D=np.eye(3)),
         model.Contrast(C=c2.copy(), D=rng.standard_normal((1, 3))),
     ]
-    n = design.n
     for seed in range(3):
         data = model.simulate(design, theta, noise, seed=seed)
         sig, theta_hat = estimators.two_stage(data)
         for contrast in contrasts:
             law = inference.cov_factors(design.xtx_factor, sig, design.Z, contrast)
-            whitened = inference.AsymptoticLaw(n * law.left, law.right).whiten(
-                np.sqrt(n) * contrast.apply(theta_hat)
-            )
+            whitened = law.whiten(contrast.apply(theta_hat))
             with mock.patch.object(linalg, "inv_sqrt_spd", wraps=linalg.inv_sqrt_spd) as spy:
                 t_stat = inference.standardized_stat(data, contrast)
             assert np.array_equal(t_stat, whitened)

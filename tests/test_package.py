@@ -172,3 +172,20 @@ def test_every_failing_cli_call_is_checked_by_the_error_contract_helper():
     # exit code, the one stderr line and report.json together
     path = pathlib.Path(__file__).with_name("test_cli.py")
     assert _cli_test_offenders(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_linalg_tells_an_spd_factor_from_an_array():
+    # a fit takes its covariance as an SpdFactor; only linalg's primitives accept
+    # either, so no fit function grows a second way in
+    package = pathlib.Path(gcm.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                    and len(node.args) == 2 and any(
+                        getattr(n, "id", getattr(n, "attr", None)) == "SpdFactor"
+                        for n in ast.walk(node.args[1])):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
