@@ -177,10 +177,9 @@ def cmd_mc(args, kind: str) -> dict:
 def _write_dumps(out: str, cells: list, records: list) -> None:
     """One CSV per cell: the replicate index, then each record column in the record's order."""
     for cell, rec in zip(cells, records):
-        # %.17g prints the replicate index as str(int) does
         table = np.column_stack([np.arange(cell["replications"]), *rec.values()])
         path = os.path.join(out, "tables", f"replicates_r{cell['r']}.csv")
-        fileio.write_matrix_csv(path, table, ["replicate", *rec])
+        fileio.write_table_csv(path, ["replicate", *rec], table)
 
 
 def _write_report(args, results, errors=None) -> None:

@@ -61,8 +61,8 @@ def format_matrix_csv(a: np.ndarray, header: list | None = None):
         yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
 
 
-def write_matrix_csv(path: str, a: np.ndarray, header: list | None = None) -> None:
-    atomic_write(path, format_matrix_csv(a, header))
+def write_matrix_csv(path: str, a: np.ndarray) -> None:
+    atomic_write(path, format_matrix_csv(a))
 
 
 def read_matrix_csv(path: str, skip_header: bool = False) -> np.ndarray:
@@ -142,8 +142,8 @@ def _parse_matrix_lines(raw_lines: list, path: str, skip_header: bool) -> np.nda
     return np.asarray(rows, dtype=np.float64)
 
 
-def write_table_csv(path: str, header: list, rows: list) -> None:
-    """Write a small named-column table in the matrix format; None is written as nan.
+def write_table_csv(path: str, header: list, rows) -> None:
+    """Write named columns of ``rows`` (a list of rows or an array) as a matrix CSV; None is nan.
 
     %.17g prints an integer below 2**53 as str does, so counts and indices
     keep their integer form.

@@ -33,14 +33,9 @@ class AsymptoticLaw:
     def full(self) -> np.ndarray:
         return np.kron(self.left, self.right)
 
-    def whiten(self, x: np.ndarray, left_root: np.ndarray | None = None) -> np.ndarray:
-        """left^{-1/2} x right^{-1/2} for one s x t matrix or a stack of them.
-
-        ``left_root`` is ``inv_sqrt_spd(left)`` when the caller already has it.
-        """
-        if left_root is None:
-            left_root = linalg.inv_sqrt_spd(self.left)
-        return left_root @ x @ linalg.inv_sqrt_spd(self.right)
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """left^{-1/2} x right^{-1/2} for one s x t matrix or a stack of them."""
+        return linalg.inv_sqrt_spd(self.left) @ x @ linalg.inv_sqrt_spd(self.right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +94,11 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     gamma_hat whitened by its own plug-in law, ``plugin_cov``. Scaling the
     estimate by sqrt(n) and the left factor by n, as the limit law does,
     gives the same statistic, since n cancels. Entries are asymptotically iid
-    standard normal under gamma = 0. Raises NotSpd when either standardizer is
-    singular (C or D without full row rank). The left root depends on the
-    design and C only, so it is taken once per design and C and kept in
-    ``design.left_roots``; a singular one is not kept, and raises on every call.
+    standard normal under gamma = 0. Raises NotSpd, naming the standardizer,
+    when either is singular (C or D without full row rank). The left root
+    depends on the design and C only, so it is taken once per design and C and
+    kept in ``design.left_roots``; a singular one is not kept, and raises on
+    every call.
     """
     design = data.design
     contrast.check(design)
@@ -112,8 +108,9 @@ def standardized_stat(data: model.Dataset, contrast: model.Contrast) -> np.ndarr
     key = contrast.C.tobytes()
     root = design.left_roots.get(key)
     if root is None:
-        root = design.left_roots[key] = linalg.inv_sqrt_spd(law.left)
-    return law.whiten(contrast.apply(theta), root)
+        root = design.left_roots[key] = linalg.inv_sqrt_spd(law.left, "C (X'X)^{-1} C'")
+    right_root = linalg.inv_sqrt_spd(law.right, "D (Z' sigma_hat^{-1} Z)^{-1} D'")
+    return root @ contrast.apply(theta) @ right_root
 
 
 def chi_sq_p_value(chi_sq: float, dof: int) -> float:

@@ -162,12 +162,12 @@ def moore_penrose(a) -> np.ndarray:
     return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 
-def inv_sqrt_spd(a) -> np.ndarray:
+def inv_sqrt_spd(a, name: str = "matrix") -> np.ndarray:
     """Symmetric positive definite B with B A B = I, via spectral decomposition.
 
-    Refuses the inputs ``check_spd`` refuses, testing the eigenvalues of the
-    one ``eigh`` that also gives B.
+    Refuses the inputs ``check_spd(a, name)`` refuses, with the same error,
+    testing the eigenvalues of the one ``eigh`` that also gives B.
     """
-    _, w, v = _spd_spectrum(a, "inverse square root input")
+    _, w, v = _spd_spectrum(a, name)
     b = (v / np.sqrt(w)) @ v.T
     return (b + b.T) / 2.0

@@ -392,7 +392,8 @@ class Kind:
 
 
 def _check_full_row_rank(cfg: McConfig) -> None:
-    """Refuse C or D without full row rank by the SPD check the whitening applies."""
+    """Refuse C or D without full row rank by the SPD check of the limit law's factors, which
+    normality runs whiten by; level runs whiten by each replicate's plug-in law."""
     law = cfg.scenario.law()
     for factor, name in ((law.left, "C R^{-1} C'"), (law.right, "D (Z' sigma^{-1} Z)^{-1} D'")):
         try:

@@ -3,11 +3,14 @@
 Algebraic identities run at fixed tolerances; Monte Carlo criteria use fixed
 seeds with statistical bands sized for their replication counts (4 standard
 errors for means, binomial 99% bands for rates, the asymptotic 1% critical
-value for KS distances). Run with ``pytest tests/test_acceptance.py -v -s``
-to see every line.
+value for KS distances). Criteria 06 - 09 are the committed experiments: each
+``experiments/<kind>_<family>.json`` runs once, through ``gcm mc-<kind>``, and
+its bounds apply to the cells of the ``report.json`` that run writes. Run with
+``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,22 +162,37 @@ def test_criterion_05_unbiasedness(family, df):
 
 
 # ---------------------------------------------------------------------------
-# 6. consistency trends
+# 6 - 9. the committed experiments, each run once at full scale as the README runs it
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+
+def test_experiments_are_committed():
+    assert sorted(path.stem for path in EXPERIMENTS.glob("*.json")) == [
+        "consistency_gaussian", "consistency_uniform", "level_gaussian",
+        "level_student_t", "normality_gaussian", "normality_uniform",
+    ]
+
+
+def _run_experiment(tmp_path, kind, family, df=None) -> list:
+    """The cells of ``gcm mc-<kind> --config experiments/<kind>_<family>.json``.
+
+    The run must exit 0, echo the file as its inputs, noise of the ``family`` and
+    ``df`` it is named for included, and write the tables of its kind."""
+    path = EXPERIMENTS / f"{kind}_{family}.json"
+    out = tmp_path / path.stem
+    assert cli.main([f"mc-{kind}", "--config", str(path), "--out", str(out)]) == 0
+    report = fileio.read_json(str(out / "report.json"))
+    assert report["inputs"] == {**fileio.read_json(str(path)), "dump_replicates": False}
+    noise = report["inputs"]["scenario"]["noise"]
+    assert (noise["family"], noise.get("df")) == (family, df)
+    assert sorted(p.name for p in (out / "tables").iterdir()) == sorted(mc.KINDS[kind].tables)
+    return report["results"]["cells"]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
-def test_criterion_06_consistency_trends(family):
-    contrast = equality_contrast(3, 2)
-    scenario = Scenario(
-        m=3,
-        q=2,
-        times=TIMES4,
-        theta=np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]),
-        noise=NoiseSpec(family=family, sigma=ar_sigma(4)),
-        contrast=contrast,
-    )
-    cfg = McConfig(scenario=scenario, sample_sizes=(16, 64, 256), replications=500, seed=601)
-    cells, _ = mc.run("consistency", cfg)
+def test_criterion_06_consistency_trends(tmp_path, family):
+    cells = _run_experiment(tmp_path, "consistency", family)
     sig = [cell["median_sigma_err"] for cell in cells]
     gam = [cell["median_gamma_err"] for cell in cells]
     hgap = [cell["median_h_gap"] for cell in cells]
@@ -192,24 +210,11 @@ def test_criterion_06_consistency_trends(family):
     _check(6, f"median errors fall as r grows ({family})", ok, detail)
 
 
-# ---------------------------------------------------------------------------
-# 7 & 8. asymptotic covariance and coordinate normality (shared runs)
-
-
 @pytest.fixture(scope="module")
-def normality_cells():
-    cells = {}
-    for family in ("gaussian", "uniform"):
-        scenario = Scenario(
-            m=2,
-            q=2,
-            times=TIMES4,
-            theta=np.array([[1.0, 0.5], [2.0, 0.25]]),
-            noise=NoiseSpec(family=family, sigma=ar_sigma(4)),
-        )
-        cfg = McConfig(scenario=scenario, sample_sizes=(250,), replications=5000, seed=701)
-        (cells[family],), _ = mc.run("normality", cfg)
-    return cells
+def normality_cells(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("normality")
+    return {family: _run_experiment(tmp_path, "normality", family)[0]
+            for family in ("gaussian", "uniform")}
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
@@ -222,41 +227,27 @@ def test_criterion_07_covariance_match(normality_cells, family):
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_criterion_08_coordinate_normality(normality_cells, family):
-    cell = normality_cells[family]
-    ks_ok = np.all(cell["ks_distance"] < 0.0231)
-    skew_ok = np.all(np.abs(cell["coord_skewness"]) < 0.15)
-    kurt_ok = np.all(np.abs(cell["coord_ex_kurtosis"]) < 0.3)
+    # a report writes an undefined value as null, which dtype=float reads as nan
+    ks, skew, kurt = (np.array(normality_cells[family][key], dtype=float)
+                      for key in ("ks_distance", "coord_skewness", "coord_ex_kurtosis"))
+    ks_ok = np.all(ks < 0.0231)
+    skew_ok = np.all(np.abs(skew) < 0.15)
+    kurt_ok = np.all(np.abs(kurt) < 0.3)
     detail = (
-        f"max KS {cell['ks_distance'].max():.4f}, "
-        f"max |skew| {np.abs(cell['coord_skewness']).max():.3f}, "
-        f"max |ex kurt| {np.abs(cell['coord_ex_kurtosis']).max():.3f}"
+        f"max KS {ks.max():.4f}, "
+        f"max |skew| {np.abs(skew).max():.3f}, "
+        f"max |ex kurt| {np.abs(kurt).max():.3f}"
     )
     _check(8, f"whitened coordinates look standard normal ({family})",
            ks_ok and skew_ok and kurt_ok, detail)
-
-
-# ---------------------------------------------------------------------------
-# 9. test level under the null
 
 
 @pytest.mark.parametrize(
     "family,df,band",
     [("gaussian", None, (0.035, 0.065)), ("student_t", 6.0, (0.03, 0.07))],
 )
-def test_criterion_09_test_level(family, df, band):
-    contrast = equality_contrast(2, 2)
-    scenario = Scenario(
-        m=2,
-        q=2,
-        times=TIMES4,
-        theta=np.array([[1.0, 0.5], [1.0, 0.5]]),  # equal curves: gamma = 0
-        noise=NoiseSpec(family=family, sigma=ar_sigma(4), df=df),
-        contrast=contrast,
-    )
-    cfg = McConfig(
-        scenario=scenario, sample_sizes=(250,), replications=5000, seed=901, alpha=0.05
-    )
-    (cell,), _ = mc.run("level", cfg)
+def test_criterion_09_test_level(tmp_path, family, df, band):
+    (cell,) = _run_experiment(tmp_path, "level", family, df)
     ok = cell["failures"] == 0 and band[0] <= cell["rejection_rate"] <= band[1]
     _check(9, f"rejection rate near the nominal level ({family})", ok,
            f"rate {cell['rejection_rate']:.4f} in [{band[0]}, {band[1]}], "

@@ -1314,12 +1314,18 @@ def test_exit_4_on_a_singular_second_stage(tmp_path, command):
                                         "Z' sigma^{-1} Z is singular at working precision: "))
 
 
-def test_exit_5_on_singular_standardizer(sim_files, tmp_path):
-    fileio.write_matrix_csv(
-        str(sim_files / "C.csv"), np.array([[1.0, -1.0], [1.0, -1.0]])
-    )
+@pytest.mark.parametrize("name,standardizer", [
+    ("C", "C (X'X)^{-1} C'"), ("D", "D (Z' sigma_hat^{-1} Z)^{-1} D'"),
+], ids=["C", "D"])
+def test_exit_5_on_singular_standardizer(sim_files, tmp_path, name, standardizer):
+    # a repeated row leaves C or D without full row rank; the message names the
+    # standardizer that is singular
+    path = str(sim_files / f"{name}.csv")
+    fileio.write_matrix_csv(path, np.repeat(fileio.read_matrix_csv(path), 2, axis=0))
     argv = ["test", *_estimation_argv(sim_files), "--out", tmp_path / "o"]
-    assert _refused(argv, 5)["type"] == "NotSpd"
+    error = _refused(argv, 5)
+    assert error["type"] == "NotSpd"
+    assert error["message"].startswith(f"{standardizer} is not positive definite")
 
 
 @pytest.mark.parametrize("k", [0, 1, *(

@@ -116,7 +116,7 @@ def test_reader_takes_the_c_parser_for_written_matrices(tmp_path):
     path = tmp_path / "m.csv"
     for n in (50, 5000):
         a = np.random.default_rng(3).standard_normal((n, 4))
-        fileio.write_matrix_csv(str(path), a, ["a", "b", "c", "d"])
+        fileio.write_table_csv(str(path), ["a", "b", "c", "d"], a)
         with mock.patch.object(fileio, "_parse_matrix_lines", side_effect=AssertionError):
             back = fileio.read_matrix_csv(str(path), skip_header=True)
         assert back.tobytes() == a.tobytes()
@@ -248,7 +248,7 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     # a failed write leaves the file it would have replaced as it was
     fileio.write_matrix_csv(str(tmp_path / "d.csv"), np.eye(2))
     with pytest.raises(UnicodeEncodeError):
-        fileio.write_matrix_csv(str(tmp_path / "d.csv"), np.eye(2), ["\ud800", "b"])
+        fileio.write_table_csv(str(tmp_path / "d.csv"), ["\ud800", "b"], np.eye(2))
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
     assert (tmp_path / "d.csv").read_text() == "1,0\n0,1\n"
 
