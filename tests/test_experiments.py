@@ -1,4 +1,8 @@
-"""Each committed experiment config is a config of its kind and runs as one."""
+"""Each committed experiment config is a config of its kind and runs as one, at smoke scale.
+
+The list of committed configs is checked in test_acceptance.py, which also
+runs each one at its committed scale.
+"""
 
 import json
 from pathlib import Path
@@ -8,13 +12,6 @@ import pytest
 from gcm import cli, fileio, mc
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
-
-
-def test_experiments_are_committed():
-    assert [path.stem for path in CONFIGS] == [
-        "consistency_gaussian", "consistency_uniform", "level_gaussian",
-        "level_student_t", "normality_gaussian", "normality_uniform",
-    ]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
