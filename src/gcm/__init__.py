@@ -29,6 +29,7 @@ from .model import (
     NoiseSpec,
     equality_contrast,
     potthoff_roy_design,
+    shift,
     simulate,
     validate,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "NoiseSpec",
     "Dataset",
     "simulate",
+    "shift",
     "potthoff_roy_design",
     "equality_contrast",
     "validate",

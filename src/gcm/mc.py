@@ -10,7 +10,10 @@ shared replicate loop, cell summary and tables.
 
 Replicate i of sample-size cell j draws its seed from a substream keyed
 only on (seed, j, i), so reports are byte-identical regardless of the
-worker count. GCM_THREADS sets the number of worker processes (0 = one per
+worker count. Each replicate draws one dataset. A level replicate tests it
+and, for the power column, the same dataset shifted to the alternative
+(``model.shift``), so the null and power tests share their noise (common
+random numbers). GCM_THREADS sets the number of worker processes (0 = one per
 CPU, default 1), capped at the CPUs this process may run on.
 """
 
@@ -224,9 +227,10 @@ def record_columns(kind: str, s: int, t: int) -> list:
     return ["ok", *gamma_columns(s, t), *KINDS[kind].columns]
 
 
-def replicate_seed(seed: int, cell_index: int, rep: int, stream: int = 0) -> int:
+def replicate_seed(seed: int, cell_index: int, rep: int) -> int:
     """Deterministic 64-bit seed for one replicate, independent of scheduling."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(cell_index, rep, stream))
+    # the trailing 0 keeps each replicate's stream, and so every report, as earlier releases drew it
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(cell_index, rep, 0))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -251,10 +255,10 @@ def _worker_count() -> int:
 def _replicate(kind: str, cfg: McConfig, prep, cell_index: int, design, i: int) -> tuple:
     """Record of replicate ``i`` of one cell; a failed fit is ok = 0 with nan elsewhere."""
     spec, scenario = KINDS[kind], cfg.scenario
-    key = (cfg.seed, cell_index, i)
-    data = model.simulate(design, scenario.theta, scenario.noise, replicate_seed(*key))
+    seed = replicate_seed(cfg.seed, cell_index, i)
+    data = model.simulate(design, scenario.theta, scenario.noise, seed)
     try:
-        gam, extra = spec.replicate(cfg, prep, data, key)
+        gam, extra = spec.replicate(cfg, prep, data)
     except (TooFewSamples, NotSpd):
         width = len(record_columns(kind, scenario.contrast.s, scenario.contrast.t))
         return (0.0,) + (math.nan,) * (width - 1)
@@ -372,9 +376,9 @@ class Kind:
     """What one run kind adds to the shared replicate loop and cell summary.
 
     ``prepare(cfg)`` runs the kind's own config checks and returns the
-    per-run value each replicate reads. ``replicate(cfg, prep, data, key)``
-    fits one dataset, ``key`` being its ``replicate_seed`` arguments,
-    and returns gamma_hat and the values of the record ``columns``.
+    per-run value each replicate reads. ``replicate(cfg, prep, data)``
+    fits one dataset and returns gamma_hat and the values of the record
+    ``columns``.
     ``summarize(cell, records, ok, gam, scenario)`` gives the keys the kind
     adds to the cell once it has ``min_successes`` successes. ``tables`` maps
     each file under tables/ to its header and a (cfg, cell) -> rows function.
@@ -402,7 +406,7 @@ def _check_full_row_rank(cfg: McConfig) -> None:
             raise ConfigError(f"the contrast must have full row rank: {exc}") from exc
 
 
-def _gamma_replicate(cfg, prep, data, key) -> tuple:
+def _gamma_replicate(cfg, prep, data) -> tuple:
     return estimators.two_stage_gamma(data, cfg.scenario.contrast), ()
 
 
@@ -417,7 +421,7 @@ def _consistency_prepare(cfg: McConfig) -> np.ndarray:
     return estimators.h_matrix(sigma, cfg.scenario.z)
 
 
-def _consistency_replicate(cfg, h_true, data, key) -> tuple:
+def _consistency_replicate(cfg, h_true, data) -> tuple:
     sig, theta = estimators.two_stage(data)
     gam = cfg.scenario.contrast.apply(theta)
     return gam, (
@@ -469,10 +473,11 @@ def _normality_rows(cfg, cell) -> list:
 
 
 def _level_prepare(cfg: McConfig) -> np.ndarray:
-    """Needs gamma = 0 and a full-row-rank contrast; returns the fixed alternative.
+    """Needs gamma = 0 and a full-row-rank contrast; returns the fixed shift to the alternative.
 
-    That is theta with entry (i, j) bumped, i the first column C uses and j the
-    last column D uses, so gamma moves by the bump times C[:, i] D[:, j]' != 0.
+    That is the m x q delta that bumps theta's entry (i, j), i the first column C
+    uses and j the last column D uses, so gamma moves by the bump times
+    C[:, i] D[:, j]' != 0.
     """
     scenario = cfg.scenario
     if np.abs(scenario.gamma_true).max() > 1e-12:
@@ -481,19 +486,19 @@ def _level_prepare(cfg: McConfig) -> np.ndarray:
             f"got max |gamma| = {np.abs(scenario.gamma_true).max():.3e}"
         )
     _check_full_row_rank(cfg)
-    alt = scenario.theta.copy()
+    delta = np.zeros_like(scenario.theta)
     c, d = scenario.contrast.C, scenario.contrast.D
-    alt[np.flatnonzero(c.any(axis=0))[0], np.flatnonzero(d.any(axis=0))[-1]] += _ALT_BUMP
-    return alt
+    delta[np.flatnonzero(c.any(axis=0))[0], np.flatnonzero(d.any(axis=0))[-1]] = _ALT_BUMP
+    return delta
 
 
-def _level_replicate(cfg, theta_alt, data, key) -> tuple:
+def _level_replicate(cfg, delta, data) -> tuple:
+    """The null test on ``data`` and the power test on ``data`` shifted by ``delta``, which
+    shares its noise (common random numbers)."""
     contrast = cfg.scenario.contrast
     gam = estimators.two_stage_gamma(data, contrast)
     res = inference.test_gamma_zero(data, contrast, cfg.alpha)
-    alt_seed = replicate_seed(*key, stream=1)
-    data_alt = model.simulate(data.design, theta_alt, cfg.scenario.noise, alt_seed)
-    res_alt = inference.test_gamma_zero(data_alt, contrast, cfg.alpha)
+    res_alt = inference.test_gamma_zero(model.shift(data, delta), contrast, cfg.alpha)
     return gam, (res.chi_sq, float(res.reject), res_alt.chi_sq, float(res_alt.reject))
 
 

@@ -275,7 +275,23 @@ def simulate(design: Design, theta: np.ndarray, noise: NoiseSpec, seed: int) -> 
         raise DimensionMismatch(
             f"noise covariance is {noise.p} x {noise.p} but Z has {design.p} rows"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    # PCG64 keys its stream on SeedSequence(seed), as default_rng does, without the wrapper
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
     e = _standardized_rows(rng, noise, design.n) @ noise.chol.T
     y = design.X @ theta @ design.Z.T + e
     return Dataset(Y=y, design=design)
+
+
+def shift(data: Dataset, delta: np.ndarray) -> Dataset:
+    """The dataset Y + X delta Z' on the same design: ``data`` with theta moved by ``delta``.
+
+    The noise is ``data``'s own, so the shifted dataset has the same first-stage
+    residuals and sigma_hat, and its theta estimate moves by ``delta`` up to rounding.
+    ``delta`` is m x q and is checked as ``simulate`` checks theta.
+    """
+    design = data.design
+    validate(design)
+    delta = linalg.as_matrix(delta, "delta")
+    if delta.shape != (design.m, design.q):
+        raise DimensionMismatch(f"delta must be {design.m} x {design.q}, got {delta.shape}")
+    return Dataset(Y=data.Y + design.X @ delta @ design.Z.T, design=design)

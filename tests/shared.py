@@ -1,9 +1,11 @@
-"""Values and matrices that several test modules build the same way.
+"""Values, matrices and laws that several test modules build the same way.
 
 Not a test module: pytest collects nothing here.
 """
 
 import numpy as np
+
+from gcm import estimators, inference, model
 
 TIMES4 = (1.0, 2.0, 3.0, 4.0)
 
@@ -18,3 +20,46 @@ def spd(rng, p, jitter=0.5):
     """A random p x p SPD matrix G G' + jitter p I."""
     g = rng.standard_normal((p, p))
     return g @ g.T + jitter * p * np.eye(p)
+
+
+# ---------------------------------------------------------------------------
+# reparametrization laws: each transform rewrites (data, contrast) as the same model
+# in another basis, so gamma = C theta D' and the chi-square of gamma = 0 stay
+
+
+def x_basis(data, contrast, a):
+    """X -> XA and C -> CA: theta becomes A^{-1} theta."""
+    design = model.Design(X=data.design.X @ a, Z=data.design.Z)
+    return model.Dataset(Y=data.Y, design=design), model.Contrast(C=contrast.C @ a, D=contrast.D)
+
+
+def z_basis(data, contrast, t):
+    """Z -> ZT and D -> DT: theta becomes theta T^{-T}."""
+    design = model.Design(X=data.design.X, Z=data.design.Z @ t)
+    return model.Dataset(Y=data.Y, design=design), model.Contrast(C=contrast.C, D=contrast.D @ t)
+
+
+def y_basis(data, contrast, m):
+    """Y -> YM and Z -> M'Z: theta stays, the row covariance becomes M' sigma M."""
+    design = model.Design(X=data.design.X, Z=m.T @ data.design.Z)
+    return model.Dataset(Y=data.Y @ m, design=design), contrast
+
+
+def invariance_gaps(data, contrast, transform, matrix) -> tuple:
+    """Relative changes of the two-stage gamma_hat and of the chi-square of gamma = 0 when
+    ``transform(data, contrast, matrix)`` rewrites the problem; both are 0 in exact arithmetic."""
+    fits = [
+        (estimators.two_stage_gamma(d, c), inference.test_gamma_zero(d, c, 0.05).chi_sq)
+        for d, c in ((data, contrast), transform(data, contrast, matrix))
+    ]
+    (g0, chi0), (g1, chi1) = fits
+    return np.abs(g1 - g0).max() / np.abs(g0).max(), abs(chi1 - chi0) / chi0
+
+
+def mean_shift_gaps(data, contrast, delta) -> tuple:
+    """Largest entrywise changes of sigma_hat and of gamma_hat - C delta D' when Y moves to
+    Y + X delta Z' (``model.shift``); both are 0 in exact arithmetic."""
+    shifted = model.shift(data, delta)
+    s0, s1 = (estimators.sigma_hat(d).a for d in (data, shifted))
+    g0, g1 = (estimators.two_stage_gamma(d, contrast) for d in (data, shifted))
+    return np.abs(s1 - s0).max(), np.abs(g1 - (g0 + contrast.apply(delta))).max()

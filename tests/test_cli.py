@@ -21,7 +21,7 @@ from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, mc, model
 from gcm.errors import ConfigError, MatrixParseError, NotSpd
-from shared import TIMES4, ar_sigma
+from shared import TIMES4, ar_sigma, x_basis
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
@@ -1342,6 +1342,31 @@ def test_test_chi_sq_does_not_depend_on_the_time_unit(tmp_path, k):
     assert cli.main(["test", *_estimation_argv(data), "--out", str(tmp_path / "o")]) == 0
     chi_sq = fileio.read_json(str(tmp_path / "o" / "report.json"))["results"]["chi_sq"]
     assert chi_sq == pytest.approx(6.7550557063, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, 5, pytest.param(
+    6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 13"))])
+def test_test_chi_sq_does_not_depend_on_a_covariate_unit(tmp_path, k):
+    # X = [1, x] with x in a unit 10^k times smaller is x_basis with A = diag(1, 10^k).
+    # C = D = I test theta = 0, the same hypothesis in every unit, so chi^2 is the
+    # law's. At k = 6 the eigenvalue ratio of C (X'X)^{-1} C' falls below RANK_RTOL
+    # (eigenvalues in [2.891e-14, 2.500e-02]) and the test exits 5
+    rng = np.random.default_rng(1)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    design = model.Design(X=x, Z=np.vander(TIMES4, 2, increasing=True))
+    noise = model.NoiseSpec(family="gaussian", sigma=ar_sigma(4))
+    data = model.simulate(design, np.zeros((2, 2)), noise, seed=1)
+    identity = model.Contrast(C=np.eye(2), D=np.eye(2))
+    moved, _ = x_basis(data, identity, np.diag([1.0, 10.0**k]))
+    inputs = {"y": moved.Y, "x": moved.design.X, "z": design.Z, "c": np.eye(2), "d": np.eye(2)}
+    argv = ["test", "--out", str(tmp_path / "o")]
+    for name, mat in inputs.items():
+        fileio.write_matrix_csv(str(tmp_path / f"{name}.csv"), mat)
+        argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    assert cli.main(argv) == 0
+    chi_sq = fileio.read_json(str(tmp_path / "o" / "report.json"))["results"]["chi_sq"]
+    expected = inference.test_gamma_zero(data, identity, 0.05).chi_sq
+    assert chi_sq == pytest.approx(expected, rel=1e-9)
 
 
 def _leaves(doc, path=()):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gcm import estimators, fileio, mc, model
+from gcm import estimators, fileio, inference, mc, model
 from gcm.errors import ConfigError, NotSpd
 from shared import ar_sigma
 
@@ -138,18 +138,48 @@ def test_level_requires_null_theta():
     ],
 )
 def test_level_alternative_bumps_an_entry_the_contrast_reads(c, d, entry):
-    # theta[i, j] with i the first column C uses and j the last column D uses;
-    # for the identity and equality contrasts that is (0, q - 1)
+    # the shift to the alternative is delta[i, j] = 0.5 and 0 elsewhere, with i the first
+    # column C uses and j the last column D uses (for the identity and equality contrasts
+    # that is (0, q - 1)); the null theta is the part of all-ones that C theta D' does not
+    # read, not 0 unless the contrast is the identity, so delta differs from theta + delta
     contrast = model.Contrast(C=c, D=d)
+    c, d, ones = contrast.C, contrast.D, np.ones((2, 2))
+    theta = ones - np.linalg.pinv(c) @ c @ ones @ d.T @ np.linalg.pinv(d.T)
+    assert np.abs(theta).max() > 0.0 or np.array_equal(c, np.eye(2))
     scen = mc.Scenario(
-        m=2, q=2, times=(1.0, 2.0, 3.0, 4.0), theta=np.zeros((2, 2)),
+        m=2, q=2, times=(1.0, 2.0, 3.0, 4.0), theta=theta,
         noise=model.NoiseSpec(family="gaussian", sigma=ar_sigma(4)), contrast=contrast,
     )
-    alt = mc.KINDS["level"].prepare(_cfg(scenario=scen, sizes=(20,), reps=5))
+    delta = mc.KINDS["level"].prepare(_cfg(scenario=scen, sizes=(20,), reps=5))
     expected = np.zeros((2, 2))
     expected[entry] = 0.5
-    assert np.array_equal(alt, expected)
-    assert np.abs(contrast.apply(alt)).max() > 0.0
+    assert np.array_equal(delta, expected)
+    assert np.abs(contrast.apply(delta)).max() > 0.0
+
+
+def test_level_replicate_draws_one_dataset_and_tests_it_shifted_for_power(monkeypatch):
+    # the power column is the null dataset moved by delta (common random numbers):
+    # one seed and one simulate per replicate
+    monkeypatch.setenv("GCM_THREADS", "1")
+    cfg = _cfg(scenario=_scenario(equal_curves=True, contrast="equality"), sizes=(20,), reps=4)
+    calls = {"replicate_seed": [], "simulate": []}
+    for module, name in ((mc, "replicate_seed"), (model, "simulate")):
+        def counted(*args, original=getattr(module, name), name=name):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    (rec,) = mc.run("level", cfg)[1]
+    drawn = list(calls["simulate"])
+    assert calls["replicate_seed"] == [(314, 0, i) for i in range(4)]
+    assert len(drawn) == 4
+    delta = mc.KINDS["level"].prepare(cfg)
+    contrast = cfg.scenario.contrast
+    for i, (design, theta, noise, seed) in enumerate(drawn):
+        data = model.simulate(design, theta, noise, seed)
+        assert rec["chi_sq"][i] == inference.test_gamma_zero(data, contrast, 0.05).chi_sq
+        alt = inference.test_gamma_zero(model.shift(data, delta), contrast, 0.05)
+        assert (rec["chi_sq_alt"][i], rec["reject_alt"][i]) == (alt.chi_sq, float(alt.reject))
 
 
 def test_sizes_and_replications_are_bounded_before_anything_is_built():
@@ -187,7 +217,8 @@ def test_replicate_seed_depends_only_on_indices():
     assert a != mc.replicate_seed(7, 0, 4)
     assert a != mc.replicate_seed(7, 1, 3)
     assert a != mc.replicate_seed(8, 0, 3)
-    assert mc.replicate_seed(7, 0, 3, stream=1) != a
+    # spawn key (0, 3, 0) under entropy 7: the stream earlier releases drew replicate 3 from
+    assert a == 14934463995553021811
 
 
 def test_invalid_worker_env_rejected(monkeypatch):

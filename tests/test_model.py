@@ -242,6 +242,17 @@ def test_simulate_rejects_mismatched_theta():
             model.simulate(design, bad, noise, seed=1)
 
 
+@pytest.mark.parametrize("family,df", [("gaussian", None), ("uniform", None), ("student_t", 6.0)])
+def test_simulate_draws_the_default_rng_stream_of_its_seed(family, df):
+    # the generator is PCG64 on SeedSequence(seed), the stream default_rng(seed) gives
+    design, theta, noise = _scenario(family=family, df=df)
+    seed = 2**63 + 11
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    e = model._standardized_rows(rng, noise, design.n) @ noise.chol.T
+    expected = design.X @ theta @ design.Z.T + e
+    assert model.simulate(design, theta, noise, seed).Y.tobytes() == expected.tobytes()
+
+
 def test_simulate_rejects_mismatched_noise_covariance():
     design, theta, _ = _scenario()
     noise = model.NoiseSpec(family="gaussian", sigma=ar_sigma(3))
@@ -272,6 +283,45 @@ def test_simulate_rows_have_target_covariance(family, df):
     data = model.simulate(design, np.zeros((1, 2)), noise, seed=5150)
     emp = np.cov(data.Y, rowvar=False)
     assert np.linalg.norm(emp - sigma) / np.linalg.norm(sigma) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# shift
+
+
+def test_shift_moves_the_mean_and_keeps_the_first_stage():
+    design, theta, noise = _scenario(m=3, r=7)
+    data = model.simulate(design, theta, noise, seed=8)
+    delta = np.random.default_rng(9).standard_normal((design.m, design.q))
+    shifted = model.shift(data, delta)
+    assert shifted.design is design
+    assert np.array_equal(shifted.Y, data.Y + design.X @ delta @ design.Z.T)
+    a = estimators.sigma_hat(data).a
+    b = estimators.sigma_hat(shifted).a
+    assert np.abs(b - a).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_shift_rejects_a_delta_that_is_not_m_by_q():
+    design, theta, noise = _scenario()
+    data = model.simulate(design, theta, noise, seed=1)
+    for bad, error in (
+        (np.ones((3, 2)), DimensionMismatch),
+        (np.ones((2, 1)), DimensionMismatch),
+        (np.full((2, 2), np.inf), InvalidValue),
+        (np.ones(4), InvalidValue),
+    ):
+        with pytest.raises(error):
+            model.shift(data, bad)
+
+
+def test_shift_validates_the_design_first():
+    # a Dataset does not validate its design; shift refuses it as simulate does,
+    # before it looks at delta
+    design = model.Design(X=np.ones((5, 2)), Z=np.ones((4, 1)))
+    data = model.Dataset(Y=np.ones((5, 4)), design=design)
+    for delta in (np.ones((2, 1)), np.ones((3, 3))):
+        with pytest.raises(RankDeficient):
+            model.shift(data, delta)
 
 
 def test_sign_flip_leaves_first_stage_unchanged():
