@@ -51,19 +51,16 @@ class TestResult:
 
 
 def cov_factors(
-    a: np.ndarray | linalg.SpdFactor,
-    sigma: np.ndarray | linalg.SpdFactor,
-    z: np.ndarray,
-    contrast: model.Contrast,
+    a: linalg.SpdFactor, sigma: linalg.SpdFactor, z: np.ndarray, contrast: model.Contrast
 ) -> AsymptoticLaw:
     """Symmetrized covariance factors C a^{-1} C' and D (Z' sigma^{-1} Z)^{-1} D'.
 
-    ``a`` is X'X for the finite-sample plug-in or R = lim X'X/n for the
-    limit law; ``sigma`` is the true, known or first-stage covariance.
+    ``a`` is the SpdFactor of X'X for the finite-sample plug-in or of R = lim X'X/n
+    for the limit law; ``sigma`` that of the true, known or first-stage covariance.
     """
     c, d = contrast.C, contrast.D
-    left = c @ linalg.solve_spd(a, c.T, "X'X or R")
-    g = z.T @ linalg.solve_spd(sigma, z, "sigma")
+    left = c @ linalg.solve_spd(a, c.T)
+    g = z.T @ linalg.solve_spd(sigma, z)
     right = d @ linalg.solve_spd(g, d.T, "Z' sigma^{-1} Z")
     return AsymptoticLaw(left=(left + left.T) / 2.0, right=(right + right.T) / 2.0)
 

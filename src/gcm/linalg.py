@@ -9,6 +9,9 @@ reject NaN/Inf through ``as_matrix`` as ``orth_projector`` and
 check by Cholesky, then invert or solve by LU, and do not check for NaN.
 ``solve_spd`` on an SpdFactor is a matrix product. Every refusal is a
 ``NotSpd`` naming the matrix; no numpy ``LinAlgError`` leaves this module.
+Each covariance (sigma, X'X, sigma_hat, the limit R) is an SpdFactor built once
+by the object that holds it; only derived Gram matrices (Z'S^{-1}Z, Z'Z, a
+projector's A'A) reach ``solve_spd`` as arrays.
 """
 
 from __future__ import annotations
@@ -122,10 +125,10 @@ def gram_factor(a: np.ndarray) -> SpdFactor:
 def solve_spd(a: np.ndarray | SpdFactor, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``, an array or an SpdFactor.
 
-    On a factor the solve is ``a.inv @ b``. On an array it is ``gram_factor``'s
-    check, then LAPACK's ``gesv`` (numpy has no triangular solve), which stays
-    within 1e-12 of ``np.linalg.solve`` at cond 1e8 where a product with the
-    inverse would not.
+    On a factor the solve is ``a.inv @ b``. On an array, a derived Gram matrix,
+    it is ``gram_factor``'s check, then LAPACK's ``gesv`` (numpy has no triangular
+    solve), which stays within 1e-12 of ``np.linalg.solve`` at cond 1e8 where a
+    product with the inverse would not.
     """
     if isinstance(a, SpdFactor):
         return a.inv @ b

@@ -103,8 +103,8 @@ class Scenario:
 
     def law(self) -> inference.AsymptoticLaw:
         """Closed-form limit covariance factors; R = lim X'X/n is I_m / m."""
-        r_limit = np.eye(self.m) / self.m
-        return inference.cov_factors(r_limit, self.noise.sigma, self.z, self.contrast)
+        r_limit = linalg.SpdFactor(np.eye(self.m) / self.m, "R")
+        return inference.cov_factors(r_limit, self.noise.factor, self.z, self.contrast)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -417,8 +417,7 @@ def _consistency_prepare(cfg: McConfig) -> np.ndarray:
     """Sizes must increase; returns the true H that each replicate's H(Y) is measured against."""
     if list(cfg.sample_sizes) != sorted(cfg.sample_sizes):
         raise ConfigError("sample_sizes must be strictly increasing for consistency runs")
-    sigma = linalg.SpdFactor(cfg.scenario.noise.sigma, "sigma")
-    return estimators.h_matrix(sigma, cfg.scenario.z)
+    return estimators.h_matrix(cfg.scenario.noise.factor, cfg.scenario.z)
 
 
 def _consistency_replicate(cfg, h_true, data) -> tuple:

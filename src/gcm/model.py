@@ -3,7 +3,7 @@
 The model is Y = X Theta Z' + E with X (n x m) indexing individuals or
 groups, Z (p x q) the within-individual profile (typically polynomial in
 time), Theta the m x q coefficient matrix and the rows of E iid with mean
-zero and covariance Sigma.
+zero and covariance Sigma. Sigma and X'X are held as SpdFactors, built once.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ NOISE_FAMILIES = ("gaussian", "uniform", "student_t")
 _UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """Read-only copy of ``a``; the caller's array stays writable."""
-    out = a.copy()
+def _read_only(a) -> np.ndarray:
+    """Read-only float64 copy of ``a``; the caller's array stays writable."""
+    out = np.array(a, dtype=np.float64)
     out.flags.writeable = False
     return out
 
@@ -59,14 +59,9 @@ class Design:
         object.__setattr__(self, "Z", _read_only(linalg.as_matrix(self.Z, "Z")))
 
     @functools.cached_property
-    def xtx(self) -> np.ndarray:
-        """Gram matrix X'X."""
-        return _read_only(self.X.T @ self.X)
-
-    @functools.cached_property
     def xtx_factor(self) -> linalg.SpdFactor:
-        """X'X as the SpdFactor that every solve with it shares."""
-        return linalg.gram_factor(self.xtx)
+        """The Gram matrix X'X, read-only as ``.a``, as the SpdFactor every solve with it shares."""
+        return linalg.gram_factor(_read_only(self.X.T @ self.X))
 
     @functools.cached_property
     def rank_deficient(self) -> str | None:
@@ -141,13 +136,14 @@ class NoiseSpec:
     with a finite df > 4. Base draws are standardized to unit variance per
     coordinate before the covariance transform, so E rows always have
     covariance sigma.
-    ``sigma`` is held as a read-only copy and its Cholesky factor is
-    computed once.
+    ``sigma`` is held read-only as ``factor.a``, its SpdFactor, whose one ``eigh``
+    checks it; its Cholesky factor is computed once.
     """
 
     family: str
     sigma: np.ndarray
     df: float | None = None
+    factor: linalg.SpdFactor = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
@@ -163,7 +159,9 @@ class NoiseSpec:
             object.__setattr__(self, "df", float(self.df))
         elif self.df is not None:
             raise InvalidNoise(f"df is only meaningful for student_t, got {self.family!r}")
-        object.__setattr__(self, "sigma", _read_only(linalg.check_spd(self.sigma, "sigma")))
+        factor = linalg.SpdFactor(_read_only(self.sigma), "sigma")
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "sigma", factor.a)
 
     @property
     def p(self) -> int:

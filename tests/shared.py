@@ -22,6 +22,13 @@ def spd(rng, p, jitter=0.5):
     return g @ g.T + jitter * p * np.eye(p)
 
 
+def spd_of_cond(rng, p, log_cond):
+    """A random orthogonal basis with eigenvalues spread over 10**log_cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = (q * np.logspace(0.0, -log_cond, p)) @ q.T
+    return (a + a.T) / 2.0
+
+
 # ---------------------------------------------------------------------------
 # reparametrization laws: each transform rewrites (data, contrast) as the same model
 # in another basis, so gamma = C theta D' and the chi-square of gamma = 0 stay

@@ -3,7 +3,7 @@
 Algebraic identities run at fixed tolerances; Monte Carlo criteria use fixed
 seeds with statistical bands sized for their replication counts (4 standard
 errors for means, binomial 99% bands for rates, the asymptotic 1% critical
-value for KS distances). Criteria 06 - 09 are the committed experiments: each
+value for KS distances). Criteria 05 - 09 are the committed experiments: each
 ``experiments/<kind>_<family>.json`` runs once, through ``gcm mc-<kind>``, and
 its bounds apply to the cells of the ``report.json`` that run writes. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see every line.
@@ -19,9 +19,7 @@ from gcm import (
     Contrast,
     Dataset,
     Design,
-    McConfig,
     NoiseSpec,
-    Scenario,
     cli,
     equality_contrast,
     estimators,
@@ -135,29 +133,7 @@ def test_criterion_04_known_sigma_exact_recovery():
 
 
 # ---------------------------------------------------------------------------
-# 5. unbiasedness under symmetric errors
-
-
-@pytest.mark.parametrize("family,df", [("gaussian", None), ("uniform", None), ("student_t", 6.0)])
-def test_criterion_05_unbiasedness(family, df):
-    contrast = equality_contrast(3, 2)
-    scenario = Scenario(
-        m=3,
-        q=2,
-        times=TIMES4,
-        theta=np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]),
-        noise=NoiseSpec(family=family, sigma=ar_sigma(4), df=df),
-        contrast=contrast,
-    )
-    cfg = McConfig(scenario=scenario, sample_sizes=(20,), replications=10_000, seed=501)
-    (cell,), _ = mc.run("unbiasedness", cfg)
-    ok = cell["failures"] == 0 and not cell["bias_flagged"]
-    _check(5, f"gamma_hat unbiased within 4 SE ({family})", ok,
-           f"max |bias|/SE = {cell['max_abs_bias_in_se']:.2f}")
-
-
-# ---------------------------------------------------------------------------
-# 6 - 9. the committed experiments, each run once at full scale as the README runs it
+# 5 - 9. the committed experiments, each run once at full scale as the README runs it
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
@@ -166,6 +142,7 @@ def test_experiments_are_committed():
     assert sorted(path.stem for path in EXPERIMENTS.glob("*.json")) == [
         "consistency_gaussian", "consistency_uniform", "level_gaussian",
         "level_student_t", "normality_gaussian", "normality_uniform",
+        "unbiasedness_gaussian", "unbiasedness_student_t", "unbiasedness_uniform",
     ]
 
 
@@ -173,7 +150,8 @@ def _run_experiment(tmp_path, kind, family, df=None) -> list:
     """The cells of ``gcm mc-<kind> --config experiments/<kind>_<family>.json``.
 
     The run must exit 0, echo the file as its inputs, noise of the ``family`` and
-    ``df`` it is named for included, and write the tables of its kind."""
+    ``df`` it is named for included, and write the tables of its kind (a kind
+    without tables writes no tables/)."""
     path = EXPERIMENTS / f"{kind}_{family}.json"
     out = tmp_path / path.stem
     assert cli.main([f"mc-{kind}", "--config", str(path), "--out", str(out)]) == 0
@@ -181,8 +159,16 @@ def _run_experiment(tmp_path, kind, family, df=None) -> list:
     assert report["inputs"] == {**fileio.read_json(str(path)), "dump_replicates": False}
     noise = report["inputs"]["scenario"]["noise"]
     assert (noise["family"], noise.get("df")) == (family, df)
-    assert sorted(p.name for p in (out / "tables").iterdir()) == sorted(mc.KINDS[kind].tables)
+    assert sorted(p.name for p in (out / "tables").glob("*")) == sorted(mc.KINDS[kind].tables)
     return report["results"]["cells"]
+
+
+@pytest.mark.parametrize("family,df", [("gaussian", None), ("uniform", None), ("student_t", 6.0)])
+def test_criterion_05_unbiasedness(tmp_path, family, df):
+    (cell,) = _run_experiment(tmp_path, "unbiasedness", family, df)
+    ok = cell["failures"] == 0 and not cell["bias_flagged"]
+    _check(5, f"gamma_hat unbiased within 4 SE ({family})", ok,
+           f"max |bias|/SE = {cell['max_abs_bias_in_se']:.2f}")
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])

@@ -337,7 +337,7 @@ def _exact_design():
 def _known_sigma_cov(design, sigma):
     """(X'X)^-1 kron (Z' sigma^-1 Z)^-1: Cov(theta_hat.reshape(-1)) when sigma is known."""
     g = design.Z.T @ np.linalg.solve(sigma, design.Z)
-    return np.kron(np.linalg.inv(design.xtx), np.linalg.inv(g))
+    return np.kron(np.linalg.inv(design.xtx_factor.a), np.linalg.inv(g))
 
 
 def _moment_z(samples, mean, cov):

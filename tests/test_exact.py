@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcm import estimators, inference, linalg, model
-from shared import ar_sigma
+from shared import ar_sigma, spd_of_cond
 
 EPS = np.finfo(float).eps
 
@@ -52,12 +52,6 @@ def _orthonormal(rng, p, k):
     return np.linalg.qr(rng.standard_normal((p, k)))[0]
 
 
-def _spd_of_cond(rng, p, log_cond):
-    q = _orthonormal(rng, p, p)
-    a = (q * np.logspace(0.0, -log_cond, p)) @ q.T
-    return (a + a.T) / 2.0
-
-
 def _z_of_cond(rng, p, q, log_cond):
     """p x q Z with singular values spread over 10**log_cond."""
     return (_orthonormal(rng, p, q) * np.logspace(0.0, -log_cond, q)) @ _orthonormal(rng, q, q).T
@@ -88,7 +82,7 @@ C_CLOSED_H = 64.0
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_factor_and_array_inverses_are_within_cond_eps_of_the_exact_inverse(p, log_cond, seed):
-    a = _spd_of_cond(np.random.default_rng(seed), p, log_cond)
+    a = spd_of_cond(np.random.default_rng(seed), p, log_cond)
     exact = _exact_solve(_exact(a), _exact(np.eye(p)))
     bound = C_INV * np.linalg.cond(a) * EPS
     assert _rel_error(linalg.SpdFactor(a).inv, exact) <= bound
@@ -122,7 +116,7 @@ def test_h_and_the_right_factor_are_within_cond_z_squared_eps_of_exact(p, q, log
     assert _rel_error(closed, h) <= C_CLOSED_H * cond2 * EPS
     assert _rel_error(closed, h_pinv) <= (C_CLOSED_H + C_H) * cond2 * EPS
     contrast = model.Contrast(C=np.eye(1), D=np.eye(q))
-    law = inference.cov_factors(np.eye(1), sig, z, contrast)
+    law = inference.cov_factors(linalg.SpdFactor(np.eye(1), "R"), sig, z, contrast)
     assert _rel_error(law.right, right) <= C_RIGHT * cond2 * EPS
 
 

@@ -26,6 +26,6 @@ def test_experiment_runs_as_its_kind(tmp_path, monkeypatch, path):
     out = tmp_path / "out"
     monkeypatch.setenv("GCM_THREADS", "1")
     assert cli.main([f"mc-{kind}", "--config", str(config), "--out", str(out)]) == 0
-    assert sorted(p.name for p in (out / "tables").iterdir()) == sorted(mc.KINDS[kind].tables)
+    assert sorted(p.name for p in (out / "tables").glob("*")) == sorted(mc.KINDS[kind].tables)
     report = fileio.read_json(str(out / "report.json"))
     assert report["inputs"] == {**small, "dump_replicates": False}

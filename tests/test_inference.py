@@ -37,7 +37,8 @@ def test_cov_factors_balanced_design_left_factor():
     contrast = model.equality_contrast(m, q)
     design = model.potthoff_roy_design(m, 2, TIMES4, q)
     sigma = ar_sigma(4)
-    law = inference.cov_factors(np.eye(m) / m, sigma, design.Z, contrast)
+    r_limit, sigma = linalg.SpdFactor(np.eye(m) / m, "R"), linalg.SpdFactor(sigma, "sigma")
+    law = inference.cov_factors(r_limit, sigma, design.Z, contrast)
     assert_allclose(law.left, m * contrast.C @ contrast.C.T, atol=1e-12)
 
 
@@ -47,7 +48,8 @@ def test_cov_factors_identity_substitutions():
     z = rng.standard_normal((p, q))
     r_mat = spd(rng, m)
     contrast = model.Contrast(C=np.eye(m), D=np.eye(q))
-    law = inference.cov_factors(r_mat, np.eye(p), z, contrast)
+    identity = linalg.SpdFactor(np.eye(p), "sigma")
+    law = inference.cov_factors(linalg.SpdFactor(r_mat, "R"), identity, z, contrast)
     assert_allclose(law.left, np.linalg.inv(r_mat), atol=1e-10)
     assert_allclose(law.right, np.linalg.inv(z.T @ z), atol=1e-10)
 
@@ -64,8 +66,9 @@ def test_cov_factors_matches_unsimplified_form():
     contrast = model.Contrast(
         C=rng.standard_normal((s, m)), D=rng.standard_normal((t, q))
     )
-    law = inference.cov_factors(r_mat, sigma, z, contrast)
-    h = estimators.h_matrix(linalg.SpdFactor(sigma, "sigma"), z)
+    sigma_factor = linalg.SpdFactor(sigma, "sigma")
+    law = inference.cov_factors(linalg.SpdFactor(r_mat, "R"), sigma_factor, z, contrast)
+    h = estimators.h_matrix(sigma_factor, z)
     k = z @ np.linalg.inv(z.T @ z)
     right_unsimplified = contrast.D @ k.T @ h.T @ sigma @ h @ k @ contrast.D.T
     left = contrast.C @ np.linalg.inv(r_mat) @ contrast.C.T
@@ -140,7 +143,9 @@ def test_cov_factors_on_unbalanced_designs(problem):
     c, d = contrast.C, contrast.D
 
     # the shared factors against explicit inverses
-    law = inference.cov_factors(x.T @ x, sigma, z, contrast)
+    law = inference.cov_factors(
+        linalg.gram_factor(x.T @ x), linalg.SpdFactor(sigma, "sigma"), z, contrast
+    )
     left = c @ np.linalg.inv(x.T @ x) @ c.T
     right = d @ np.linalg.inv(z.T @ np.linalg.inv(sigma) @ z) @ d.T
     assert_allclose(law.left, left, rtol=1e-9, atol=1e-9 * np.abs(left).max())

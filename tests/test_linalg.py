@@ -8,18 +8,11 @@ from numpy.testing import assert_allclose
 
 from gcm import linalg, model
 from gcm.errors import NotSpd, RankDeficient
-from shared import spd
+from shared import spd, spd_of_cond
 
 
 # ---------------------------------------------------------------------------
 # solve_spd
-
-
-def _spd_of_cond(rng, p, log_cond):
-    """Random orthogonal basis with eigenvalues spread over 10**log_cond."""
-    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    a = (q * np.logspace(0.0, -log_cond, p)) @ q.T
-    return (a + a.T) / 2.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -31,7 +24,7 @@ def _spd_of_cond(rng, p, log_cond):
 )
 def test_solve_spd_matches_general_solve(p, k, log_cond, seed):
     rng = np.random.default_rng(seed)
-    a = _spd_of_cond(rng, p, log_cond)
+    a = spd_of_cond(rng, p, log_cond)
     b = rng.standard_normal((p, k))
     x = linalg.solve_spd(a, b)
     assert x.shape == (p, k)
@@ -64,7 +57,7 @@ def test_factor_solves_match_the_array_path(p, k, log_cond, seed, unbalanced):
         a = factor.a
         assert np.abs(a - np.diag(np.diag(a))).max() > 0.0
     else:
-        a = _spd_of_cond(rng, p, log_cond)
+        a = spd_of_cond(rng, p, log_cond)
         factor = linalg.SpdFactor(a)
     assert np.array_equal(factor.inv, factor.inv.T) and not factor.inv.flags.writeable
     b = rng.standard_normal((p, k))
@@ -113,6 +106,7 @@ def test_spd_factor_refuses_exactly_what_check_spd_refuses(p, low, scale, seed):
     a = _refusal_draw(p, low, scale, seed)
     refused = _refusal(lambda: linalg.check_spd(a, "sigma"))
     assert _refusal(lambda: linalg.SpdFactor(a, "sigma")) == refused
+    assert _refusal(lambda: model.NoiseSpec(family="gaussian", sigma=a)) == refused
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,7 +144,8 @@ def test_a_zero_lu_pivot_after_a_passing_cholesky_is_not_spd():
 def test_design_xtx_factor_is_one_object_per_design():
     design = model.potthoff_roy_design(3, 4, (1.0, 2.0, 3.0), 2)
     factor = design.xtx_factor
-    assert design.xtx_factor is factor and factor.a is design.xtx
+    assert design.xtx_factor is factor and not factor.a.flags.writeable
+    assert np.array_equal(factor.a, design.X.T @ design.X)
     other = model.potthoff_roy_design(3, 4, (1.0, 2.0, 3.0), 2)
     assert other.xtx_factor is not factor
     assert_allclose(factor.inv, np.eye(3) / 4.0, rtol=1e-15)

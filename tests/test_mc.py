@@ -376,6 +376,22 @@ def test_factorizations_per_replicate_stay_at_their_counts(monkeypatch, factoriz
     assert (count(10) - count(2)) / 8 <= most
 
 
+def test_sigma_is_decomposed_once_by_its_noise_spec(factorizations):
+    # the noise spec's eigh is sigma's only one: the true H takes its factor, and the
+    # limit law's one eigh is R's
+    def eighs():
+        count = [f.__name__ for f in factorizations].count("eigh")
+        factorizations.clear()
+        return count
+
+    scenario = _scenario()
+    assert eighs() == 1
+    mc._consistency_prepare(_cfg(scenario))
+    assert eighs() == 0
+    scenario.law()
+    assert eighs() == 1
+
+
 def test_summaries_recompute_exactly_from_records():
     cfg = _cfg(reps=50)
     cells, records = mc.run("consistency", cfg)

@@ -179,7 +179,8 @@ def test_design_and_noise_hold_read_only_copies():
     sigma = ar_sigma(4)
     design = model.Design(X=x, Z=z)
     noise = model.NoiseSpec(family="gaussian", sigma=sigma)
-    for held in (design.X, design.Z, design.xtx, design.xtx_factor.inv, noise.sigma, noise.chol):
+    held_factors = (design.xtx_factor.a, design.xtx_factor.inv, noise.sigma, noise.factor.inv)
+    for held in (design.X, design.Z, *held_factors, noise.chol):
         assert not held.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             held[0, 0] = 5.0
@@ -187,7 +188,8 @@ def test_design_and_noise_hold_read_only_copies():
         assert given.flags.writeable
     x[0, 0] = 7.0
     assert design.X[0, 0] == 1.0
-    assert np.array_equal(design.xtx, design.X.T @ design.X)
+    assert np.array_equal(design.xtx_factor.a, design.X.T @ design.X)
+    assert noise.sigma is noise.factor.a and np.array_equal(noise.sigma, sigma)
     assert np.array_equal(noise.chol, np.linalg.cholesky(sigma))
 
 

@@ -174,9 +174,15 @@ def test_every_failing_cli_call_is_checked_by_the_error_contract_helper():
     assert _cli_test_offenders(path.read_text(encoding="utf-8")) == []
 
 
+def _names(node) -> set:
+    """Every name and attribute name in the expression ``node``."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
 def test_only_linalg_tells_an_spd_factor_from_an_array():
-    # a fit takes its covariance as an SpdFactor; only linalg's primitives accept
-    # either, so no fit function grows a second way in
+    # a fit or a law takes its covariance as an SpdFactor; only linalg's primitives
+    # accept either, so no function outside linalg tests for a factor or annotates
+    # a parameter that admits both
     package = pathlib.Path(gcm.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -184,8 +190,9 @@ def test_only_linalg_tells_an_spd_factor_from_an_array():
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
-                    and len(node.args) == 2 and any(
-                        getattr(n, "id", getattr(n, "attr", None)) == "SpdFactor"
-                        for n in ast.walk(node.args[1])):
+                    and len(node.args) == 2 and "SpdFactor" in _names(node.args[1]):
                 offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.arg) and node.annotation is not None \
+                    and {"ndarray", "SpdFactor"} <= _names(node.annotation):
+                offenders.append(f"{path.name}:{node.lineno}: {node.arg}")
     assert offenders == []
