@@ -8,6 +8,8 @@ import numpy as np
 from gcm import estimators, inference, model
 
 TIMES4 = (1.0, 2.0, 3.0, 4.0)
+# distinct times that pass validate's rank check, with cond(Z) 2.8e9 at q = 3
+NEAR_COLLINEAR_TIMES = tuple(1.0 + 3e-5 * k for k in range(5))
 
 
 def ar_sigma(p, rho=0.4):
@@ -27,6 +29,18 @@ def spd_of_cond(rng, p, log_cond):
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     a = (q * np.logspace(0.0, -log_cond, p)) @ q.T
     return (a + a.T) / 2.0
+
+
+def zero_pivot_x():
+    """The 40 x 3 X = [1, b, b + 3e-9 e] (b, e standard normal) and the rng that drew it.
+
+    X has full column rank at RANK_RTOL (singular value ratio 1.3e-9), yet X'X
+    has a Cholesky factor and a zero LU pivot. A caller draws Y from the rng.
+    """
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(40)
+    e = rng.standard_normal(40)
+    return np.column_stack([np.ones(40), b, b + 3e-9 * e]), rng
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +64,11 @@ def y_basis(data, contrast, m):
     """Y -> YM and Z -> M'Z: theta stays, the row covariance becomes M' sigma M."""
     design = model.Design(X=data.design.X, Z=m.T @ data.design.Z)
     return model.Dataset(Y=data.Y @ m, design=design), contrast
+
+
+def identity_contrast(design):
+    """The contrast whose gamma is theta."""
+    return model.Contrast(C=np.eye(design.m), D=np.eye(design.q))
 
 
 def invariance_gaps(data, contrast, transform, matrix) -> tuple:

@@ -21,7 +21,7 @@ from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, mc, model
 from gcm.errors import ConfigError, MatrixParseError, NotSpd
-from shared import TIMES4, ar_sigma, x_basis
+from shared import NEAR_COLLINEAR_TIMES, TIMES4, ar_sigma, x_basis, zero_pivot_x
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
@@ -896,25 +896,17 @@ def test_exit_2_on_invalid_design(tmp_path):
 
 
 def test_exit_2_on_an_x_whose_gram_matrix_does_not_factor(tmp_path):
-    # X = [1, b, b + 3e-9 e] passes the rank check on its singular values
-    # (ratio 1.3e-9), but X'X does not factor: a refused design, not a crash
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(40)
-    e = rng.standard_normal(40)
+    # X passes the rank check on its singular values, but X'X does not factor:
+    # a refused design, not a crash
+    x, rng = zero_pivot_x()
     d = tmp_path
-    fileio.write_matrix_csv(str(d / "X.csv"), np.column_stack([np.ones(40), b, b + 3e-9 * e]))
+    fileio.write_matrix_csv(str(d / "X.csv"), x)
     fileio.write_matrix_csv(str(d / "Y.csv"), rng.standard_normal((40, 4)))
     fileio.write_matrix_csv(str(d / "Z.csv"), np.vander(TIMES4, 2, increasing=True))
     fileio.write_matrix_csv(str(d / "C.csv"), np.array([[0.0, 1.0, -1.0]]))
     fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
     error = _estimate_refused(d, d)
     assert error["type"] == "RankDeficient" and error["message"].startswith("X'X ")
-
-
-def test_exit_2_on_unknown_config_key(tmp_path):
-    cfg = _mc_config(tmp_path, bogus=1)
-    error = _refused(["mc-consistency", "--config", cfg, "--out", tmp_path / "o"], 2)
-    assert error["type"] == "ConfigError" and "'bogus'" in error["message"]
 
 
 def test_exit_2_on_repeated_config_key(tmp_path):
@@ -927,21 +919,6 @@ def test_exit_2_on_repeated_config_key(tmp_path):
     assert error["type"] == "ConfigError"
     assert str(cfg) in error["message"] and "'replications'" in error["message"]
     assert not (out / "tables").exists()
-
-
-@pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
-def test_exit_2_on_unknown_noise_key(tmp_path, command):
-    scenario = _scenario_dict(family="uniform")
-    scenario["noise"]["sd"] = 5
-    docs = {
-        "simulate": {"scenario": scenario, "r": 8, "seed": 1},
-        "mc-consistency": {"scenario": scenario, "sample_sizes": [8], "replications": 2, "seed": 1},
-    }
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(docs[command]))
-    error = _refused([command, "--config", cfg, "--out", tmp_path / "o"], 2)
-    assert error["type"] == "ConfigError"
-    assert "'sd'" in error["message"]
 
 
 @pytest.mark.parametrize("sigma", [[[float("nan")] * 4] * 4, [[1.0, 0.0], [0.0, 1.0]]])
@@ -1033,34 +1010,13 @@ def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["mc-consistency", "simulate"])
-def test_exit_2_on_non_spd_scenario_sigma(tmp_path, command):
-    scenario = _scenario_dict()
-    scenario["sigma"] = np.diag([1.0, -1.0, 1.0, 1.0]).tolist()
-    docs = {
-        "simulate": {"scenario": scenario, "r": 8, "seed": 1},
-        "mc-consistency": {"scenario": scenario, "sample_sizes": [8], "replications": 2, "seed": 1},
-    }
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(docs[command]))
-    error = _refused([command, "--config", cfg, "--out", tmp_path / "o"], 2)
-    assert error["type"] == "ConfigError"
-    assert "sigma" in error["message"]
-
-
-@pytest.mark.parametrize("seed", [-3, 1.7, 2**70])
-def test_exit_2_on_malformed_config_seed(tmp_path, seed):
-    cfg = _mc_config(tmp_path, seed=seed)
-    error = _refused(["mc-consistency", "--config", cfg, "--out", tmp_path / "o"], 2)
-    assert error["type"] == "ConfigError"
-    assert "seed" in error["message"]
-
-
 _RAGGED = [[1.0, 0.5], [2.0]]
 # a theta nested 900 deep, which read_json reads: refused as malformed, not by a RecursionError
 _DEEP = json.loads("[" * 900 + "1.0" + "]" * 900)
 # a 200000-row theta with one string entry, whose whole repr is 2.4 MB
 _HUGE = [[1.0, 0.5]] * 100000 + [["x", 0.5]] + [[1.0, 0.5]] * 99999
+_UNKNOWN_NOISE_KEY = {"family": "uniform", "df": None, "sd": 5}
+_INDEFINITE = np.diag([1.0, -1.0, 1.0, 1.0]).tolist()
 
 
 @pytest.mark.parametrize(
@@ -1099,6 +1055,16 @@ _HUGE = [[1.0, 0.5]] * 100000 + [["x", 0.5]] + [[1.0, 0.5]] * 99999
         ("simulate", ("scenario", "theta"), _HUGE, "theta"),
         ("mc-level", ("sample_sizes",), {"sizes": "8" * 10**6}, "sample_sizes"),
         ("mc-level", ("scenario", "k" * 10**6), 1.0, "unknown scenario keys"),
+        ("mc-consistency", ("bogus",), 1, "unknown config keys: ['bogus']"),
+        ("mc-consistency", ("seed",), -3, "seed must be an integer"),
+        ("mc-consistency", ("seed",), 1.7, "seed must be an integer"),
+        ("mc-consistency", ("seed",), 2**70, "seed must be an integer"),
+        ("mc-consistency", ("scenario", "noise"), _UNKNOWN_NOISE_KEY,
+         "unknown scenario noise keys: ['sd']"),
+        ("simulate", ("scenario", "noise"), _UNKNOWN_NOISE_KEY,
+         "unknown scenario noise keys: ['sd']"),
+        ("mc-consistency", ("scenario", "sigma"), _INDEFINITE, "scenario key 'sigma'"),
+        ("simulate", ("scenario", "sigma"), _INDEFINITE, "scenario key 'sigma'"),
     ],
 )
 def test_exit_2_on_malformed_config_value(tmp_path, command, path, value, name):
@@ -1287,10 +1253,9 @@ def test_exit_4_on_noise_free_data(tmp_path):
     assert _estimate_refused(d, d, 4)["type"] == "NotSpd"
 
 
-def _q3_data(tmp_path, theta, times=None, seed=3, c=((1.0, -1.0),)) -> Path:
+def _q3_data(tmp_path, theta, times=NEAR_COLLINEAR_TIMES, seed=3, c=((1.0, -1.0),)) -> Path:
     """simulate output with m = 2, r = 20, q = 3 and AR(0.4) sigma, with C = ``c`` and
-    D = I; the times are 1 + 3e-5 (0..4) (cond(Z) 2.8e9) unless given."""
-    times = [1.0 + 3e-5 * k for k in range(5)] if times is None else times
+    D = I."""
     scenario = {**_scenario_dict(contrast="identity"), "q": 3, "times": times,
                 "sigma": ar_sigma(5).tolist(), "theta": theta}
     sim = tmp_path / "sim.json"

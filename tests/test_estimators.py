@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from gcm import estimators, linalg, model
 from gcm.errors import DimensionMismatch, NotSpd, TooFewSamples
-from shared import TIMES4, ar_sigma, mean_shift_gaps, spd
+from shared import TIMES4, ar_sigma, identity_contrast, mean_shift_gaps, spd
 
 
 def _random_instance(seed, n=20, m=3, p=5, q=2, noise_scale=1.0):
@@ -25,11 +25,6 @@ def _random_instance(seed, n=20, m=3, p=5, q=2, noise_scale=1.0):
         mean = x @ theta @ z.T
         data = model.Dataset(Y=mean + noise_scale * (data.Y - mean), design=design)
     return data, theta, sigma
-
-
-def _identity(design):
-    """The contrast whose gamma is theta."""
-    return model.Contrast(C=np.eye(design.m), D=np.eye(design.q))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +74,7 @@ def test_sigma_hat_translation_invariant():
     design = data.design
     rng = np.random.default_rng(99)
     delta = rng.standard_normal((design.m, design.q))
-    sigma_gap, _ = mean_shift_gaps(data, _identity(design), delta)
+    sigma_gap, _ = mean_shift_gaps(data, identity_contrast(design), delta)
     a = estimators.sigma_hat(data).a
     assert sigma_gap < 1e-12 * max(1.0, np.abs(a).max())
 
@@ -112,8 +107,10 @@ def test_theta_known_exact_recovery_zero_noise():
     design = model.potthoff_roy_design(3, 4, TIMES4, 2)
     theta = np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]])
     data = model.Dataset(Y=design.X @ theta @ design.Z.T, design=design)
-    sigma0 = linalg.SpdFactor(ar_sigma(4), "sigma0")
-    assert np.abs(estimators.theta_hat_known(data, sigma0) - theta).max() < 1e-10
+    contrast = model.equality_contrast(3, 2)
+    theta_hat = estimators.theta_hat_known(data, linalg.SpdFactor(ar_sigma(4), "sigma0"))
+    assert np.abs(theta_hat - theta).max() < 1e-10
+    assert np.abs(contrast.apply(theta_hat) - contrast.apply(theta)).max() < 1e-10
 
 
 def test_theta_known_reduces_to_ols_for_canonical_z():
@@ -136,16 +133,6 @@ def test_theta_known_normal_equation_residual():
     theta = estimators.theta_hat_known(data, linalg.SpdFactor(sigma, "sigma0"))
     resid = design.X.T @ (data.Y - design.X @ theta @ design.Z.T) @ np.linalg.solve(sigma, design.Z)
     assert np.abs(resid).max() < 1e-8 * max(1.0, np.abs(data.Y).max())
-
-
-def test_gamma_known_zero_noise_exact():
-    design = model.potthoff_roy_design(3, 4, TIMES4, 2)
-    theta = np.array([[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]])
-    data = model.Dataset(Y=design.X @ theta @ design.Z.T, design=design)
-    contrast = model.equality_contrast(3, 2)
-    sigma0 = linalg.SpdFactor(ar_sigma(4), "sigma0")
-    gamma = contrast.apply(estimators.theta_hat_known(data, sigma0))
-    assert np.abs(gamma - contrast.apply(theta)).max() < 1e-10
 
 
 def test_gamma_known_matches_explicit_inverse_oracle():
@@ -228,17 +215,9 @@ def test_two_stage_theta_error_decays_linearly_with_noise():
     assert 10 < errors[1] / errors[2] < 1000
 
 
-def test_two_stage_theta_equivariance():
-    # under the identity contrast gamma_hat is theta_hat, bit for bit
-    data, _, _ = _random_instance(81)
-    design = data.design
-    delta = np.random.default_rng(82).standard_normal((design.m, design.q))
-    assert mean_shift_gaps(data, _identity(design), delta)[1] < 1e-9
-
-
 def test_two_stage_theta_matches_pinv_route():
     data, _, _ = _random_instance(90)
-    contrast = model.Contrast(C=np.eye(data.design.m), D=np.eye(data.design.q))
+    contrast = identity_contrast(data.design)
     theta = estimators.two_stage_theta(data)
     via_h = estimators.two_stage_gamma_pinv(data, contrast)
     assert np.abs(theta - via_h).max() < 1e-8
@@ -246,20 +225,9 @@ def test_two_stage_theta_matches_pinv_route():
 
 def test_two_stage_gamma_identity_contrast_equals_theta():
     data, _, _ = _random_instance(91)
-    contrast = model.Contrast(C=np.eye(data.design.m), D=np.eye(data.design.q))
+    contrast = identity_contrast(data.design)
     gamma = estimators.two_stage_gamma(data, contrast)
     assert np.array_equal(gamma, estimators.two_stage_theta(data))
-
-
-def test_two_stage_gamma_equivariance():
-    data, _, _ = _random_instance(92)
-    design = data.design
-    rng = np.random.default_rng(93)
-    contrast = model.Contrast(
-        C=rng.standard_normal((2, design.m)), D=rng.standard_normal((1, design.q))
-    )
-    delta = rng.standard_normal((design.m, design.q))
-    assert mean_shift_gaps(data, contrast, delta)[1] < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcm import estimators, inference, linalg, model
-from shared import ar_sigma, spd_of_cond
+from shared import NEAR_COLLINEAR_TIMES, ar_sigma, spd_of_cond
 
 EPS = np.finfo(float).eps
 
@@ -155,12 +155,11 @@ def test_gls_theta_is_within_cond_g_eps_of_the_exact_solve(p, q, m, log_cond, se
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
 def test_theta_and_the_right_factor_on_near_collinear_times_are_within_1e_6_of_exact():
-    # times 1 + 3e-5 (0..4) pass validate's rank check (cond(Z) 2.8e9), but
+    # the near-collinear times pass validate's rank check (cond(Z) 2.8e9), but
     # Z' sigma_hat^{-1} Z is formed and solved: theta comes out wrong in sign and
     # size and the right factor's diagonal negative. The exact values are of
     # the same float Y, with sigma_hat exact too
-    times = [1.0 + 3e-5 * k for k in range(5)]
-    design = model.potthoff_roy_design(2, 20, times, 3)
+    design = model.potthoff_roy_design(2, 20, NEAR_COLLINEAR_TIMES, 3)
     theta = np.array([[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]])
     noise = model.NoiseSpec(family="gaussian", sigma=ar_sigma(5))
     data = model.simulate(design, theta, noise, seed=3)

@@ -9,11 +9,14 @@ far below the bound of 1e-9.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcm import model
-from shared import invariance_gaps, mean_shift_gaps, spd, x_basis, y_basis, z_basis
+from shared import (
+    identity_contrast, invariance_gaps, mean_shift_gaps, spd, x_basis, y_basis, z_basis,
+)
 
 BOUND = 1e-9
 
@@ -41,18 +44,13 @@ def _matrix(rng, rows, cols):
     return (u * rng.uniform(1.0, 4.0, min(rows, cols))) @ vt
 
 
+@pytest.mark.parametrize("transform, size", [(x_basis, "m"), (z_basis, "q")], ids=["x", "z"])
 @settings(max_examples=40, deadline=None)
 @given(problem=_problem())
-def test_gamma_and_chi_sq_do_not_depend_on_the_basis_of_x(problem):
+def test_gamma_and_chi_sq_do_not_depend_on_the_basis_of(transform, size, problem):
     data, contrast, rng = problem
-    assert max(invariance_gaps(data, contrast, x_basis, _matrix(rng, data.design.m, data.design.m))) < BOUND
-
-
-@settings(max_examples=40, deadline=None)
-@given(problem=_problem())
-def test_gamma_and_chi_sq_do_not_depend_on_the_basis_of_z(problem):
-    data, contrast, rng = problem
-    assert max(invariance_gaps(data, contrast, z_basis, _matrix(rng, data.design.q, data.design.q))) < BOUND
+    k = getattr(data.design, size)
+    assert max(invariance_gaps(data, contrast, transform, _matrix(rng, k, k))) < BOUND
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,16 +58,16 @@ def test_gamma_and_chi_sq_do_not_depend_on_the_basis_of_z(problem):
 def test_theta_and_chi_sq_do_not_depend_on_the_basis_of_y(problem):
     # the contrast stays, so the identity contrast's gamma is theta itself
     data, contrast, rng = problem
-    design = data.design
-    identity = model.Contrast(C=np.eye(design.m), D=np.eye(design.q))
-    basis = _matrix(rng, design.p, design.p)
-    for c in (contrast, identity):
+    basis = _matrix(rng, data.design.p, data.design.p)
+    for c in (contrast, identity_contrast(data.design)):
         assert max(invariance_gaps(data, c, y_basis, basis)) < BOUND
 
 
 @settings(max_examples=40, deadline=None)
 @given(problem=_problem())
 def test_sigma_hat_stays_and_gamma_follows_a_mean_shift(problem):
+    # under the identity contrast gamma_hat is theta_hat
     data, contrast, rng = problem
     delta = rng.standard_normal((data.design.m, data.design.q))
-    assert max(mean_shift_gaps(data, contrast, delta)) < BOUND
+    for c in (contrast, identity_contrast(data.design)):
+        assert max(mean_shift_gaps(data, c, delta)) < BOUND

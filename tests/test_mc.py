@@ -69,6 +69,8 @@ def test_config_rejects_unknown_keys():
     doc["scenario"]["bogus"] = 1
     with pytest.raises(ConfigError):
         mc.McConfig.from_dict(doc, "consistency")
+    with pytest.raises(ConfigError, match="^unknown run kind 'bogus'$"):
+        mc.run("bogus", _cfg(sizes=(10,), reps=2))
 
 
 def test_scenario_contrast_shorthand():
@@ -238,6 +240,10 @@ def test_worker_count_is_capped_at_usable_cpus(monkeypatch, raw, expected):
         monkeypatch.delenv("GCM_THREADS", raising=False)
     else:
         monkeypatch.setenv("GCM_THREADS", raw)
+    assert mc._worker_count() == expected
+    # where os has no sched_getaffinity, os.cpu_count is the cap
+    monkeypatch.delattr(mc.os, "sched_getaffinity")
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
     assert mc._worker_count() == expected
 
 

@@ -15,7 +15,7 @@ from gcm.errors import (
     RankDeficient,
     ShapeViolation,
 )
-from shared import TIMES4, ar_sigma
+from shared import TIMES4, ar_sigma, zero_pivot_x
 
 
 def _scenario(m=2, r=10, q=2, times=TIMES4, family="gaussian", df=None, theta=None):
@@ -123,12 +123,8 @@ def test_validate_rejects_duplicate_column():
 
 
 def test_validate_rejects_an_x_whose_gram_matrix_does_not_factor():
-    # the singular values of X pass RANK_RTOL (ratio 1.3e-9), X'X does not factor
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(40)
-    e = rng.standard_normal(40)
-    x = np.column_stack([np.ones(40), b, b + 3e-9 * e])
-    design = model.Design(X=x, Z=np.vander(TIMES4, 2, increasing=True))
+    # the singular values of X pass RANK_RTOL, X'X does not factor
+    design = model.Design(X=zero_pivot_x()[0], Z=np.vander(TIMES4, 2, increasing=True))
     for _ in range(2):
         with pytest.raises(RankDeficient, match="^X'X "):
             model.validate(design)
