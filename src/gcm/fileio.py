@@ -52,8 +52,6 @@ def format_matrix_csv(a: np.ndarray, header: list | None = None):
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if header is not None:
         yield ",".join(header) + "\n"
-    elif not len(a):
-        yield "\n"  # no header and no rows: one empty line
     row_fmt = ",".join([_FLOAT_FMT] * a.shape[1]) + "\n"
     rows = max(1, _BLOCK_VALUES // max(1, a.shape[1]))
     for start in range(0, len(a), rows):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, mc, model
-from gcm.errors import ConfigError, MatrixParseError, NotSpd
+from gcm.errors import ConfigError, NotSpd
 from shared import NEAR_COLLINEAR_TIMES, TIMES4, ar_sigma, x_basis, zero_pivot_x
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
@@ -140,26 +140,6 @@ def test_simulate_writes_expected_shapes(sim_files):
     assert report["results"] == {"files": ["Y.csv", "X.csv", "Z.csv", "truth.json"]}
 
 
-def test_simulate_is_deterministic(tmp_path):
-    config = {"scenario": _scenario_dict(), "r": 4, "seed": 7}
-    cfg_path = tmp_path / "sim.json"
-    cfg_path.write_text(json.dumps(config))
-    for out in ("a", "b"):
-        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
-    for name in ("Y.csv", "X.csv", "Z.csv", "truth.json", "report.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def test_simulate_seed_flag_overrides_config(tmp_path):
-    config = {"scenario": _scenario_dict(), "r": 4, "seed": 7}
-    cfg_path = tmp_path / "sim.json"
-    cfg_path.write_text(json.dumps(config))
-    assert cli.main(["simulate", "--config", str(cfg_path), "--seed", "8",
-                     "--out", str(tmp_path / "o")]) == 0
-    truth = fileio.read_json(str(tmp_path / "o" / "truth.json"))
-    assert truth["seed"] == 8
-
-
 def test_simulate_on_its_truth_file_rewrites_the_same_files(tmp_path):
     # a truth file is the simulate config that made the data, --seed applied
     scenario = _scenario_dict(family="student_t", df=6.0)
@@ -168,6 +148,7 @@ def test_simulate_on_its_truth_file_rewrites_the_same_files(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     assert cli.main(["simulate", "--config", str(cfg_path), "--seed", "8",
                      "--out", str(first)]) == 0
+    assert fileio.read_json(str(first / "truth.json"))["seed"] == 8
     assert cli.main(["simulate", "--config", str(first / "truth.json"),
                      "--out", str(second)]) == 0
     for name in ("Y.csv", "X.csv", "Z.csv", "truth.json", "report.json"):
@@ -364,20 +345,6 @@ def test_mc_consistency_table_has_one_row_per_size(tmp_path):
     table = (out / "tables" / "consistency.csv").read_text().splitlines()
     assert table[0] == "n,median_sigma_err,median_gamma_err,h_gap"
     assert len(table) == 4
-
-
-def test_mc_report_bytes_are_reproducible(tmp_path, monkeypatch):
-    cfg = _mc_config(tmp_path)
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.delenv("GCM_THREADS", raising=False)
-    assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(a)]) == 0
-    monkeypatch.setenv("GCM_THREADS", "2")
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1e3")  # a build clock the report does not read
-    assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(b)]) == 0
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    assert (a / "tables" / "consistency.csv").read_bytes() == (
-        b / "tables" / "consistency.csv"
-    ).read_bytes()
 
 
 def test_mc_normality_table_matches_report(tmp_path):
@@ -849,39 +816,33 @@ def test_cli_fits_stay_at_their_factorization_counts(
     assert len(factorizations) == count
 
 
-def test_exit_2_on_malformed_csv(sim_files, tmp_path):
-    (sim_files / "Y.csv").write_text("1.0,2.0\n3.0,not_a_number\n")
-    error = _estimate_refused(sim_files, tmp_path)
-    assert error["type"] == "MatrixParseError"
-    assert ":2:" in error["message"]  # line number of the bad row
+_LONG_ROW = ",".join(["3.0"] * 99_999)
 
 
-def test_exit_2_on_a_long_malformed_csv_row_quotes_an_excerpt(sim_files, tmp_path):
-    row = ",".join(["3.0"] * 99_999)
-    (sim_files / "Y.csv").write_text(f"{row},3.0\n{row},not_a_number\n")
+@pytest.mark.parametrize(
+    "body, kind, prefix",
+    [
+        (b"1.0,2.0\n3.0,not_a_number\n", "MatrixParseError", "{}:2: "),
+        # an excerpt of a long row keeps the message short
+        (f"{_LONG_ROW},3.0\n{_LONG_ROW},not_a_number\n".encode(), "MatrixParseError", "{}:2: "),
+        # the library's own ValueErrors are ValidationErrors, so they still exit 2
+        (None, "InvalidValue", "Y contains "),
+        (b"1.0,2.0\n3.0\n", "MatrixParseError", "{}:2: "),
+        (b"1.0,2.0\n3.0,\xff\n", "MatrixParseError", "{}: not UTF-8 "),
+    ],
+    ids=["malformed", "long-malformed-row", "non-finite", "ragged", "non-utf8"],
+)
+def test_exit_2_on_a_bad_y_csv(sim_files, tmp_path, body, kind, prefix):
+    path = sim_files / "Y.csv"
+    if body is None:  # the simulated Y with one NaN
+        y = fileio.read_matrix_csv(str(path))
+        y[3, 1] = np.nan
+        fileio.write_matrix_csv(str(path), y)
+    else:
+        path.write_bytes(body)
     error = _estimate_refused(sim_files, tmp_path)
-    assert error["type"] == "MatrixParseError"
+    assert error["type"] == kind and error["message"].startswith(prefix.format(path))
     assert len(error["message"]) < len(str(sim_files)) + 300
-
-
-def test_exit_2_on_non_finite_csv_value(sim_files, tmp_path):
-    # the library's own ValueErrors are ValidationErrors, so they still exit 2
-    y = fileio.read_matrix_csv(str(sim_files / "Y.csv"))
-    y[3, 1] = np.nan
-    fileio.write_matrix_csv(str(sim_files / "Y.csv"), y)
-    assert _estimate_refused(sim_files, tmp_path)["type"] == "InvalidValue"
-
-
-def test_exit_2_on_ragged_csv(sim_files, tmp_path):
-    (sim_files / "Y.csv").write_text("1.0,2.0\n3.0\n")
-    assert _estimate_refused(sim_files, tmp_path)["type"] == "MatrixParseError"
-
-
-def test_exit_2_on_non_utf8_csv(sim_files, tmp_path):
-    (sim_files / "Y.csv").write_bytes(b"1.0,2.0\n3.0,\xff\n")
-    error = _estimate_refused(sim_files, tmp_path)
-    assert error["type"] == "MatrixParseError"
-    assert str(sim_files / "Y.csv") in error["message"]
 
 
 def test_exit_2_on_invalid_design(tmp_path):
@@ -921,60 +882,47 @@ def test_exit_2_on_repeated_config_key(tmp_path):
     assert not (out / "tables").exists()
 
 
-@pytest.mark.parametrize("sigma", [[[float("nan")] * 4] * 4, [[1.0, 0.0], [0.0, 1.0]]])
-def test_exit_2_on_bad_truth_sigma_names_the_file(sim_files, tmp_path, sigma):
-    truth = fileio.read_json(str(sim_files / "truth.json"))
-    truth["scenario"]["sigma"] = sigma
-    path = tmp_path / "truth.json"
-    # json.dumps writes the NaN token, which read_json accepts
-    path.write_text(json.dumps(truth))
-    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
-    assert error["type"] == "ConfigError"
-    assert str(path) in error["message"] and "sigma" in error["message"]
+def _scenario_edit(**change):
+    """A truth-file edit that updates its scenario by ``change``."""
+    def edit(text):
+        truth = json.loads(text)
+        truth["scenario"].update(change)
+        return json.dumps(truth)  # a NaN is written as the token read_json accepts
+    return edit
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("theta", [["1.0", "0.5"], ["2.0", "0.25"]]), ("sigma", [[True] * 4] * 4), ("bogus", 1)],
+    "edit, prefix",
+    [
+        # a truth file is checked as a simulate config is: no coercion, no
+        # unknown keys, no repeated keys
+        (_scenario_edit(sigma=[[float("nan")] * 4] * 4), "truth file {}: sigma must be "),
+        (_scenario_edit(sigma=[[1.0, 0.0], [0.0, 1.0]]), "truth file {}: sigma must be "),
+        (_scenario_edit(theta=[["1.0", "0.5"], ["2.0", "0.25"]]), "truth file {}: theta must be "),
+        (_scenario_edit(sigma=[[True] * 4] * 4), "truth file {}: sigma must be "),
+        (_scenario_edit(bogus=1), "truth file {}: unknown scenario keys: ['bogus']"),
+        (lambda text: text.replace('"seed":', '"seed": 1, "seed":', 1),
+         "{}: repeated JSON keys ['seed']"),
+        # a valid simulate config of another shape is not the truth of this data
+        (_scenario_edit(m=3, theta=[[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]),
+         "truth file {}: theta must be "),
+        (_scenario_edit(times=TIMES4[:3], sigma=ar_sigma(3, 0.3).tolist()),
+         "truth file {}: sigma must be "),
+        # a truth file is a whole simulate config; theta alone is not one
+        (lambda text: json.dumps({"theta": json.loads(text)["scenario"]["theta"]}),
+         "truth file {}: unknown simulate config keys: ['theta']"),
+    ],
+    ids=["nan-sigma", "2x2-sigma", "string-theta", "bool-sigma", "unknown-key", "repeated-key",
+         "3-group-theta", "3-time-sigma", "theta-only"],
 )
-@pytest.mark.parametrize("known_sigma", [False, True])
-def test_exit_2_on_malformed_truth_file(sim_files, tmp_path, key, value, known_sigma):
-    # a truth file is checked as a simulate config is: no coercion, no unknown
-    # keys, on either route
-    truth = fileio.read_json(str(sim_files / "truth.json"))
-    truth["scenario"][key] = value
+@pytest.mark.parametrize("known_sigma", [False, True])  # on either route
+def test_exit_2_on_a_bad_truth_file(sim_files, tmp_path, edit, prefix, known_sigma):
     path = tmp_path / "truth.json"
-    path.write_text(json.dumps(truth))
+    path.write_text(edit((sim_files / "truth.json").read_text()))
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
     extra = ["--sigma0", str(sim_files / "S0.csv")] if known_sigma else []
     error = _estimate_refused(sim_files, tmp_path, extra=[*extra, "--truth", str(path)])
-    assert error["type"] == "ConfigError"
-    assert str(path) in error["message"] and key in error["message"]
-
-
-def test_exit_2_on_repeated_truth_key(sim_files, tmp_path):
-    text = (sim_files / "truth.json").read_text()
-    path = tmp_path / "truth.json"
-    path.write_text(text.replace('"seed":', '"seed": 1, "seed":', 1))
-    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
-    assert error["type"] == "ConfigError"
-    assert str(path) in error["message"] and "repeated JSON keys ['seed']" in error["message"]
-
-
-@pytest.mark.parametrize(
-    "change, key",
-    [({"m": 3, "theta": [[1.0, 0.5], [2.0, 0.25], [0.5, 1.5]]}, "theta"),
-     ({"times": TIMES4[:3], "sigma": ar_sigma(3, 0.3).tolist()}, "sigma")],
-)
-def test_exit_2_on_truth_that_does_not_fit_the_data(sim_files, tmp_path, change, key):
-    # a valid simulate config of another shape is not the truth of this data
-    truth = fileio.read_json(str(sim_files / "truth.json"))
-    truth["scenario"].update(change)
-    path = tmp_path / "truth.json"
-    path.write_text(json.dumps(truth))
-    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
-    assert error["type"] == "ConfigError"
-    assert error["message"].startswith(f"truth file {path}: {key} must be ")
+    assert error["type"] == "ConfigError" and error["message"].startswith(prefix.format(path))
 
 
 @pytest.mark.filterwarnings("error")
@@ -990,16 +938,6 @@ def test_truth_error_past_the_float_range_is_null(sim_files, tmp_path):
                      "--out", str(out)]) == 0
     errors = _strict_json((out / "report.json").read_text())["results"]["truth_errors"]
     assert errors["theta_err_fro"] is None and errors["sigma_err_fro"] is not None
-
-
-def test_exit_2_on_theta_only_truth_file(sim_files, tmp_path):
-    # a truth file is a whole simulate config; theta alone is not one
-    truth = fileio.read_json(str(sim_files / "truth.json"))
-    path = tmp_path / "truth.json"
-    path.write_text(json.dumps({"theta": truth["scenario"]["theta"]}))
-    error = _estimate_refused(sim_files, tmp_path, extra=["--truth", str(path)])
-    assert error["type"] == "ConfigError"
-    assert str(path) in error["message"] and "'theta'" in error["message"]
 
 
 def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path):
@@ -1464,22 +1402,7 @@ def test_estimate_with_undefined_std_errors_writes_nothing_to_stderr(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# file round trips and schema
-
-def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
-    tricky = np.array(
-        [
-            [np.pi, 1.0 / 3.0, 1e-15],
-            [-0.0, 2.0**-1074, 1.7976931348623157e308],
-            [123456789.123456789, -1e-300, 0.1],
-        ]
-    )
-    path = tmp_path / "m.csv"
-    fileio.write_matrix_csv(str(path), tricky)
-    back = fileio.read_matrix_csv(str(path))
-    assert np.array_equal(back, tricky)
-    assert back.tobytes() == tricky.tobytes()  # -0.0 round-trips too
-
+# report schema and imports
 
 def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
     # simulate, estimate, test, each mc-* kind and an error report share one top-level schema
@@ -1504,25 +1427,6 @@ def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
         assert set(doc["meta"]) == {"version", "seed"}, name
 
 
-def test_json_writer_refuses_non_finite_values(tmp_path):
-    path = tmp_path / "r.json"
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            fileio.write_json(str(path), {"x": bad})
-    assert not path.exists()
-    # jsonable is how a report gets them past the writer: numpy scalars become
-    # Python numbers, and a non-finite one null
-    assert fileio.jsonable({"x": np.float64("nan"), "n": np.int64(3)}) == {"x": None, "n": 3}
-
-
-def test_matrix_parse_error_carries_line_number(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n\n3.0,4.0\n")
-    with pytest.raises(MatrixParseError) as excinfo:
-        fileio.read_matrix_csv(str(path))
-    assert excinfo.value.line == 2
-
-
 def test_console_script_is_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "gcm.cli", "--help"], capture_output=True, text=True
@@ -1531,12 +1435,14 @@ def test_console_script_is_installed():
     assert "simulate" in proc.stdout
 
 
-def test_import_loads_no_process_pool():
-    # concurrent.futures.process is imported only by a run that starts the pool
-    code = "import sys, gcm, gcm.cli; print('concurrent.futures.process' in sys.modules)"
+def test_import_loads_no_process_pool_and_no_scipy():
+    # concurrent.futures.process is imported only by a run that starts the pool,
+    # and the runtime needs numpy and the standard library only
+    code = ("import sys, gcm, gcm.cli; print('concurrent.futures.process' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False []"
 
 
 def test_runs_load_no_numpy_ma(tmp_path):
@@ -1560,11 +1466,3 @@ def test_runs_load_no_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0] False"
-
-
-def test_import_loads_no_scipy():
-    # the runtime needs numpy and the standard library only
-    code = "import sys, gcm, gcm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

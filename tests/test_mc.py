@@ -199,12 +199,17 @@ def test_sizes_and_replications_are_bounded_before_anything_is_built():
 # determinism
 
 
-def test_report_is_byte_identical_across_worker_counts(monkeypatch):
-    cfg = _cfg(reps=40)
+@pytest.mark.parametrize(
+    "kind, scale, workers",
+    [("consistency", dict(reps=40), "3"), ("unbiasedness", dict(sizes=(10,), reps=24), "0")],
+    ids=["3-workers", "auto"],
+)
+def test_report_is_byte_identical_across_worker_counts(monkeypatch, kind, scale, workers):
+    cfg = _cfg(**scale)
     monkeypatch.setenv("GCM_THREADS", "1")
-    serial_cells, serial_records = mc.run("consistency", cfg)
-    monkeypatch.setenv("GCM_THREADS", "3")
-    parallel_cells, parallel_records = mc.run("consistency", cfg)
+    serial_cells, serial_records = mc.run(kind, cfg)
+    monkeypatch.setenv("GCM_THREADS", workers)
+    parallel_cells, parallel_records = mc.run(kind, cfg)
     assert json.dumps([fileio.jsonable(c) for c in serial_cells], sort_keys=True) == json.dumps(
         [fileio.jsonable(c) for c in parallel_cells], sort_keys=True
     )
@@ -252,17 +257,6 @@ def test_worker_count_rejects_malformed_values(monkeypatch, raw):
     monkeypatch.setenv("GCM_THREADS", raw)
     with pytest.raises(ConfigError):
         mc._worker_count()
-
-
-def test_auto_worker_count_matches_serial_results(monkeypatch):
-    cfg = _cfg(sizes=(10,), reps=24)
-    monkeypatch.delenv("GCM_THREADS", raising=False)
-    serial, _ = mc.run("unbiasedness", cfg)
-    monkeypatch.setenv("GCM_THREADS", "0")  # auto
-    auto, _ = mc.run("unbiasedness", cfg)
-    assert json.dumps([fileio.jsonable(c) for c in serial], sort_keys=True) == json.dumps(
-        [fileio.jsonable(c) for c in auto], sort_keys=True
-    )
 
 
 # ---------------------------------------------------------------------------
