@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, mc, model
-from gcm.errors import ConfigError, NotSpd
+from gcm.errors import ConfigError, MatrixParseError, NotSpd
 from shared import NEAR_COLLINEAR_TIMES, TIMES4, ar_sigma, x_basis, zero_pivot_x
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
@@ -140,6 +140,26 @@ def test_simulate_writes_expected_shapes(sim_files):
     assert report["results"] == {"files": ["Y.csv", "X.csv", "Z.csv", "truth.json"]}
 
 
+def test_simulate_is_deterministic(tmp_path):
+    config = {"scenario": _scenario_dict(), "r": 4, "seed": 7}
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(config))
+    for out in ("a", "b"):
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+    for name in ("Y.csv", "X.csv", "Z.csv", "truth.json", "report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_simulate_seed_flag_overrides_config(tmp_path):
+    config = {"scenario": _scenario_dict(), "r": 4, "seed": 7}
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--seed", "8",
+                     "--out", str(tmp_path / "o")]) == 0
+    truth = fileio.read_json(str(tmp_path / "o" / "truth.json"))
+    assert truth["seed"] == 8
+
+
 def test_simulate_on_its_truth_file_rewrites_the_same_files(tmp_path):
     # a truth file is the simulate config that made the data, --seed applied
     scenario = _scenario_dict(family="student_t", df=6.0)
@@ -148,7 +168,6 @@ def test_simulate_on_its_truth_file_rewrites_the_same_files(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     assert cli.main(["simulate", "--config", str(cfg_path), "--seed", "8",
                      "--out", str(first)]) == 0
-    assert fileio.read_json(str(first / "truth.json"))["seed"] == 8
     assert cli.main(["simulate", "--config", str(first / "truth.json"),
                      "--out", str(second)]) == 0
     for name in ("Y.csv", "X.csv", "Z.csv", "truth.json", "report.json"):
@@ -345,6 +364,20 @@ def test_mc_consistency_table_has_one_row_per_size(tmp_path):
     table = (out / "tables" / "consistency.csv").read_text().splitlines()
     assert table[0] == "n,median_sigma_err,median_gamma_err,h_gap"
     assert len(table) == 4
+
+
+def test_mc_report_bytes_are_reproducible(tmp_path, monkeypatch):
+    cfg = _mc_config(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    monkeypatch.delenv("GCM_THREADS", raising=False)
+    assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(a)]) == 0
+    monkeypatch.setenv("GCM_THREADS", "2")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1e3")  # a build clock the report does not read
+    assert cli.main(["mc-consistency", "--config", str(cfg), "--out", str(b)]) == 0
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    assert (a / "tables" / "consistency.csv").read_bytes() == (
+        b / "tables" / "consistency.csv"
+    ).read_bytes()
 
 
 def test_mc_normality_table_matches_report(tmp_path):
@@ -1402,7 +1435,22 @@ def test_estimate_with_undefined_std_errors_writes_nothing_to_stderr(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# report schema and imports
+# file round trips and schema
+
+def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
+    tricky = np.array(
+        [
+            [np.pi, 1.0 / 3.0, 1e-15],
+            [-0.0, 2.0**-1074, 1.7976931348623157e308],
+            [123456789.123456789, -1e-300, 0.1],
+        ]
+    )
+    path = tmp_path / "m.csv"
+    fileio.write_matrix_csv(str(path), tricky)
+    back = fileio.read_matrix_csv(str(path))
+    assert np.array_equal(back, tricky)
+    assert back.tobytes() == tricky.tobytes()  # -0.0 round-trips too
+
 
 def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
     # simulate, estimate, test, each mc-* kind and an error report share one top-level schema
@@ -1427,6 +1475,25 @@ def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
         assert set(doc["meta"]) == {"version", "seed"}, name
 
 
+def test_json_writer_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "r.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fileio.write_json(str(path), {"x": bad})
+    assert not path.exists()
+    # jsonable is how a report gets them past the writer: numpy scalars become
+    # Python numbers, and a non-finite one null
+    assert fileio.jsonable({"x": np.float64("nan"), "n": np.int64(3)}) == {"x": None, "n": 3}
+
+
+def test_matrix_parse_error_carries_line_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1.0,2.0\n\n3.0,4.0\n")
+    with pytest.raises(MatrixParseError) as excinfo:
+        fileio.read_matrix_csv(str(path))
+    assert excinfo.value.line == 2
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "gcm.cli", "--help"], capture_output=True, text=True
@@ -1435,14 +1502,12 @@ def test_console_script_is_installed():
     assert "simulate" in proc.stdout
 
 
-def test_import_loads_no_process_pool_and_no_scipy():
-    # concurrent.futures.process is imported only by a run that starts the pool,
-    # and the runtime needs numpy and the standard library only
-    code = ("import sys, gcm, gcm.cli; print('concurrent.futures.process' in sys.modules, "
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_import_loads_no_process_pool():
+    # concurrent.futures.process is imported only by a run that starts the pool
+    code = "import sys, gcm, gcm.cli; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False []"
+    assert proc.stdout.strip() == "False"
 
 
 def test_runs_load_no_numpy_ma(tmp_path):
@@ -1466,3 +1531,11 @@ def test_runs_load_no_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0] False"
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy and the standard library only
+    code = "import sys, gcm, gcm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
