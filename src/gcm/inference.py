@@ -35,7 +35,8 @@ class AsymptoticLaw:
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """left^{-1/2} x right^{-1/2} for one s x t matrix or a stack of them."""
-        return linalg.inv_sqrt_spd(self.left) @ x @ linalg.inv_sqrt_spd(self.right)
+        left = linalg.inv_sqrt_spd(self.left, "left factor")
+        return left @ x @ linalg.inv_sqrt_spd(self.right, "right factor")
 
 
 @dataclass(frozen=True, eq=False)

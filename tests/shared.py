@@ -1,11 +1,18 @@
-"""Values, matrices and laws that several test modules build the same way.
+"""Values, matrices, laws and drivers (CSV inputs, child interpreters) that several test
+modules build the same way.
 
 Not a test module: pytest collects nothing here.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from gcm import estimators, inference, model
+import gcm
+from gcm import estimators, fileio, inference, model
 
 TIMES4 = (1.0, 2.0, 3.0, 4.0)
 # distinct times that pass validate's rank check, with cond(Z) 2.8e9 at q = 3
@@ -16,6 +23,47 @@ def ar_sigma(p, rho=0.4):
     """The p x p AR(1) correlation matrix rho^|i - j|."""
     idx = np.arange(p)
     return rho ** np.abs(np.subtract.outer(idx, idx))
+
+
+def balanced_problem(m=2, r=10, q=2, family="gaussian", df=None):
+    """(design, theta, noise): the Potthoff-Roy design of m groups of r on TIMES4 with q
+    growth terms, theta = linspace(0.5, 2) in m x q and noise of AR(0.4) sigma."""
+    design = model.potthoff_roy_design(m, r, TIMES4, q)
+    theta = np.linspace(0.5, 2.0, m * q).reshape(m, q)
+    return design, theta, model.NoiseSpec(family=family, sigma=ar_sigma(4), df=df)
+
+
+def write_inputs(directory, Y, X, Z, C, D, S0=None):
+    """Write the CSVs of ``gcm estimate`` and ``gcm test`` as ``<name>.csv`` in ``directory``,
+    and S0.csv, for --sigma0, when S0 is given."""
+    for name, matrix in dict(Y=Y, X=X, Z=Z, C=C, D=D, S0=S0).items():
+        if matrix is not None:
+            fileio.write_matrix_csv(str(Path(directory) / f"{name}.csv"), matrix)
+
+
+def estimation_argv(directory, **swap):
+    """--y, --x, --z, --c and --d naming the CSVs of ``write_inputs`` in ``directory``.
+    ``swap`` names another file for a flag (``y="bad.csv"``) or adds a flag (``sigma0="S0.csv"``,
+    ``out="o"``); an absolute path stays as it is."""
+    files = {"y": "Y.csv", "x": "X.csv", "z": "Z.csv", "c": "C.csv", "d": "D.csv", **swap}
+    return [a for flag, name in files.items() for a in (f"--{flag}", str(Path(directory) / name))]
+
+
+def read_inputs(directory):
+    """The Dataset and Contrast that the CSVs of ``write_inputs`` in ``directory`` hold."""
+    y, x, z, c, d = (fileio.read_matrix_csv(str(Path(directory) / f"{n}.csv")) for n in "YXZCD")
+    return model.Dataset(Y=y, design=model.Design(X=x, Z=z)), model.Contrast(C=c, D=d)
+
+
+def child_python(*args, **env) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter, its output captured as text. The ``src`` of
+    the gcm this process imported goes first on its PYTHONPATH, so the child imports that
+    gcm too; ``env`` sets more variables, or unsets one given as None."""
+    src = os.path.dirname(os.path.dirname(gcm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    environ = {**os.environ, **env, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          timeout=120, env={k: v for k, v in environ.items() if v is not None})
 
 
 def spd(rng, p, jitter=0.5):

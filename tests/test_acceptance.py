@@ -22,19 +22,16 @@ from gcm import (
     NoiseSpec,
     cli,
     equality_contrast,
-    estimators,
     fileio,
-    inference,
     linalg,
     mc,
-    model,
     potthoff_roy_design,
     simulate,
     theta_hat_known,
     two_stage_gamma,
     two_stage_gamma_pinv,
 )
-from shared import TIMES4, ar_sigma, mean_shift_gaps, spd
+from shared import TIMES4, ar_sigma, estimation_argv, mean_shift_gaps, spd, write_inputs
 
 
 def _check(num, name, ok, detail=""):
@@ -303,32 +300,20 @@ def test_criterion_11_io_round_trip_and_exit_codes(tmp_path, monkeypatch):
         NoiseSpec(family="gaussian", sigma=sigma), seed=11,
     )
     d = tmp_path
-    fileio.write_matrix_csv(str(d / "Y.csv"), data.Y)
-    fileio.write_matrix_csv(str(d / "X.csv"), design.X)
-    fileio.write_matrix_csv(str(d / "Z.csv"), design.Z)
-    fileio.write_matrix_csv(str(d / "C.csv"), np.array([[1.0, -1.0]]))
-    fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
-
-    def argv(**swap):
-        files = {"y": "Y.csv", "x": "X.csv", "z": "Z.csv", "c": "C.csv", "d": "D.csv"}
-        files.update(swap)
-        out = []
-        for flag, name in files.items():
-            out += [f"--{flag}", str(d / name)]
-        return out
+    write_inputs(d, data.Y, design.X, design.Z, np.array([[1.0, -1.0]]), np.array([[0.0, 1.0]]))
 
     codes = {}
     # 2: malformed CSV
     (d / "bad.csv").write_text("1.0,2.0\nx,4.0\n")
-    codes["validation"] = cli.main(["estimate", *argv(y="bad.csv"), "--out", str(d / "o2")])
+    codes["validation"] = cli.main(["estimate", *estimation_argv(d, y="bad.csv", out="o2")])
     # 3: missing file
-    codes["io"] = cli.main(["estimate", *argv(y="missing.csv"), "--out", str(d / "o3")])
+    codes["io"] = cli.main(["estimate", *estimation_argv(d, y="missing.csv", out="o3")])
     # 4: singular first stage (noise-free data)
     fileio.write_matrix_csv(str(d / "Y0.csv"), design.X @ theta @ design.Z.T)
-    codes["first_stage"] = cli.main(["estimate", *argv(y="Y0.csv"), "--out", str(d / "o4")])
+    codes["first_stage"] = cli.main(["estimate", *estimation_argv(d, y="Y0.csv", out="o4")])
     # 5: singular standardizer (duplicated contrast rows)
     fileio.write_matrix_csv(str(d / "C2.csv"), np.array([[1.0, -1.0], [1.0, -1.0]]))
-    codes["standardizer"] = cli.main(["test", *argv(c="C2.csv"), "--out", str(d / "o5")])
+    codes["standardizer"] = cli.main(["test", *estimation_argv(d, c="C2.csv", out="o5")])
 
     expected = {"validation": 2, "io": 3, "first_stage": 4, "standardizer": 5}
     ok = csv_ok and json_ok and codes == expected

@@ -7,7 +7,6 @@ import io
 import json
 import os
 import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import gcm
 from gcm import cli, estimators, fileio, inference, mc, model
 from gcm.errors import ConfigError, MatrixParseError, NotSpd
-from shared import NEAR_COLLINEAR_TIMES, TIMES4, ar_sigma, x_basis, zero_pivot_x
+from shared import (NEAR_COLLINEAR_TIMES, TIMES4, ar_sigma, child_python, estimation_argv,
+                    read_inputs, write_inputs, x_basis, zero_pivot_x)
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
@@ -88,37 +89,26 @@ def _scenario_dict(equal_curves=False, contrast="equality", family="gaussian", d
     }
 
 
-def _write_sim_files(root):
-    """Simulated dataset on disk plus contrast files, ready for estimate/test."""
-    config = {"scenario": _scenario_dict(), "r": 8, "seed": 42}
-    cfg_path = root / "sim.json"
-    cfg_path.write_text(json.dumps(config))
-    out = root / "data"
-    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    fileio.write_matrix_csv(str(out / "C.csv"), np.array([[1.0, -1.0]]))
-    fileio.write_matrix_csv(str(out / "D.csv"), np.array([[0.0, 1.0]]))
-    return out
+def _simulated(root, scenario=None, r=8, seed=42, c=((1.0, -1.0),), d=((0.0, 1.0),)) -> Path:
+    """root/data, where ``gcm simulate`` wrote ``scenario`` (default ``_scenario_dict()``)
+    drawn at r and seed from the config root/sim.json, with C.csv and D.csv added."""
+    sim = root / "sim.json"
+    sim.write_text(json.dumps({"scenario": scenario or _scenario_dict(), "r": r, "seed": seed}))
+    data = root / "data"
+    assert cli.main(["simulate", "--config", str(sim), "--out", str(data)]) == 0
+    fileio.write_matrix_csv(str(data / "C.csv"), np.array(c))
+    fileio.write_matrix_csv(str(data / "D.csv"), np.array(d))
+    return data
 
 
 @pytest.fixture
 def sim_files(tmp_path):
-    return _write_sim_files(tmp_path)
+    return _simulated(tmp_path)
 
 
-def _estimation_argv(out, extra=()):
-    return [
-        "--y", str(out / "Y.csv"),
-        "--x", str(out / "X.csv"),
-        "--z", str(out / "Z.csv"),
-        "--c", str(out / "C.csv"),
-        "--d", str(out / "D.csv"),
-        *extra,
-    ]
-
-
-def _estimate_refused(root, tmp_path, code=2, extra=()) -> dict:
+def _estimate_refused(root, tmp_path, code=2, **swap) -> dict:
     """``gcm estimate`` on the CSVs in ``root``, checked by ``_refused``."""
-    return _refused(["estimate", *_estimation_argv(root, extra), "--out", tmp_path / "o"], code)
+    return _refused(["estimate", *estimation_argv(root, **swap), "--out", tmp_path / "o"], code)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +207,11 @@ def test_simulate_requires_seed(tmp_path):
 
 def test_estimate_report_matches_library_exactly(sim_files, tmp_path):
     out = tmp_path / "est"
-    assert cli.main(["estimate", *_estimation_argv(sim_files),
-                     "--truth", str(sim_files / "truth.json"), "--out", str(out)]) == 0
-    report = fileio.read_json(str(out / "report.json"))
-    results = report["results"]
+    argv = estimation_argv(sim_files, truth="truth.json", out=out)
+    assert cli.main(["estimate", *argv]) == 0
+    results = fileio.read_json(str(out / "report.json"))["results"]
 
-    y = fileio.read_matrix_csv(str(sim_files / "Y.csv"))
-    x = fileio.read_matrix_csv(str(sim_files / "X.csv"))
-    z = fileio.read_matrix_csv(str(sim_files / "Z.csv"))
-    data = model.Dataset(Y=y, design=model.Design(X=x, Z=z))
-    contrast = model.Contrast(C=np.array([[1.0, -1.0]]), D=np.array([[0.0, 1.0]]))
+    data, contrast = read_inputs(sim_files)
     gamma = estimators.two_stage_gamma(data, contrast)
     law = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     assert np.array_equal(np.asarray(results["gamma"]), gamma)
@@ -252,18 +237,9 @@ def test_estimate_with_known_sigma_matches_ols(tmp_path):
     x = rng.standard_normal((n, m))
     z = np.vstack([np.eye(q), np.zeros((p - q, q))])
     y = rng.standard_normal((n, p))
-    d = tmp_path
-    fileio.write_matrix_csv(str(d / "Y.csv"), y)
-    fileio.write_matrix_csv(str(d / "X.csv"), x)
-    fileio.write_matrix_csv(str(d / "Z.csv"), z)
-    fileio.write_matrix_csv(str(d / "C.csv"), np.eye(m))
-    fileio.write_matrix_csv(str(d / "D.csv"), np.eye(q))
-    fileio.write_matrix_csv(str(d / "S0.csv"), np.eye(p))
-    out = d / "est"
-    assert cli.main(
-        ["estimate", *_estimation_argv(d), "--sigma0", str(d / "S0.csv"), "--out", str(out)]
-    ) == 0
-    report = fileio.read_json(str(out / "report.json"))
+    write_inputs(tmp_path, y, x, z, np.eye(m), np.eye(q), S0=np.eye(p))
+    assert cli.main(["estimate", *estimation_argv(tmp_path, sigma0="S0.csv", out="est")]) == 0
+    report = fileio.read_json(str(tmp_path / "est" / "report.json"))
     assert report["results"]["estimator"] == "known_sigma"
     ols = np.linalg.lstsq(x, y[:, :q], rcond=None)[0]
     assert np.allclose(np.asarray(report["results"]["gamma"]), ols, atol=1e-10)
@@ -272,7 +248,7 @@ def test_estimate_with_known_sigma_matches_ols(tmp_path):
 def test_estimate_zero_contrast_gives_zero_gamma(sim_files, tmp_path):
     fileio.write_matrix_csv(str(sim_files / "C.csv"), np.zeros((1, 2)))
     out = tmp_path / "est"
-    assert cli.main(["estimate", *_estimation_argv(sim_files), "--out", str(out)]) == 0
+    assert cli.main(["estimate", *estimation_argv(sim_files), "--out", str(out)]) == 0
     report = fileio.read_json(str(out / "report.json"))
     assert np.array_equal(np.asarray(report["results"]["gamma"]), np.zeros((1, 1)))
 
@@ -286,7 +262,7 @@ def test_estimate_header_flag(tmp_path, sim_files):
         header = ",".join(f"col{i}" for i in range(width))
         path.write_text(header + "\n" + body)
     out = tmp_path / "est"
-    assert cli.main(["estimate", *_estimation_argv(sim_files), "--header", "--out", str(out)]) == 0
+    assert cli.main(["estimate", *estimation_argv(sim_files), "--header", "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +271,7 @@ def test_estimate_header_flag(tmp_path, sim_files):
 
 def test_test_command_fields_are_consistent(sim_files, tmp_path):
     out = tmp_path / "tst"
-    assert cli.main(["test", *_estimation_argv(sim_files), "--alpha", "0.05", "--out", str(out)]) == 0
+    assert cli.main(["test", *estimation_argv(sim_files), "--alpha", "0.05", "--out", str(out)]) == 0
     results = fileio.read_json(str(out / "report.json"))["results"]
     # the p-value must be recomputable from chi_sq and dof by an external table
     reference = stats.chi2.sf(results["chi_sq"], results["dof"])
@@ -307,22 +283,12 @@ def test_test_command_fields_are_consistent(sim_files, tmp_path):
 
 def test_test_command_null_data_accepts(tmp_path):
     # equal group curves: gamma = 0 exactly, the test should not reject
-    config = {"scenario": _scenario_dict(equal_curves=True), "r": 50, "seed": 3}
-    cfg_path = tmp_path / "sim.json"
-    cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "data"
-    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    fileio.write_matrix_csv(str(out / "C.csv"), np.array([[1.0, -1.0]]))
-    fileio.write_matrix_csv(str(out / "D.csv"), np.array([[0.0, 1.0]]))
+    out = _simulated(tmp_path, _scenario_dict(equal_curves=True), r=50, seed=3)
     tst = tmp_path / "tst"
-    assert cli.main(["test", *_estimation_argv(out), "--out", str(tst)]) == 0
+    assert cli.main(["test", *estimation_argv(out), "--out", str(tst)]) == 0
     results = fileio.read_json(str(tst / "report.json"))["results"]
 
-    y = fileio.read_matrix_csv(str(out / "Y.csv"))
-    x = fileio.read_matrix_csv(str(out / "X.csv"))
-    z = fileio.read_matrix_csv(str(out / "Z.csv"))
-    data = model.Dataset(Y=y, design=model.Design(X=x, Z=z))
-    contrast = model.Contrast(C=np.array([[1.0, -1.0]]), D=np.array([[0.0, 1.0]]))
+    data, contrast = read_inputs(out)
     expected = inference.test_gamma_zero(data, contrast, 0.05)
     assert results["chi_sq"] == expected.chi_sq
     assert results["p_value"] == expected.p_value
@@ -331,7 +297,7 @@ def test_test_command_null_data_accepts(tmp_path):
 
 def test_test_command_alpha_one_always_rejects(sim_files, tmp_path):
     out = tmp_path / "tst"
-    assert cli.main(["test", *_estimation_argv(sim_files), "--alpha", "1.0", "--out", str(out)]) == 0
+    assert cli.main(["test", *estimation_argv(sim_files), "--alpha", "1.0", "--out", str(out)]) == 0
     results = fileio.read_json(str(out / "report.json"))["results"]
     assert results["p_value"] < 1.0
     assert results["reject"] is True
@@ -619,7 +585,7 @@ def test_one_call_builds_one_parser_with_only_its_commands_options(
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     monkeypatch.setattr(cli._Parser, "add_argument", counting_add_argument)
     argv = {"simulate": ["simulate", "--config", str(sim_files.parent / "sim.json")],
-            "test": ["test", *_estimation_argv(sim_files)]}[command]
+            "test": ["test", *estimation_argv(sim_files)]}[command]
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
     (parser,) = parsers
     assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help", *options}
@@ -709,9 +675,9 @@ def test_estimation_error_report_echoes_the_parsed_inputs(
     sim_files, tmp_path, command, fault, code
 ):
     # a failed estimate or test writes the inputs that a success would, as strict JSON
-    assert cli.main([command, *_estimation_argv(sim_files), "--out", str(tmp_path / "ok")]) == 0
+    assert cli.main([command, *estimation_argv(sim_files), "--out", str(tmp_path / "ok")]) == 0
     inputs = _strict_json((tmp_path / "ok" / "report.json").read_text())["inputs"]
-    argv = _estimation_argv(sim_files)
+    argv = estimation_argv(sim_files)
     if fault == "missing y":
         argv[1] = inputs["y"] = str(tmp_path / "nope.csv")
     else:
@@ -811,13 +777,13 @@ def test_exit_2_before_any_replicate_on_contrast_without_full_row_rank(
 def test_exit_2_on_estimate_input_that_does_not_fit(sim_files, tmp_path, fault, kind, words):
     sigma0 = {"sigma0": np.diag([1.0, -1.0, 1.0, 1.0]), "sigma0 size": np.eye(3),
               "sigma0 shape": np.eye(4, 3)}.get(fault)
-    extra = []
+    swap = {}
     if sigma0 is not None:
         fileio.write_matrix_csv(str(sim_files / "S0.csv"), sigma0)
-        extra = ["--sigma0", str(sim_files / "S0.csv")]
+        swap = {"sigma0": "S0.csv"}
     else:
         fileio.write_matrix_csv(str(sim_files / "D.csv"), np.array([[0.0, 1.0, 0.0]]))
-    error = _estimate_refused(sim_files, tmp_path, extra=extra)
+    error = _estimate_refused(sim_files, tmp_path, **swap)
     assert error["type"] == kind
     assert words in error["message"]
 
@@ -828,7 +794,7 @@ def test_exit_2_on_a_sigma0_that_has_a_cholesky_factor_but_fails_check_spd(sim_f
     s0 = np.diag([1.0, 1.0, 1.0, 1e-12])
     np.linalg.cholesky(s0)
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), s0)
-    error = _estimate_refused(sim_files, tmp_path, extra=["--sigma0", str(sim_files / "S0.csv")])
+    error = _estimate_refused(sim_files, tmp_path, sigma0="S0.csv")
     assert error["type"] == "NotSpd"
     assert error["message"].startswith("sigma0 is not positive definite: ")
 
@@ -841,11 +807,11 @@ def test_cli_fits_stay_at_their_factorization_counts(
     # 14 numpy factorizations when sigma_hat and sigma0 were each checked by
     # eigvalsh before their Cholesky-checked inverse
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), ar_sigma(4, 0.3))
-    runs = [["estimate", "--sigma0", str(sim_files / "S0.csv")]] if known else [["estimate"], ["test"]]
+    runs = [("estimate", {"sigma0": "S0.csv"})] if known else [("estimate", {}), ("test", {})]
     factorizations.clear()
-    for command, *extra in runs:
-        out = tmp_path / command
-        assert cli.main([command, *_estimation_argv(sim_files, extra), "--out", str(out)]) == 0
+    for command, swap in runs:
+        argv = estimation_argv(sim_files, **swap, out=tmp_path / command)
+        assert cli.main([command, *argv]) == 0
     assert len(factorizations) == count
 
 
@@ -880,26 +846,19 @@ def test_exit_2_on_a_bad_y_csv(sim_files, tmp_path, body, kind, prefix):
 
 def test_exit_2_on_invalid_design(tmp_path):
     # square Z violates p > q
-    d = tmp_path
-    fileio.write_matrix_csv(str(d / "Y.csv"), np.random.default_rng(0).standard_normal((6, 2)))
-    fileio.write_matrix_csv(str(d / "X.csv"), np.vstack([np.eye(2)] * 3))
-    fileio.write_matrix_csv(str(d / "Z.csv"), np.array([[1.0, 1.0], [1.0, 2.0]]))
-    fileio.write_matrix_csv(str(d / "C.csv"), np.eye(2))
-    fileio.write_matrix_csv(str(d / "D.csv"), np.eye(2))
-    assert _estimate_refused(d, d)["type"] == "ShapeViolation"
+    y = np.random.default_rng(0).standard_normal((6, 2))
+    write_inputs(tmp_path, y, np.vstack([np.eye(2)] * 3), np.array([[1.0, 1.0], [1.0, 2.0]]),
+                 np.eye(2), np.eye(2))
+    assert _estimate_refused(tmp_path, tmp_path)["type"] == "ShapeViolation"
 
 
 def test_exit_2_on_an_x_whose_gram_matrix_does_not_factor(tmp_path):
     # X passes the rank check on its singular values, but X'X does not factor:
     # a refused design, not a crash
     x, rng = zero_pivot_x()
-    d = tmp_path
-    fileio.write_matrix_csv(str(d / "X.csv"), x)
-    fileio.write_matrix_csv(str(d / "Y.csv"), rng.standard_normal((40, 4)))
-    fileio.write_matrix_csv(str(d / "Z.csv"), np.vander(TIMES4, 2, increasing=True))
-    fileio.write_matrix_csv(str(d / "C.csv"), np.array([[0.0, 1.0, -1.0]]))
-    fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
-    error = _estimate_refused(d, d)
+    write_inputs(tmp_path, rng.standard_normal((40, 4)), x, np.vander(TIMES4, 2, increasing=True),
+                 np.array([[0.0, 1.0, -1.0]]), np.array([[0.0, 1.0]]))
+    error = _estimate_refused(tmp_path, tmp_path)
     assert error["type"] == "RankDeficient" and error["message"].startswith("X'X ")
 
 
@@ -953,8 +912,8 @@ def test_exit_2_on_a_bad_truth_file(sim_files, tmp_path, edit, prefix, known_sig
     path = tmp_path / "truth.json"
     path.write_text(edit((sim_files / "truth.json").read_text()))
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
-    extra = ["--sigma0", str(sim_files / "S0.csv")] if known_sigma else []
-    error = _estimate_refused(sim_files, tmp_path, extra=[*extra, "--truth", str(path)])
+    swap = {"sigma0": "S0.csv"} if known_sigma else {}
+    error = _estimate_refused(sim_files, tmp_path, **swap, truth=path)
     assert error["type"] == "ConfigError" and error["message"].startswith(prefix.format(path))
 
 
@@ -967,8 +926,7 @@ def test_truth_error_past_the_float_range_is_null(sim_files, tmp_path):
     path = tmp_path / "truth.json"
     path.write_text(json.dumps(truth))
     out = tmp_path / "o"
-    assert cli.main(["estimate", *_estimation_argv(sim_files), "--truth", str(path),
-                     "--out", str(out)]) == 0
+    assert cli.main(["estimate", *estimation_argv(sim_files, truth=path, out=out)]) == 0
     errors = _strict_json((out / "report.json").read_text())["results"]["truth_errors"]
     assert errors["theta_err_fro"] is None and errors["sigma_err_fro"] is not None
 
@@ -976,7 +934,7 @@ def test_truth_error_past_the_float_range_is_null(sim_files, tmp_path):
 def test_sigma0_is_an_estimate_option_only(sim_files, tmp_path):
     # the test statistic is defined for the two-stage estimator alone
     fileio.write_matrix_csv(str(sim_files / "S0.csv"), np.eye(4))
-    argv = _estimation_argv(sim_files, ["--sigma0", str(sim_files / "S0.csv")])
+    argv = estimation_argv(sim_files, sigma0="S0.csv")
     assert "--sigma0" in _refused(["test", *argv, "--out", tmp_path / "o"], 2)["message"]
     assert not (tmp_path / "o").exists()
 
@@ -1190,52 +1148,36 @@ def test_unexpected_value_error_is_not_exit_2(tmp_path, monkeypatch):
 
 
 def test_exit_2_on_bad_alpha(sim_files, tmp_path):
-    argv = ["test", *_estimation_argv(sim_files), "--alpha", "0.0", "--out", tmp_path / "o"]
+    argv = ["test", *estimation_argv(sim_files), "--alpha", "0.0", "--out", tmp_path / "o"]
     assert _refused(argv, 2)["type"] == "InvalidValue"
 
 
 def test_exit_3_on_missing_input(sim_files, tmp_path):
-    argv = _estimation_argv(sim_files)
-    argv[1] = str(sim_files / "nope.csv")
+    argv = estimation_argv(sim_files, y="nope.csv")
     assert _refused(["estimate", *argv, "--out", tmp_path / "o"], 3)["type"] == "FileNotFoundError"
 
 
 def test_exit_4_on_too_few_samples(tmp_path):
     rng = np.random.default_rng(1)
-    d = tmp_path
-    fileio.write_matrix_csv(str(d / "Y.csv"), rng.standard_normal((5, 4)))
-    fileio.write_matrix_csv(str(d / "X.csv"), rng.standard_normal((5, 2)))
-    fileio.write_matrix_csv(str(d / "Z.csv"), np.vander(np.array(TIMES4), 2, increasing=True))
-    fileio.write_matrix_csv(str(d / "C.csv"), np.array([[1.0, -1.0]]))
-    fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
-    assert _estimate_refused(d, d, 4)["type"] == "TooFewSamples"
+    write_inputs(tmp_path, Y=rng.standard_normal((5, 4)), X=rng.standard_normal((5, 2)),
+                 Z=np.vander(np.array(TIMES4), 2, increasing=True), C=np.array([[1.0, -1.0]]),
+                 D=np.array([[0.0, 1.0]]))
+    assert _estimate_refused(tmp_path, tmp_path, 4)["type"] == "TooFewSamples"
 
 
 def test_exit_4_on_noise_free_data(tmp_path):
     design = model.potthoff_roy_design(2, 5, TIMES4, 2)
     theta = np.array([[1.0, 0.5], [2.0, 0.25]])
-    d = tmp_path
-    fileio.write_matrix_csv(str(d / "Y.csv"), design.X @ theta @ design.Z.T)
-    fileio.write_matrix_csv(str(d / "X.csv"), design.X)
-    fileio.write_matrix_csv(str(d / "Z.csv"), design.Z)
-    fileio.write_matrix_csv(str(d / "C.csv"), np.array([[1.0, -1.0]]))
-    fileio.write_matrix_csv(str(d / "D.csv"), np.array([[0.0, 1.0]]))
+    write_inputs(tmp_path, design.X @ theta @ design.Z.T, design.X, design.Z,
+                 np.array([[1.0, -1.0]]), np.array([[0.0, 1.0]]))
     # the error report still lands, machine readable
-    assert _estimate_refused(d, d, 4)["type"] == "NotSpd"
+    assert _estimate_refused(tmp_path, tmp_path, 4)["type"] == "NotSpd"
 
 
-def _q3_data(tmp_path, theta, times=NEAR_COLLINEAR_TIMES, seed=3, c=((1.0, -1.0),)) -> Path:
-    """simulate output with m = 2, r = 20, q = 3 and AR(0.4) sigma, with C = ``c`` and
-    D = I."""
-    scenario = {**_scenario_dict(contrast="identity"), "q": 3, "times": times,
-                "sigma": ar_sigma(5).tolist(), "theta": theta}
-    sim = tmp_path / "sim.json"
-    sim.write_text(json.dumps({"scenario": scenario, "r": 20, "seed": seed}))
-    data = tmp_path / "data"
-    assert cli.main(["simulate", "--config", str(sim), "--out", str(data)]) == 0
-    fileio.write_matrix_csv(str(data / "C.csv"), np.array(c))
-    fileio.write_matrix_csv(str(data / "D.csv"), np.eye(3))
-    return data
+def _q3_scenario(theta, times=NEAR_COLLINEAR_TIMES) -> dict:
+    """m = 2 and q = 3 on five times, with AR(0.4) sigma."""
+    return {**_scenario_dict(contrast="identity"), "q": 3, "times": times,
+            "sigma": ar_sigma(5).tolist(), "theta": theta}
 
 
 @pytest.mark.parametrize("command", ["estimate", "test"])
@@ -1243,8 +1185,9 @@ def test_exit_4_on_a_singular_second_stage(tmp_path, command):
     # the first stage fits, but Z' sigma_hat^{-1} Z does not factor at working
     # precision (which of solve_spd's two refusals depends on the LAPACK build);
     # an orthogonal second stage would fit this Z and change the code
-    data = _q3_data(tmp_path, [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    error = _refused([command, *_estimation_argv(data), "--out", tmp_path / "o"], 4)
+    theta = [[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    data = _simulated(tmp_path, _q3_scenario(theta), r=20, seed=3, d=np.eye(3))
+    error = _refused([command, *estimation_argv(data), "--out", tmp_path / "o"], 4)
     assert error["type"] == "NotSpd"
     assert error["message"].startswith(("Z' sigma^{-1} Z has no Cholesky factorization: ",
                                         "Z' sigma^{-1} Z is singular at working precision: "))
@@ -1258,7 +1201,7 @@ def test_exit_5_on_singular_standardizer(sim_files, tmp_path, name, standardizer
     # standardizer that is singular
     path = str(sim_files / f"{name}.csv")
     fileio.write_matrix_csv(path, np.repeat(fileio.read_matrix_csv(path), 2, axis=0))
-    argv = ["test", *_estimation_argv(sim_files), "--out", tmp_path / "o"]
+    argv = ["test", *estimation_argv(sim_files), "--out", tmp_path / "o"]
     error = _refused(argv, 5)
     assert error["type"] == "NotSpd"
     assert error["message"].startswith(f"{standardizer} is not positive definite")
@@ -1272,10 +1215,11 @@ def test_test_chi_sq_does_not_depend_on_the_time_unit(tmp_path, k):
     # built on the times (1..5) x 10^k, gives the same chi^2. From k = 2 on, the right
     # standardizer's eigenvalue ratio falls below RANK_RTOL and the test exits 5
     times = [1.0, 2.0, 3.0, 4.0, 5.0]
-    data = _q3_data(tmp_path, [[0.0] * 3] * 2, times, 1, np.eye(2))
+    scenario = _q3_scenario([[0.0] * 3] * 2, times)
+    data = _simulated(tmp_path, scenario, r=20, seed=1, c=np.eye(2), d=np.eye(3))
     z = np.vander(np.array(times) * 10.0**k, 3, increasing=True)
     fileio.write_matrix_csv(str(data / "Z.csv"), z)
-    assert cli.main(["test", *_estimation_argv(data), "--out", str(tmp_path / "o")]) == 0
+    assert cli.main(["test", *estimation_argv(data), "--out", str(tmp_path / "o")]) == 0
     chi_sq = fileio.read_json(str(tmp_path / "o" / "report.json"))["results"]["chi_sq"]
     assert chi_sq == pytest.approx(6.7550557063, rel=1e-9)
 
@@ -1294,12 +1238,8 @@ def test_test_chi_sq_does_not_depend_on_a_covariate_unit(tmp_path, k):
     data = model.simulate(design, np.zeros((2, 2)), noise, seed=1)
     identity = model.Contrast(C=np.eye(2), D=np.eye(2))
     moved, _ = x_basis(data, identity, np.diag([1.0, 10.0**k]))
-    inputs = {"y": moved.Y, "x": moved.design.X, "z": design.Z, "c": np.eye(2), "d": np.eye(2)}
-    argv = ["test", "--out", str(tmp_path / "o")]
-    for name, mat in inputs.items():
-        fileio.write_matrix_csv(str(tmp_path / f"{name}.csv"), mat)
-        argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
-    assert cli.main(argv) == 0
+    write_inputs(tmp_path, moved.Y, moved.design.X, design.Z, np.eye(2), np.eye(2))
+    assert cli.main(["test", *estimation_argv(tmp_path, out="o")]) == 0
     chi_sq = fileio.read_json(str(tmp_path / "o" / "report.json"))["results"]["chi_sq"]
     expected = inference.test_gamma_zero(data, identity, 0.05).chi_sq
     assert chi_sq == pytest.approx(expected, rel=1e-9)
@@ -1314,7 +1254,7 @@ def _leaves(doc, path=()):
 
 
 def _small_documents() -> dict:
-    """A small valid config per command; "truth" is the truth file of ``_write_sim_files``."""
+    """A small valid config per command; "truth" is the truth file of ``_simulated()``."""
     docs = {"simulate": {"scenario": _scenario_dict(), "r": 6, "seed": 5},
             "truth": {"scenario": _scenario_dict(), "r": 8, "seed": 42}}
     for kind in mc.KINDS:
@@ -1346,7 +1286,7 @@ _LEAF_VALUES = st.one_of(
 
 @pytest.fixture(scope="module")
 def shared_sim_files(tmp_path_factory):
-    return _write_sim_files(tmp_path_factory.mktemp("shared"))
+    return _simulated(tmp_path_factory.mktemp("shared"))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1366,7 +1306,7 @@ def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_f
         cfg, out = Path(tmp) / "config.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(doc))
         if name == "truth":
-            argv = ["estimate", *_estimation_argv(shared_sim_files), "--truth", str(cfg)]
+            argv = ["estimate", *estimation_argv(shared_sim_files, truth=cfg)]
         else:
             argv = [name, "--config", str(cfg)]
         argv += ["--out", str(out)]
@@ -1386,17 +1326,12 @@ def test_one_changed_config_leaf_exits_0_or_2_by_the_error_contract(shared_sim_f
 def _gcm_process(argv, threads=1, start_method=None):
     """``gcm argv`` run in a fresh interpreter, so its stderr holds every warning that
     escapes; with ``start_method``, the process pool starts its workers that way."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, GCM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONWARNINGS", None)
     if start_method is None:
         entry = ["-m", "gcm.cli"]
     else:
         entry = ["-c", "import multiprocessing as mp, sys; from gcm import cli; "
                  f"mp.set_start_method({start_method!r}); sys.exit(cli.main(sys.argv[1:]))"]
-    return subprocess.run([sys.executable, *entry, *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return child_python(*entry, *argv, GCM_THREADS=str(threads), PYTHONWARNINGS=None)
 
 
 def test_run_on_an_ill_conditioned_time_design_writes_nothing_to_stderr(tmp_path):
@@ -1427,8 +1362,9 @@ def test_overflowing_run_writes_one_json_line_from_any_worker(tmp_path, threads,
 def test_estimate_with_undefined_std_errors_writes_nothing_to_stderr(tmp_path):
     # near-collinear time points: cov_right has a negative diagonal, so the
     # standard errors are null in the report and no sqrt warning is written
-    data = _q3_data(tmp_path, [[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]])
-    proc = _gcm_process(["estimate", *_estimation_argv(data), "--out", tmp_path / "o"])
+    theta = [[1.0, 0.5, 0.25], [2.0, 0.5, 0.25]]
+    data = _simulated(tmp_path, _q3_scenario(theta), r=20, seed=3, d=np.eye(3))
+    proc = _gcm_process(["estimate", *estimation_argv(data), "--out", tmp_path / "o"])
     assert (proc.returncode, proc.stderr) == (0, "")
     std_errors = _strict_json((tmp_path / "o" / "report.json").read_text())["results"]["std_errors"]
     assert std_errors == [[None] * 3]
@@ -1454,12 +1390,11 @@ def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
 
 def test_every_report_has_exactly_the_schema_keys(sim_files, tmp_path):
     # simulate, estimate, test, each mc-* kind and an error report share one top-level schema
-    missing_truth = ["--truth", str(tmp_path / "nope.json")]
     runs = {
         "simulate": (["simulate", "--config", str(sim_files.parent / "sim.json")], 0),
-        "estimate": (["estimate", *_estimation_argv(sim_files)], 0),
-        "test": (["test", *_estimation_argv(sim_files)], 0),
-        "error": (["estimate", *_estimation_argv(sim_files, missing_truth)], 3),
+        "estimate": (["estimate", *estimation_argv(sim_files)], 0),
+        "test": (["test", *estimation_argv(sim_files)], 0),
+        "error": (["estimate", *estimation_argv(sim_files, truth=tmp_path / "nope.json")], 3),
     }
     for kind in mc.KINDS:
         cfg = _mc_config(tmp_path, kind=kind, replications=2)
@@ -1495,29 +1430,29 @@ def test_matrix_parse_error_carries_line_number(tmp_path):
 
 
 def test_console_script_is_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gcm.cli", "--help"], capture_output=True, text=True
-    )
+    proc = child_python("-m", "gcm.cli", "--help")
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
 
 
 def test_import_loads_no_process_pool():
-    # concurrent.futures.process is imported only by a run that starts the pool
-    code = "import sys, gcm, gcm.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # concurrent.futures.process is imported only by a run that starts the pool; the
+    # child imports the gcm under test
+    code = ("import sys, gcm, gcm.cli; "
+            "print('concurrent.futures.process' in sys.modules, gcm.__file__)")
+    proc = child_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == f"False {gcm.__file__}"
 
 
 def test_runs_load_no_numpy_ma(tmp_path):
     # numpy.ma costs each process about 1 MB and 10 ms; np.unique loads it.
     # mc-consistency is left out: its summary's np.median still loads numpy.ma
-    data = _write_sim_files(tmp_path)
+    data = _simulated(tmp_path)
     runs = [
         ["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "sim"],
-        ["estimate", *_estimation_argv(data), "--out", tmp_path / "estimate"],
-        ["test", *_estimation_argv(data), "--out", tmp_path / "test"],
+        ["estimate", *estimation_argv(data), "--out", tmp_path / "estimate"],
+        ["test", *estimation_argv(data), "--out", tmp_path / "test"],
         ["mc-level", "--config", _mc_config(tmp_path, kind="level", replications=5),
          "--out", tmp_path / "level"],
     ]
@@ -1528,7 +1463,7 @@ def test_runs_load_no_numpy_ma(tmp_path):
         "print(codes, 'numpy.ma' in sys.modules)"
     )
     argv = json.dumps([[str(a) for a in run] for run in runs])
-    proc = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True)
+    proc = child_python("-c", code, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0] False"
 
@@ -1536,6 +1471,6 @@ def test_runs_load_no_numpy_ma(tmp_path):
 def test_import_loads_no_scipy():
     # the runtime needs numpy and the standard library only
     code = "import sys, gcm, gcm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = child_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

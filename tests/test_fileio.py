@@ -3,11 +3,8 @@
 import json
 import os
 import stat
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from gcm import cli, fileio
 from gcm.errors import MatrixParseError
+from shared import child_python
 
 # fields the two parsers must agree on: plain, signed zero, the smallest
 # subnormal (2**-1074), overflow to inf, underscores and non-ASCII digits
@@ -192,14 +190,6 @@ def test_table_writer_keeps_the_per_value_bytes(tmp_path):
     assert path.read_text() == "coordinate\n"
 
 
-def _run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's gcm."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
-    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True, timeout=120)
-
-
 @pytest.mark.parametrize("mask", [0o022, 0o077])
 def test_written_files_honour_the_umask(tmp_path, mask):
     # each mask gets a fresh process, which starts under it
@@ -210,9 +200,10 @@ def test_written_files_honour_the_umask(tmp_path, mask):
     paths = [tmp_path / "report.json", tmp_path / "sub" / "Y.csv"]
     old = os.umask(mask)
     try:
-        _run_python(code, *paths)
+        proc = child_python("-c", code, *paths)
     finally:
         os.umask(old)
+    assert proc.returncode == 0, proc.stderr
     for path in paths:
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask, path
 
@@ -223,7 +214,8 @@ def test_written_files_take_the_umask_in_force_when_written(tmp_path):
         "import os, sys; os.umask(0o022); from gcm import fileio; os.umask(0o077); "
         "fileio.write_json(sys.argv[1], {})"
     )
-    _run_python(code, tmp_path / "report.json")
+    proc = child_python("-c", code, tmp_path / "report.json")
+    assert proc.returncode == 0, proc.stderr
     assert stat.S_IMODE((tmp_path / "report.json").stat().st_mode) == 0o600
 
 

@@ -15,16 +15,7 @@ from scipy import stats
 
 from gcm import cli, estimators, fileio, inference, linalg, model
 from gcm.errors import NotSpd
-from shared import TIMES4, ar_sigma, spd
-
-
-def _pr_data(seed, m=2, r=10, q=2, theta=None, family="gaussian", df=None):
-    design = model.potthoff_roy_design(m, r, TIMES4, q)
-    if theta is None:
-        theta = np.linspace(0.5, 2.0, m * q).reshape(m, q)
-    sigma = ar_sigma(4)
-    noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
-    return model.simulate(design, theta, noise, seed=seed), theta, sigma
+from shared import TIMES4, ar_sigma, balanced_problem, estimation_argv, spd, write_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +72,14 @@ def test_cov_factors_matches_unsimplified_form():
 
 def test_plugin_cov_balanced_design_left_factor_exact():
     m, r, q = 3, 5, 2
-    data, theta, sigma = _pr_data(1, m=m, r=r, q=q)
+    data = model.simulate(*balanced_problem(m, r, q), seed=1)
     contrast = model.equality_contrast(m, q)
     law = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     assert_allclose(law.left, contrast.C @ contrast.C.T / r, atol=1e-12)
 
 
 def test_plugin_cov_right_factor_is_spd_and_symmetric():
-    data, _, _ = _pr_data(2)
+    data = model.simulate(*balanced_problem(), seed=2)
     contrast = model.Contrast(C=np.eye(2), D=np.eye(2))
     law = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     assert np.abs(law.right - law.right.T).max() < 1e-10
@@ -155,12 +146,8 @@ def test_cov_factors_on_unbalanced_designs(problem):
     plugin = inference.plugin_cov(data.design, estimators.sigma_hat(data), contrast)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = {"y": data.Y, "x": x, "z": z, "c": c, "d": d}
-        argv = ["estimate", "--out", str(tmp / "out")]
-        for name, mat in inputs.items():
-            fileio.write_matrix_csv(str(tmp / f"{name}.csv"), mat)
-            argv += [f"--{name}", str(tmp / f"{name}.csv")]
-        assert cli.main(argv) == 0
+        write_inputs(tmp, data.Y, x, z, c, d)
+        assert cli.main(["estimate", *estimation_argv(tmp), "--out", str(tmp / "out")]) == 0
         results = fileio.read_json(str(tmp / "out" / "report.json"))["results"]
     assert np.array_equal(np.asarray(results["cov_left"]), plugin.left)
     assert np.array_equal(np.asarray(results["cov_right"]), plugin.right)
@@ -204,7 +191,7 @@ def test_standardized_stat_zero_gamma_gives_zero():
 
 
 def test_standardized_stat_scalar_case_matches_z_formula():
-    data, _, _ = _pr_data(11)
+    data = model.simulate(*balanced_problem(), seed=11)
     contrast = model.equality_contrast(2, 2)
     t_stat = inference.standardized_stat(data, contrast)
     assert t_stat.shape == (1, 1)
@@ -220,7 +207,7 @@ def test_standardized_stat_scalar_case_matches_z_formula():
 
 
 def test_standardized_stat_rejects_singular_standardizer():
-    data, _, _ = _pr_data(12, m=3)
+    data = model.simulate(*balanced_problem(m=3), seed=12)
     c = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])  # duplicated row
     contrast = model.Contrast(C=c, D=np.array([[0.0, 1.0]]))
     # a singular left root is not kept, so every call refuses
@@ -260,7 +247,7 @@ def test_standardized_stat_takes_one_left_root_per_design_and_c():
 
 
 def test_left_roots_die_with_their_design():
-    data, _, _ = _pr_data(13)
+    data = model.simulate(*balanced_problem(), seed=13)
     inference.standardized_stat(data, model.equality_contrast(2, 2))
     assert len(data.design.left_roots) == 1
     ref = weakref.ref(data.design)
@@ -294,10 +281,15 @@ def test_whiten_matches_the_kronecker_whitener_on_one_matrix_and_a_stack():
     tol = 64 * np.finfo(np.float64).eps * np.abs(expected).max()
     assert_allclose(law.whiten(stack), expected, rtol=0, atol=tol)
     assert_allclose(law.whiten(stack[0]), expected[0], rtol=0, atol=tol)
+    # a singular factor is refused under its own name
+    for side in ("left", "right"):
+        singular = inference.AsymptoticLaw(**{**vars(law), side: np.ones((2, 2))})
+        with pytest.raises(NotSpd, match=f"^{side} factor is not positive definite: "):
+            singular.whiten(stack[0])
 
 
 def test_statistic_invariant_to_left_contrast_scaling():
-    data, _, _ = _pr_data(14, m=3)
+    data = model.simulate(*balanced_problem(m=3), seed=14)
     rng = np.random.default_rng(15)
     c = rng.standard_normal((2, 3))
     d = np.array([[0.0, 1.0]])
@@ -351,7 +343,7 @@ def test_p_value_monotone_in_chi_sq(chi_a, chi_b, dof):
 
 
 def test_reject_monotone_in_alpha():
-    data, _, _ = _pr_data(16)
+    data = model.simulate(*balanced_problem(), seed=16)
     contrast = model.equality_contrast(2, 2)
     alphas = (0.001, 0.01, 0.05, 0.2, 0.8, 1.0)
     rejects = [inference.test_gamma_zero(data, contrast, a).reject for a in alphas]
@@ -359,7 +351,7 @@ def test_reject_monotone_in_alpha():
 
 
 def test_alpha_domain():
-    data, _, _ = _pr_data(17)
+    data = model.simulate(*balanced_problem(), seed=17)
     contrast = model.equality_contrast(2, 2)
     with pytest.raises(ValueError):
         inference.test_gamma_zero(data, contrast, 0.0)
@@ -378,9 +370,7 @@ def test_standardized_stat_is_approximately_standard_normal_under_null():
     # n = 500 each whitened entry should have mean ~0 and variance ~1
     m, r, q = 2, 250, 2
     theta = np.array([[1.0, 0.5], [1.0, 0.5]])
-    design = model.potthoff_roy_design(m, r, TIMES4, q)
-    sigma = ar_sigma(4)
-    noise = model.NoiseSpec(family="gaussian", sigma=sigma)
+    design, _, noise = balanced_problem(m, r, q)
     contrast = model.equality_contrast(m, q)
     n_rep = 5000
     draws = np.empty(n_rep)

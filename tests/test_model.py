@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from gcm import estimators, model
 from gcm.errors import (
@@ -15,16 +14,7 @@ from gcm.errors import (
     RankDeficient,
     ShapeViolation,
 )
-from shared import TIMES4, ar_sigma, zero_pivot_x
-
-
-def _scenario(m=2, r=10, q=2, times=TIMES4, family="gaussian", df=None, theta=None):
-    design = model.potthoff_roy_design(m, r, times, q)
-    if theta is None:
-        theta = np.linspace(0.5, 2.0, m * q).reshape(m, q)
-    sigma = ar_sigma(len(times))
-    noise = model.NoiseSpec(family=family, sigma=sigma, df=df)
-    return design, theta, noise
+from shared import TIMES4, ar_sigma, balanced_problem, zero_pivot_x
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +211,7 @@ def test_noise_rejects_unknown_family_and_stray_df():
 
 
 def test_simulate_is_deterministic():
-    design, theta, noise = _scenario()
+    design, theta, noise = balanced_problem()
     a = model.simulate(design, theta, noise, seed=987654321)
     b = model.simulate(design, theta, noise, seed=987654321)
     assert a.Y.tobytes() == b.Y.tobytes()
@@ -230,7 +220,7 @@ def test_simulate_is_deterministic():
 
 
 def test_simulate_rejects_mismatched_theta():
-    design, _, noise = _scenario()
+    design, _, noise = balanced_problem()
     for bad, error in (
         (np.ones((3, 2)), DimensionMismatch),
         (np.full((2, 2), np.nan), InvalidValue),
@@ -243,7 +233,7 @@ def test_simulate_rejects_mismatched_theta():
 @pytest.mark.parametrize("family,df", [("gaussian", None), ("uniform", None), ("student_t", 6.0)])
 def test_simulate_draws_the_default_rng_stream_of_its_seed(family, df):
     # the generator is PCG64 on SeedSequence(seed), the stream default_rng(seed) gives
-    design, theta, noise = _scenario(family=family, df=df)
+    design, theta, noise = balanced_problem(family=family, df=df)
     seed = 2**63 + 11
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     e = model._standardized_rows(rng, noise, design.n) @ noise.chol.T
@@ -252,7 +242,7 @@ def test_simulate_draws_the_default_rng_stream_of_its_seed(family, df):
 
 
 def test_simulate_rejects_mismatched_noise_covariance():
-    design, theta, _ = _scenario()
+    design, theta, _ = balanced_problem()
     noise = model.NoiseSpec(family="gaussian", sigma=ar_sigma(3))
     with pytest.raises(DimensionMismatch):
         model.simulate(design, theta, noise, seed=1)
@@ -288,7 +278,7 @@ def test_simulate_rows_have_target_covariance(family, df):
 
 
 def test_shift_moves_the_mean_and_keeps_the_first_stage():
-    design, theta, noise = _scenario(m=3, r=7)
+    design, theta, noise = balanced_problem(m=3, r=7)
     data = model.simulate(design, theta, noise, seed=8)
     delta = np.random.default_rng(9).standard_normal((design.m, design.q))
     shifted = model.shift(data, delta)
@@ -300,7 +290,7 @@ def test_shift_moves_the_mean_and_keeps_the_first_stage():
 
 
 def test_shift_rejects_a_delta_that_is_not_m_by_q():
-    design, theta, noise = _scenario()
+    design, theta, noise = balanced_problem()
     data = model.simulate(design, theta, noise, seed=1)
     for bad, error in (
         (np.ones((3, 2)), DimensionMismatch),
@@ -325,7 +315,7 @@ def test_shift_validates_the_design_first():
 def test_sign_flip_leaves_first_stage_unchanged():
     # theta = 0 makes Y the raw error draw; the quadratic estimator cannot
     # distinguish E from -E
-    design, _, noise = _scenario(m=2, r=8)
+    design, _, noise = balanced_problem(m=2, r=8)
     data = model.simulate(design, np.zeros((2, 2)), noise, seed=31)
     flipped = model.Dataset(Y=-data.Y, design=design)
     a = estimators.sigma_hat(data).a
@@ -334,7 +324,7 @@ def test_sign_flip_leaves_first_stage_unchanged():
 
 
 def test_dataset_shape_checks():
-    design, _, _ = _scenario()
+    design, _, _ = balanced_problem()
     with pytest.raises(DimensionMismatch):
         model.Dataset(Y=np.ones((design.n + 1, design.p)), design=design)
     with pytest.raises(DimensionMismatch):
