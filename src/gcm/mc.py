@@ -280,25 +280,16 @@ def _run_cell(kind: str, cfg: McConfig, prep, cell_index: int, design, worker_in
     return dict(zip(record_columns(kind, contrast.s, contrast.t), np.array(rows).T))
 
 
-def ks_distance_normal(x: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance between a sample and the standard normal CDF."""
-    x = np.sort(np.asarray(x, dtype=np.float64))
-    n = x.size
-    cdf = 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in x])
+def ks_distance_normal(x: np.ndarray) -> float | np.ndarray:
+    """Kolmogorov-Smirnov distance between each sample along the last axis and the standard
+    normal CDF; a float for a 1-D sample."""
+    x = np.sort(np.asarray(x, dtype=np.float64), axis=-1)
+    n = x.shape[-1]
+    cdf = 0.5 * np.vectorize(math.erfc, otypes=[np.float64])(-x / math.sqrt(2.0))
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
-
-
-def _coord_moments(x: np.ndarray) -> tuple:
-    mu = float(x.mean())
-    centered = x - mu
-    # numpy scalars, so a moment past the float range gives inf or nan, not an OverflowError
-    m2, m3, m4 = ((centered**k).mean() for k in (2, 3, 4))
-    variance = float(x.var(ddof=1))
-    skewness = m3 / m2**1.5
-    ex_kurtosis = m4 / m2**2 - 3.0
-    return mu, variance, skewness, ex_kurtosis
+    distance = np.maximum(upper.max(axis=-1), lower.max(axis=-1))
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> dict:
@@ -310,9 +301,10 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> dict
     spec = KINDS[kind]
     s, t = scenario.contrast.s, scenario.contrast.t
     ok = records["ok"] == 1.0
+    kept = {name: column[ok] for name, column in records.items()}
     n_rep = records["ok"].size
     successes = int(ok.sum())
-    gam = np.column_stack([records[c] for c in gamma_columns(s, t)])[ok]
+    gam = np.column_stack([kept[c] for c in gamma_columns(s, t)])
     mean_gamma = gam.mean(axis=0).reshape(s, t) if successes else np.full((s, t), np.nan)
     if successes >= 2:
         se = (gam.std(axis=0, ddof=1) / np.sqrt(successes)).reshape(s, t)
@@ -329,7 +321,7 @@ def summarize_cell(kind: str, records: dict, scenario: Scenario, r: int) -> dict
         "se": se,
     }
     if successes >= spec.min_successes:
-        cell.update(spec.summarize(cell, records, ok, gam, scenario))
+        cell.update(spec.summarize(cell, kept, gam, scenario))
     return cell
 
 
@@ -378,12 +370,12 @@ class Kind:
     ``prepare(cfg)`` runs the kind's own config checks and returns the
     per-run value each replicate reads. ``replicate(cfg, prep, data)``
     fits one dataset and returns gamma_hat and the values of the record
-    ``columns``.
-    ``summarize(cell, records, ok, gam, scenario)`` gives the keys the kind
-    adds to the cell once it has ``min_successes`` successes. ``tables`` maps
-    each file under tables/ to its header and a (cfg, cell) -> rows function.
-    ``config_keys`` lists the optional config keys the kind reads, beyond those
-    every kind requires.
+    ``columns``. ``summarize(cell, kept, gam, scenario)`` gives the keys the
+    kind adds to a cell with ``min_successes`` successes or more, from the
+    records ``kept`` and gamma_hat rows ``gam`` of its successful replicates.
+    ``tables`` maps each file under tables/ to its header and a (cfg, cell) ->
+    rows function. ``config_keys`` lists the optional config keys the kind
+    reads, beyond those every kind requires.
     """
 
     columns: tuple
@@ -430,16 +422,15 @@ def _consistency_replicate(cfg, h_true, data) -> tuple:
     )
 
 
-def _consistency_summary(cell, records, ok, gam, scenario) -> dict:
+def _consistency_summary(cell, kept, gam, scenario) -> dict:
     stats = {}
     for name in _ERRORS:
-        values = records[name][ok]
-        stats[f"median_{name}"] = float(np.median(values))
-        stats[f"mean_{name}"] = float(values.mean())
+        stats[f"median_{name}"] = float(np.median(kept[name]))
+        stats[f"mean_{name}"] = float(kept[name].mean())
     return stats
 
 
-def _unbiasedness_summary(cell, records, ok, gam, scenario) -> dict:
+def _unbiasedness_summary(cell, kept, gam, scenario) -> dict:
     ratio = np.abs(cell["bias"]) / cell["se"]
     return {"max_abs_bias_in_se": float(ratio.max()), "bias_flagged": bool((ratio > 4.0).any())}
 
@@ -447,19 +438,23 @@ def _unbiasedness_summary(cell, records, ok, gam, scenario) -> dict:
 _MOMENTS = ("coord_mean", "coord_variance", "coord_skewness", "coord_ex_kurtosis")
 
 
-def _normality_summary(cell, records, ok, gam, scenario) -> dict:
+def _normality_summary(cell, kept, gam, scenario) -> dict:
     law = scenario.law()
     theory = law.full()
     v = np.sqrt(cell["n"]) * (gam - scenario.gamma_true.reshape(-1))
     centered = v - v.mean(axis=0)
     emp = centered.T @ centered / (cell["successes"] - 1)
-    coords = law.whiten(v.reshape(-1, *scenario.gamma_true.shape)).reshape(v.shape).T
+    # one row per coordinate, copied to C order so each row sums as a 1-D sample would
+    coords = law.whiten(v.reshape(-1, *scenario.gamma_true.shape)).reshape(v.shape).T.copy()
+    mu = coords.mean(axis=1)
+    m2, m3, m4 = (((coords - mu[:, None]) ** k).mean(axis=1) for k in (2, 3, 4))
+    moments = (mu, coords.var(axis=1, ddof=1), m3 / m2**1.5, m4 / m2**2 - 3.0)
     return {
         "emp_cov": emp,
         "theory_cov": theory,
         "rel_frobenius": float(np.linalg.norm(emp - theory) / np.linalg.norm(theory)),
-        "ks_distance": np.array([ks_distance_normal(x) for x in coords]),
-        **dict(zip(_MOMENTS, np.array([_coord_moments(x) for x in coords]).T)),
+        "ks_distance": ks_distance_normal(coords),
+        **dict(zip(_MOMENTS, moments)),
     }
 
 
@@ -501,10 +496,10 @@ def _level_replicate(cfg, delta, data) -> tuple:
     return gam, (res.chi_sq, float(res.reject), res_alt.chi_sq, float(res_alt.reject))
 
 
-def _level_summary(cell, records, ok, gam, scenario) -> dict:
+def _level_summary(cell, kept, gam, scenario) -> dict:
     return {
-        "rejection_rate": float(records["reject"][ok].mean()),
-        "alt_rejection_rate": float(records["reject_alt"][ok].mean()),
+        "rejection_rate": float(kept["reject"].mean()),
+        "alt_rejection_rate": float(kept["reject_alt"].mean()),
     }
 
 

@@ -170,22 +170,28 @@ def test_criterion_05_unbiasedness(tmp_path, family, df):
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_criterion_06_consistency_trends(tmp_path, family):
+    # each median error falls, and at the sqrt(n) rate: the least-squares slope of its log
+    # against log n is within 0.1 of -1/2 (at the committed seed, -0.47 to -0.52)
     cells = _run_experiment(tmp_path, "consistency", family)
     sig = [cell["median_sigma_err"] for cell in cells]
     gam = [cell["median_gamma_err"] for cell in cells]
     hgap = [cell["median_h_gap"] for cell in cells]
+    log_n = np.log([cell["n"] for cell in cells])
+    slopes = [np.polyfit(log_n, np.log(err), 1)[0] for err in (sig, gam, hgap)]
     ok = (
         sig[0] > sig[1] > sig[2]
         and gam[0] > gam[1] > gam[2]
         and hgap[0] > hgap[1] > hgap[2]
+        and all(-0.6 <= slope <= -0.4 for slope in slopes)
         and all(cell["failures"] == 0 for cell in cells)
     )
     detail = (
         f"sigma {sig[0]:.3f}>{sig[1]:.3f}>{sig[2]:.3f}, "
         f"gamma {gam[0]:.3f}>{gam[1]:.3f}>{gam[2]:.3f}, "
-        f"h {hgap[0]:.3f}>{hgap[1]:.3f}>{hgap[2]:.3f}"
+        f"h {hgap[0]:.3f}>{hgap[1]:.3f}>{hgap[2]:.3f}; "
+        "log-log slopes " + ", ".join(f"{slope:.3f}" for slope in slopes)
     )
-    _check(6, f"median errors fall as r grows ({family})", ok, detail)
+    _check(6, f"median errors fall at the sqrt(n) rate as r grows ({family})", ok, detail)
 
 
 @pytest.fixture(scope="module")

@@ -41,9 +41,12 @@ def test_sigma_hat_zero_noise_raises_not_spd():
 
 
 def test_sigma_hat_too_few_samples():
+    # n - m = 3 < p = 4 is refused; one more row gives n - m = p, the smallest sample that fits
     data, _, _ = _random_instance(0, n=5, m=2, p=4, q=2)
     with pytest.raises(TooFewSamples):
         estimators.sigma_hat(data)
+    data, _, _ = _random_instance(0, n=6, m=2, p=4, q=2)
+    assert estimators.sigma_hat(data).a.shape == (4, 4)
 
 
 def test_sigma_hat_intercept_only_matches_sample_covariance():

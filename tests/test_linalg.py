@@ -194,6 +194,17 @@ def test_projector_rejects_rank_deficient_input():
         linalg.orth_projector(np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("c", [1e6, 1e-6])
+def test_rank_and_pinv_cutoffs_are_relative_to_the_largest_singular_value(c):
+    rng = np.random.default_rng(62)
+    a = rng.standard_normal((6, 2))
+    assert_allclose(linalg.orth_projector(c * a), linalg.orth_projector(a), atol=1e-12)
+    with pytest.raises(RankDeficient):
+        linalg.orth_projector(c * np.outer(rng.standard_normal(4), [1.0, 2.0]))
+    b = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))  # rank 2
+    assert_allclose(linalg.moore_penrose(c * b), linalg.moore_penrose(b) / c, rtol=1e-10)
+
+
 def test_projector_rejects_wide_input():
     with pytest.raises(RankDeficient):
         linalg.orth_projector(np.ones((2, 3)))

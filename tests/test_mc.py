@@ -4,7 +4,8 @@ import json
 
 import numpy as np
 import pytest
-from scipy import stats
+from numpy.testing import assert_allclose
+from scipy import linalg as sla, stats
 
 from gcm import estimators, fileio, inference, mc, model
 from gcm.errors import ConfigError, NotSpd
@@ -120,9 +121,12 @@ def test_consistency_requires_increasing_sizes():
 
 
 def test_rejects_sample_size_with_singular_first_stage():
-    # r = 2 gives n = 4, n - m = 2 < p = 4
+    # r = 2 gives n = 4, n - m = 2 < p = 4; r = 3 gives n - m = 4 = p, the smallest
+    # size admitted, and every replicate fits
     with pytest.raises(ConfigError):
         mc.run("consistency", _cfg(sizes=(2, 10), reps=5))
+    (cell,), (rec,) = mc.run("consistency", _cfg(sizes=(3,), reps=5))
+    assert (cell["n"], cell["successes"], rec["ok"].size) == (6, 5, 5)
 
 
 def test_level_requires_null_theta():
@@ -272,6 +276,55 @@ def test_cell_without_successes_serializes_as_null():
     for key in ("mean_gamma", "bias", "se"):
         assert cell[key] == [[None, None], [None, None]]
     fileio.dumps_json(cell)  # strict JSON: raises on NaN or Inf
+
+
+# gamma_hat - gamma of six successes: entry 0 is biased by about 35 SEs, and each entry has a
+# nonzero mean and skew, so the centering and the k - 1 divisor both matter
+_KNOWN_ERRORS = np.array([
+    [0.90, 0.00, -0.30, 0.01],
+    [1.00, 0.10, 0.20, -0.02],
+    [1.10, -0.10, 0.10, 0.03],
+    [1.00, 0.80, -0.20, 0.20],
+    [0.95, 0.05, 0.50, -0.40],
+    [1.05, -0.05, 0.90, 0.05],
+])
+
+
+@pytest.mark.parametrize("successes", [6, 2])
+def test_cell_summaries_match_independent_oracles_on_a_known_sample(successes):
+    # a failed replicate sits among the successes; two successes are the fewest that give
+    # a finite SE and a normality summary (min_successes)
+    scen, r = _scenario(), 10
+    truth = scen.gamma_true.reshape(-1)
+    gam = truth + _KNOWN_ERRORS[:successes]
+    ok = np.ones(successes + 1)
+    ok[1] = 0.0
+    rows = np.insert(gam, 1, np.nan, axis=0)
+    records = {"ok": ok, **dict(zip(mc.gamma_columns(2, 2), rows.T))}
+
+    cell = mc.summarize_cell("unbiasedness", records, scen, r)
+    sem = stats.sem(gam, axis=0)
+    ratio = np.abs(gam.mean(axis=0) - truth) / sem
+    assert (cell["successes"], cell["failures"]) == (successes, 1)
+    assert_allclose(cell["bias"].reshape(-1), gam.mean(axis=0) - truth, rtol=1e-12)
+    assert_allclose(cell["se"].reshape(-1), sem, rtol=1e-12)
+    assert cell["max_abs_bias_in_se"] == pytest.approx(ratio.max(), rel=1e-12)
+    assert cell["bias_flagged"] is bool((ratio > 4.0).any())
+
+    cell = mc.summarize_cell("normality", records, scen, r)
+    v = np.sqrt(cell["n"]) * (gam - truth)
+    assert_allclose(cell["emp_cov"], np.cov(v, rowvar=False), rtol=1e-12)
+    # the rows whitened by the inverse square root of the full limit covariance
+    coords = v @ sla.fractional_matrix_power(scen.law().full(), -0.5)
+    expected = {
+        "coord_mean": coords.mean(axis=0),
+        "coord_variance": coords.var(axis=0, ddof=1),
+        "coord_skewness": stats.skew(coords),
+        "coord_ex_kurtosis": stats.kurtosis(coords),
+        "ks_distance": [stats.kstest(x, "norm").statistic for x in coords.T],
+    }
+    for key, value in expected.items():
+        assert_allclose(cell[key], value, rtol=1e-10, atol=1e-12, err_msg=key)
 
 
 def test_failed_replicates_are_counted_not_dropped(monkeypatch):
@@ -481,6 +534,10 @@ def test_ks_distance_matches_scipy():
     ours = mc.ks_distance_normal(sample)
     reference = stats.kstest(sample, "norm").statistic
     assert ours == pytest.approx(reference, abs=1e-12)
+    # a 1-D sample gives a float; a stack gives one distance per sample along its last axis
+    assert type(ours) is float
+    rows = np.stack([sample, 3.0 * sample])
+    assert mc.ks_distance_normal(rows).tolist() == [ours, mc.ks_distance_normal(rows[1])]
 
 
 def test_ks_distance_detects_wrong_scale():
